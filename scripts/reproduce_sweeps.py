@@ -4,8 +4,7 @@
 Usage:
     python scripts/reproduce_sweeps.py [--out DIR] [--workers N] [--only fig2a fig7 ...]
 
-The full set is ~40 sweeps at figure resolution; with 8 workers it takes a
-few minutes on a laptop.
+The full set is ~40 sweeps at figure resolution, evaluated serially.
 """
 import argparse
 import sys
@@ -21,7 +20,8 @@ FIGURE_PRESETS = [name for name in available_presets() if name.startswith("fig")
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="figure-sweeps")
-    ap.add_argument("--workers", type=int, default=8)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="passed on to cavmag, which records it; no effect")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of presets (default: every fig* preset)")
     args = ap.parse_args()

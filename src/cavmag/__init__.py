@@ -17,8 +17,6 @@ from .model import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     MODE_LABELS,
-    DiffusionMatrix,
-    DriftMatrix,
     StabilityVerdict,
     SteadyState,
     diffusion_matrix,

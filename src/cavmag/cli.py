@@ -41,7 +41,9 @@ def _parser() -> argparse.ArgumentParser:
                              "T in K) or a raw section.key")
     common.add_argument("--out", metavar="DIR", default="cavmag-out",
                         help="output directory (default: cavmag-out)")
-    common.add_argument("--workers", type=int, default=1, metavar="N")
+    common.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="accepted and recorded; has no effect (grid "
+                             "points are evaluated serially)")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the optimizer seed")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -109,7 +111,7 @@ def cmd_point(args) -> int:
     print("steady state:")
     for label, z in (("a1", ss.a1), ("a2", ss.a2), ("e", ss.e), ("n", ss.n)):
         print(f"  <{label}> = {z.real:+.6e} {z.imag:+.6e}j   (|{label}| = {abs(z):.4e})")
-    print(f"  <x> = {ss.x_mean:+.6e}   <y> = {ss.y_mean:+.6e}")
+    print(f"  <x> = {ss.x_mean:+.6e}")
     print(f"  delta_n_tilde = {ss.delta_n_tilde / wd:+.6f} omega_d")
     verdict = report.verdict
     print(f"stability: {'stable' if verdict.stable else 'UNSTABLE'} "
@@ -137,7 +139,7 @@ def cmd_point(args) -> int:
         "steady_state": {
             "a1": _cplx(ss.a1), "a2": _cplx(ss.a2),
             "e": _cplx(ss.e), "n": _cplx(ss.n),
-            "x": ss.x_mean, "y": ss.y_mean,
+            "x": ss.x_mean,
             "delta_n_tilde_radps": ss.delta_n_tilde,
         },
         "bipartite": {mid: report.bipartite.get(pair)
@@ -174,7 +176,7 @@ def _run_sweeps(args, only_stability: bool) -> int:
                 total *= a.points
             progress = lambda done, total=total, name=name: print(
                 f"[{name}] {done}/{total} rows", file=sys.stderr)
-        result = run_grid(spec, workers=args.workers, progress=progress)
+        result = run_grid(spec, progress=progress)
         destination = out / f"{name}.csv"
         emit_csv(result, destination)
         n_unstable = sum(1 for r in result.rows if r.stable is False)

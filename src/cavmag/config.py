@@ -13,7 +13,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .model import TWO_PI, CouplingDerivation, ParameterError, SystemParams
+from .model import (TWO_PI, CouplingDerivation, ParameterError, SystemParams,
+                    updated_in_omega_d_units)
 from .optimize import OPT_PARAMS, OptimizeSpec
 from .sweep import Axis, GridSpec
 
@@ -252,15 +253,13 @@ def _apply_point_overrides(base: SystemParams, section_name: str,
                 "'_wd' (omega_d units) or be 'set_T_K'"
             )
         name = key[len("set_"):-len("_wd")]
-        if name == "delta_n_tilde":
-            name = "delta_n_tilde_override"
-        elif name not in RATE_SHORTHAND:
+        if name not in RATE_SHORTHAND:
             raise ConfigError(
                 f"override key {key!r} in [{section_name}] names an unknown "
                 f"parameter {name!r}"
             )
-        changes[name] = _float(raw, section_name, key) * base.omega_d
-    return base.updated(**changes) if changes else base
+        changes[name] = _float(raw, section_name, key)
+    return updated_in_omega_d_units(base, changes) if changes else base
 
 
 _SWEEP_KEY_OK = ("axis1", "axis2", "linkage", "measures")

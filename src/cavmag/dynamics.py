@@ -29,29 +29,8 @@ class SteadyState:
     e: complex
     n: complex
     x_mean: float
-    y_mean: float
     delta_n_tilde: float
-    converged: bool
-    iterations: int
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """10x10 drift matrix of the linearized quadrature dynamics.
-
-    Mode order (1-based row pairs): a1 rows 1-2, a2 rows 3-4, magnon rows 5-6,
-    phonon rows 7-8, ensemble rows 9-10.
-    """
-
-    entries: np.ndarray
-    omega_d: float
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Diagonal input-noise strength matrix matching the drift ordering."""
-
-    entries: np.ndarray
+    iterations: int  # self-consistency iterations; 0 when the detuning is pinned
 
 
 @dataclass(frozen=True)
@@ -103,7 +82,7 @@ def steady_state(p: SystemParams) -> SteadyState:
     if p.delta_n_tilde_override is not None:
         dnt = p.delta_n_tilde_override
         a1, a2, e, n, x = _amplitudes(p, dnt)
-        return SteadyState(a1, a2, e, n, x, 0.0, dnt, True, 0)
+        return SteadyState(a1, a2, e, n, x, dnt, 0)
 
     tol = 1e-12 * p.omega_d
     dnt = p.delta_n
@@ -111,7 +90,7 @@ def steady_state(p: SystemParams) -> SteadyState:
         a1, a2, e, n, x = _amplitudes(p, dnt)
         target = p.delta_n + p.g_nd * x
         if abs(target - dnt) < tol:
-            return SteadyState(a1, a2, e, n, x, 0.0, dnt, True, it)
+            return SteadyState(a1, a2, e, n, x, dnt, it)
         dnt = (1.0 - _SC_MIXING) * dnt + _SC_MIXING * target
     raise SteadyStateError(
         f"non-convergent self-consistency after {_SC_MAX_ITER} iterations "
@@ -119,8 +98,10 @@ def steady_state(p: SystemParams) -> SteadyState:
     )
 
 
-def drift_matrix(p: SystemParams, ss: SteadyState) -> DriftMatrix:
-    """Drift matrix of the linearized quadrature dynamics at the steady state."""
+def drift_matrix(p: SystemParams, ss: SteadyState) -> np.ndarray:
+    """10x10 drift matrix of the linearized quadrature dynamics at the steady
+    state.  Row pairs (1-based): a1 1-2, a2 3-4, magnon 5-6, phonon 7-8,
+    ensemble 9-10."""
     d1, d2, de = p.delta_1, p.delta_2, p.delta_e
     dnt = ss.delta_n_tilde
     ka, kn, ge, gd = p.kappa_a, p.kappa_n, p.gamma_e, p.gamma_d
@@ -137,11 +118,11 @@ def drift_matrix(p: SystemParams, ss: SteadyState) -> DriftMatrix:
         [0.0,   Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -ge,   de],
         [-Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -de,  -ge],
     ])
-    return DriftMatrix(entries=A, omega_d=wd)
+    return A
 
 
-def diffusion_matrix(p: SystemParams) -> DiffusionMatrix:
-    """Noise-strength matrix fixed by the input-noise correlations.
+def diffusion_matrix(p: SystemParams) -> np.ndarray:
+    """Diagonal noise-strength matrix fixed by the input-noise correlations.
 
     The ensemble rows carry bare ``gamma_e`` (vacuum atomic noise), unlike the
     thermally weighted photon/magnon/phonon rows.
@@ -159,25 +140,22 @@ def diffusion_matrix(p: SystemParams) -> DiffusionMatrix:
         p.gamma_e,
         p.gamma_e,
     ])
-    return DiffusionMatrix(entries=np.diag(diag))
+    return np.diag(diag)
 
 
 def spectral_abscissa(A: np.ndarray) -> float:
-    try:
-        eigenvalues = np.linalg.eigvals(np.asarray(A, dtype=float))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigen-solver failure: {exc}") from exc
-    return float(np.max(eigenvalues.real))
+    """Largest real part of the spectrum; a LAPACK failure raises LinAlgError."""
+    return float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
 
 
-def stability(A: DriftMatrix) -> StabilityVerdict:
+def stability(A: np.ndarray, omega_d: float) -> StabilityVerdict:
     """Spectral stability test: stable iff all drift eigenvalues decay.
 
     Marginal systems within 1e-9 * omega_d of the imaginary axis are declared
     unstable.
     """
-    abscissa = spectral_abscissa(A.entries)
-    threshold = -STABILITY_EPS_FACTOR * A.omega_d
+    abscissa = spectral_abscissa(A)
+    threshold = -STABILITY_EPS_FACTOR * omega_d
     return StabilityVerdict(
         stable=abscissa < threshold,
         spectral_abscissa=abscissa,
@@ -185,7 +163,6 @@ def stability(A: DriftMatrix) -> StabilityVerdict:
     )
 
 
-def export_matrix(matrix, destination) -> None:
-    """Plain-text numeric dump of a drift/diffusion/covariance matrix."""
-    np.savetxt(destination, np.asarray(getattr(matrix, "entries", matrix),
-                                       dtype=float), fmt="%+.12e")
+def export_matrix(matrix: np.ndarray, destination) -> None:
+    """Plain-text numeric dump of a drift, diffusion or covariance array."""
+    np.savetxt(destination, np.asarray(matrix, dtype=float), fmt="%+.12e")

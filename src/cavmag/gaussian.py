@@ -14,17 +14,16 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from .dynamics import (
     MODE_LABELS,
-    DiffusionMatrix,
-    DriftMatrix,
     StabilityVerdict,
     SteadyState,
+    SteadyStateError,
     diffusion_matrix,
     drift_matrix,
     spectral_abscissa,
     stability,
     steady_state,
 )
-from .model import SystemParams
+from .model import ParameterError, SystemParams
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +51,12 @@ MEASURE_IDS = tuple(BIPARTITE_MEASURES) + tuple(TRIPARTITE_MEASURES)
 
 class GaussianError(RuntimeError):
     pass
+
+
+# Errors that mean "no usable steady state at this point" rather than a bug:
+# sweeps record them as error rows and the optimizer scores them zero.
+NO_STEADY_STATE = (SteadyStateError, GaussianError, ParameterError,
+                   np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -111,34 +116,26 @@ class EntanglementReport:
         raise GaussianError(f"unknown measure id {measure_id!r}")
 
 
-def _entries(A) -> np.ndarray:
-    return np.asarray(getattr(A, "entries", A), dtype=float)
-
-
-def lyapunov_solve(A, D) -> CovarianceMatrix:
+def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     """Steady covariance V of A V + V A^T + D = 0 for a stable drift A.
 
-    Accepts DriftMatrix/DiffusionMatrix wrappers or plain square arrays.
+    Every eigenvalue of A must lie strictly in the left half-plane.
     The solve is done on matrices prescaled by the largest drift entry and the
     result symmetrized; the residual is verified against
     1e-8 * max(1, ||D||_F) in the caller's units.
     """
-    A_m = _entries(A)
-    D_m = _entries(D)
-    n = A_m.shape[0]
-    if A_m.shape != (n, n) or D_m.shape != (n, n):
+    n = A.shape[0]
+    if A.shape != (n, n) or D.shape != (n, n):
         raise GaussianError("drift and diffusion must be square and same size")
-    omega_d = getattr(A, "omega_d", None)
-    threshold = -1e-9 * omega_d if omega_d is not None else 0.0
-    if spectral_abscissa(A_m) >= threshold:
+    if spectral_abscissa(A) >= 0.0:
         raise GaussianError(
             "unstable system: drift spectrum reaches the imaginary axis"
         )
-    scale = np.max(np.abs(A_m))
-    V = solve_continuous_lyapunov(A_m / scale, -D_m / scale)
+    scale = np.max(np.abs(A))
+    V = solve_continuous_lyapunov(A / scale, -D / scale)
     V = 0.5 * (V + V.T)
-    residual = np.linalg.norm(A_m @ V + V @ A_m.T + D_m)
-    bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D_m))
+    residual = np.linalg.norm(A @ V + V @ A.T + D)
+    bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
     if not np.isfinite(V).all() or residual > bound:
         raise GaussianError(
             f"solver breakdown: Lyapunov residual {residual:.3e} exceeds {bound:.3e}"
@@ -257,7 +254,7 @@ def steady_covariance(p: SystemParams):
     """Steady state, stability verdict and (if stable) the 10x10 covariance."""
     ss = steady_state(p)
     A = drift_matrix(p, ss)
-    verdict = stability(A)
+    verdict = stability(A, p.omega_d)
     if not verdict.stable:
         return ss, verdict, None
     V = lyapunov_solve(A, diffusion_matrix(p))

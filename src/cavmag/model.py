@@ -156,6 +156,22 @@ class SystemParams:
         return dataclasses.asdict(self)
 
 
+def updated_in_omega_d_units(base: SystemParams, values: dict) -> SystemParams:
+    """``base.updated`` with ``values`` given as sweeps, boxes and overrides
+    give them: rates and detunings in units of ``omega_d``, ``T`` in kelvin,
+    and ``delta_n_tilde`` for the pinned effective magnon detuning."""
+    wd = base.omega_d
+    changes = {}
+    for name, value in values.items():
+        if name == "T":
+            changes["T"] = value
+        elif name == "delta_n_tilde":
+            changes["delta_n_tilde_override"] = value * wd
+        else:
+            changes[name] = value * wd
+    return base.updated(**changes)
+
+
 @dataclass(frozen=True)
 class ThermalOccupations:
     """Mean thermal occupations of the two cavities, the magnon and the phonon."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .gaussian import MEASURE_IDS, measure_values, steady_covariance
-from .model import SystemParams
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
+from .model import SystemParams, updated_in_omega_d_units
 
 OPT_PARAMS = ("delta_1", "delta_2", "delta_n_tilde", "delta_e", "J")
 
@@ -67,15 +67,6 @@ class OptimumReport:
     restarts: list[dict] = field(default_factory=list)
 
 
-def _point_params(base: SystemParams, names, x) -> SystemParams:
-    wd = base.omega_d
-    changes = {}
-    for name, v in zip(names, x):
-        key = "delta_n_tilde_override" if name == "delta_n_tilde" else name
-        changes[key] = v * wd
-    return base.updated(**changes)
-
-
 def evaluate_measure(p: SystemParams, measure: str) -> float | None:
     """Measure value at one parameter point; None when there is no steady state."""
     _, _, V = steady_covariance(p)
@@ -108,10 +99,9 @@ def maximize(spec: OptimizeSpec, base: SystemParams) -> OptimumReport:
         point.update(zip(free, x_free))
         state["evals"] += 1
         try:
-            value = evaluate_measure(
-                _point_params(base, point.keys(), point.values()), spec.measure
-            )
-        except Exception:
+            value = evaluate_measure(updated_in_omega_d_units(base, point),
+                                     spec.measure)
+        except NO_STEADY_STATE:
             value = None
         if value is None:
             return 0.0

@@ -1,19 +1,18 @@
 """Grid evaluation of entanglement measures with figure-ready CSV output.
 
 Axis values are dimensionless (units of omega_d) except the temperature axis,
-which is kelvin.  Rows are emitted in row-major order over the axes and the
-engine gives identical results for any worker count.
+which is kelvin.  Points are evaluated one after another and rows are emitted
+in row-major order over the axes.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .gaussian import MEASURE_IDS, measure_values, steady_covariance
-from .model import EPS0, HBAR, KB, SystemParams
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
+from .model import EPS0, HBAR, KB, SystemParams, updated_in_omega_d_units
 
 SWEEP_PARAMS = ("delta_1", "delta_2", "delta_e", "delta_n_tilde", "J", "T", "delta_a")
 LINKAGES = ("independent", "symmetric", "antisymmetric")
@@ -116,37 +115,26 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _point_params(spec: GridSpec, axis_values) -> SystemParams:
-    changes: dict[str, float] = {}
-    wd = spec.base.omega_d
-    for axis, value in zip(spec.axes, axis_values):
-        if axis.param == "delta_a":
-            if spec.linkage == "symmetric":
-                changes["delta_1"] = value * wd
-                changes["delta_2"] = value * wd
-            else:  # antisymmetric: delta_a = -delta_1 = delta_2
-                changes["delta_1"] = -value * wd
-                changes["delta_2"] = value * wd
-        elif axis.param == "delta_n_tilde":
-            changes["delta_n_tilde_override"] = value * wd
-        elif axis.param == "T":
-            changes["T"] = value
-        else:
-            changes[axis.param] = value * wd
-    return spec.base.updated(**changes)
+def _point_values(spec: GridSpec, axis_values) -> dict[str, float]:
+    """Axis values by parameter name, with delta_a expanded by the linkage."""
+    values = dict(zip((a.param for a in spec.axes), axis_values))
+    if "delta_a" in values:
+        delta_a = values.pop("delta_a")
+        # antisymmetric: delta_a = -delta_1 = delta_2
+        values["delta_1"] = delta_a if spec.linkage == "symmetric" else -delta_a
+        values["delta_2"] = delta_a
+    return values
 
 
 def _evaluate(spec: GridSpec, axis_values) -> SweepRow:
     try:
-        p = _point_params(spec, axis_values)
-        _, verdict, V = steady_covariance(p)
+        p = updated_in_omega_d_units(spec.base, _point_values(spec, axis_values))
+        _, _, V = steady_covariance(p)
         if V is None:
             return SweepRow(axis_values, stable=False, measures=None)
         return SweepRow(axis_values, stable=True,
                         measures=measure_values(V, spec.measures))
-    except SweepSpecError:
-        raise
-    except Exception as exc:  # per-point failures never abort the sweep
+    except NO_STEADY_STATE as exc:
         return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
 
 
@@ -158,26 +146,18 @@ def grid_points(spec: GridSpec):
     return [(u, v) for u in outer.values() for v in inner.values()]
 
 
-def run_grid(spec: GridSpec, workers: int = 1,
-             progress: "callable | None" = None) -> SweepResult:
-    """Evaluate the requested measures at every grid point.
+def run_grid(spec: GridSpec, progress: "callable | None" = None) -> SweepResult:
+    """Evaluate the requested measures at every grid point, in row-major order.
 
-    ``workers`` > 1 evaluates points on a thread pool; results are reduced in
-    row-major order and are identical to a serial run.  ``progress`` (if given)
-    is called with the number of completed rows after each block.
+    ``progress`` (if given) is called with the number of completed rows every
+    200 rows and once after the last row.
     """
     points = grid_points(spec)
-    if workers <= 1:
-        rows = []
-        for i, pt in enumerate(points):
-            rows.append(_evaluate(spec, pt))
-            if progress is not None and (i + 1) % 200 == 0:
-                progress(i + 1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda pt: _evaluate(spec, pt), points))
-        if progress is not None:
-            progress(len(points))
+    rows = []
+    for done, pt in enumerate(points, 1):
+        rows.append(_evaluate(spec, pt))
+        if progress is not None and (done % 200 == 0 or done == len(points)):
+            progress(done)
     metadata = {
         "tool": "cavmag",
         "version": __version__,

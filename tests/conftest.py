@@ -51,7 +51,7 @@ def sample_stable_params(seed: int, count: int,
             raise RuntimeError("stable-point sampler is starving")
         p = draw_params(rng, base)
         A = drift_matrix(p, steady_state(p))
-        if stability(A).stable:
+        if stability(A, p.omega_d).stable:
             out.append(p)
     return out
 

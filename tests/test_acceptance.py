@@ -42,7 +42,6 @@ from conftest import (
 from test_gaussian import cov
 
 WD = SystemParams().omega_d
-WORKERS = 8
 
 # operating points optimized per measure (omega_d units):
 # (delta_1, delta_2, delta_n_tilde, delta_e, J)
@@ -111,10 +110,10 @@ def test_criterion_1_lyapunov_oracle_equivalence():
         A = drift_matrix(p, steady_state(p))
         D = diffusion_matrix(p)
         V = lyapunov_solve(A, D).entries
-        V_oracle = integrate_lyapunov(A.entries, D.entries, p.omega_d)
+        V_oracle = integrate_lyapunov(A, D, p.omega_d)
         rel = np.linalg.norm(V - V_oracle) / np.linalg.norm(V_oracle)
-        residual = (np.linalg.norm(A.entries @ V + V @ A.entries.T + D.entries)
-                    / max(1.0, np.linalg.norm(D.entries)))
+        residual = (np.linalg.norm(A @ V + V @ A.T + D)
+                    / max(1.0, np.linalg.norm(D)))
         worst_rel, worst_res = max(worst_rel, rel), max(worst_res, residual)
     passed = worst_rel < 1e-4 and worst_res <= 1e-8
     report_line("criterion 1", passed,
@@ -213,7 +212,7 @@ def test_criterion_5_detuning_plane_maxima_locations():
     near (0, 0) and near (-2, -2) (101 x 101 grid, anchors within 0.5)."""
     [(_, spec)] = preset_grid("fig2a")
     assert spec.axes[0].points == spec.axes[1].points == 101
-    xs, ys, values = grid_to_array(spec, run_grid(spec, workers=WORKERS))
+    xs, ys, values = grid_to_array(spec, run_grid(spec))
     global_max = np.nanmax(values)
     peaks = [(xs[i], ys[j], c) for i, j, c in local_maxima(values)
              if c >= 0.5 * global_max]
@@ -239,7 +238,7 @@ def test_criterion_6_magnon_ensemble_optimum_location():
     """Magnon-ensemble maximum on the symmetric grid within 0.3 of +0.5
     (expected failure; the measured optimum is the mirror point)."""
     [(_, spec)] = preset_grid("fig4a")
-    xs, _, values = grid_to_array(spec, run_grid(spec, workers=WORKERS))
+    xs, _, values = grid_to_array(spec, run_grid(spec))
     i, j = np.unravel_index(np.nanargmax(values), values.shape)
     argmax_delta_a = xs[i]
     report_line("criterion 6", abs(argmax_delta_a - 0.5) <= 0.3,
@@ -281,7 +280,8 @@ def test_criterion_8_critical_temperature_bands():
     """Critical temperatures at the four operating points, +/-30% bands."""
     # record the stored a1n point's verdict rather than silently fixing it
     unstable = params_at("EN_a1n")
-    verdict = stability(drift_matrix(unstable, steady_state(unstable)))
+    verdict = stability(drift_matrix(unstable, steady_state(unstable)),
+                        unstable.omega_d)
     assert not verdict.stable
 
     results = {}
@@ -302,7 +302,7 @@ def test_criterion_9_tripartite_positivity():
     specs = dict(preset_grid("fig8"))
     maxima = {}
     for name, measure in (("a1nd", "R_a1nd"), ("nde", "R_nde")):
-        result = run_grid(specs[name], workers=WORKERS)
+        result = run_grid(specs[name])
         best = max((row.measures[measure], row.axis_values[0])
                    for row in result.rows if row.measures)
         maxima[measure] = best

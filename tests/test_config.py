@@ -6,6 +6,7 @@ from cavmag.config import (
     ConfigError,
     apply_set,
     build_coupling,
+    build_grid_specs,
     build_system,
     load_layers,
 )
@@ -66,6 +67,29 @@ def test_sets_compose_left_to_right():
     apply_set(cfg, "J=0.4")
     apply_set(cfg, "J=1.2")
     assert build_system(cfg).J == pytest.approx(1.2 * build_system(cfg).omega_d)
+
+
+def _sweep_with(**overrides):
+    cfg = load_layers()
+    cfg["sweep"] = {"axis1": "J", "axis1_min_wd": "0.2", "axis1_max_wd": "1.0",
+                    "axis1_points": "3", **overrides}
+    return build_grid_specs(cfg, build_system(cfg))
+
+
+def test_sweep_point_overrides_use_omega_d_units():
+    [(_, spec)] = _sweep_with(set_delta_n_tilde_wd="1.1", set_kappa_a_wd="0.2",
+                              set_T_K="0.05")
+    wd = spec.base.omega_d
+    assert spec.base.delta_n_tilde_override == 1.1 * wd
+    assert spec.base.kappa_a == 0.2 * wd
+    assert spec.base.T == 0.05
+
+
+def test_sweep_point_override_names_validated():
+    with pytest.raises(ConfigError, match="unknown parameter 'omega_d'"):
+        _sweep_with(set_omega_d_wd="2")
+    with pytest.raises(ConfigError, match="must end in '_wd'"):
+        _sweep_with(set_J="0.5")
 
 
 def test_sphere_diameter_alternative():

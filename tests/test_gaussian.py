@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmag.dynamics import DriftMatrix, diffusion_matrix, drift_matrix, steady_state
+from cavmag.dynamics import diffusion_matrix, drift_matrix, steady_state
 from cavmag.gaussian import (
     BIPARTITE_MEASURES,
     CovarianceMatrix,
@@ -57,7 +57,7 @@ class TestLyapunovSolve:
         A = drift_matrix(p, steady_state(p))
         D = diffusion_matrix(p)
         V = lyapunov_solve(A, D).entries
-        V_int = integrate_lyapunov(A.entries, D.entries, p.omega_d)
+        V_int = integrate_lyapunov(A, D, p.omega_d)
         rel = np.linalg.norm(V - V_int) / np.linalg.norm(V_int)
         assert rel < 1e-4
 
@@ -66,8 +66,8 @@ class TestLyapunovSolve:
         A = drift_matrix(p, steady_state(p))
         D = diffusion_matrix(p)
         V = lyapunov_solve(A, D).entries
-        residual = np.linalg.norm(A.entries @ V + V @ A.entries.T + D.entries)
-        assert residual <= 1e-8 * max(1.0, np.linalg.norm(D.entries))
+        residual = np.linalg.norm(A @ V + V @ A.T + D)
+        assert residual <= 1e-8 * max(1.0, np.linalg.norm(D))
 
     def test_result_is_symmetric(self):
         p = SystemParams()

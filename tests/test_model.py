@@ -14,6 +14,7 @@ from cavmag.model import (
     rabi_from_field,
     rabi_from_power,
     thermal_occupation,
+    updated_in_omega_d_units,
     validate_regime,
 )
 from cavmag.dynamics import steady_state
@@ -162,6 +163,31 @@ class TestSystemParams:
         z = SystemParams().occupations()
         assert z.Z_d == pytest.approx(Z_10MHZ_10MK, rel=1e-6)
         assert z.Z_a1 == pytest.approx(Z_10GHZ_10MK, rel=1e-3)
+
+
+class TestOmegaDUnits:
+    def test_optimizer_names(self):
+        base = SystemParams()
+        wd = base.omega_d
+        p = updated_in_omega_d_units(base, {"delta_1": 0.76, "delta_2": -0.52,
+                                            "delta_n_tilde": 0.77,
+                                            "delta_e": -0.63, "J": 0.35})
+        assert p.delta_1 == 0.76 * wd and p.delta_2 == -0.52 * wd
+        assert p.delta_e == -0.63 * wd and p.J == 0.35 * wd
+        assert p.delta_n_tilde_override == 0.77 * wd
+        assert p.omega_c1 == p.omega_l + p.delta_1  # carrier re-derived
+
+    def test_config_override_names(self):
+        base = SystemParams()
+        wd = base.omega_d
+        p = updated_in_omega_d_units(base, {"kappa_a": 0.2, "G_ae": 0.5,
+                                            "T": 0.05})
+        assert p.kappa_a == 0.2 * wd and p.G_ae == 0.5 * wd
+        assert p.T == 0.05  # kelvin, not scaled
+
+    def test_bad_value_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="kappa_a"):
+            updated_in_omega_d_units(SystemParams(), {"kappa_a": -0.1})
 
 
 class TestValidateRegime:

@@ -1,5 +1,7 @@
 import pytest
 
+from cavmag import optimize
+from cavmag.dynamics import SteadyStateError
 from cavmag.model import SystemParams
 from cavmag.optimize import (
     NonMonotoneProfile,
@@ -72,6 +74,21 @@ class TestMaximize:
                             restarts=1, max_evaluations=30, seed=3)
         with pytest.raises(OptimizeError, match="no stable point"):
             maximize(spec, base)
+
+    @pytest.mark.parametrize("raised, expected, message", [
+        # no steady state scores like an unstable point
+        (SteadyStateError("non-convergent"), OptimizeError, "no stable point"),
+        # a programming error is not "no steady state"
+        (TypeError("bug"), TypeError, "bug"),
+    ])
+    def test_failing_evaluations(self, monkeypatch, raised, expected, message):
+        def fail(p, measure):
+            raise raised
+        monkeypatch.setattr(optimize, "evaluate_measure", fail)
+        spec = OptimizeSpec(measure="EN_ne", box={"J": (0.5, 1.1)},
+                            restarts=1, max_evaluations=20, seed=6)
+        with pytest.raises(expected, match=message):
+            maximize(spec, ne_base())
 
     def test_seeded_determinism(self):
         spec = OptimizeSpec(measure="EN_ne",

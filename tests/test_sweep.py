@@ -1,10 +1,13 @@
 import pytest
 
-from cavmag.model import SystemParams
+from cavmag import sweep
+from cavmag.dynamics import SteadyStateError
+from cavmag.model import SystemParams, updated_in_omega_d_units
 from cavmag.sweep import (
     Axis,
     GridSpec,
     SweepSpecError,
+    _point_values,
     emit_csv,
     grid_points,
     read_csv,
@@ -77,24 +80,23 @@ class TestRunGrid:
         assert result.rows[1].axis_values == (-1.5, 1.1)
 
     def test_antisymmetric_linkage_is_exact(self):
-        from cavmag.sweep import _point_params
         spec = small_spec()
         for pt in grid_points(spec):
-            p = _point_params(spec, pt)
+            p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
             assert p.delta_1 == -p.delta_2
             assert p.delta_2 == pt[0] * WD
+            assert p.delta_n_tilde_override == pt[1] * WD
 
     def test_symmetric_linkage_is_exact(self):
-        from cavmag.sweep import _point_params
         spec = small_spec(linkage="symmetric")
         for pt in grid_points(spec):
-            p = _point_params(spec, pt)
+            p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
             assert p.delta_1 == p.delta_2 == pt[0] * WD
 
     def test_temperature_axis_in_kelvin(self):
-        from cavmag.sweep import _point_params
         spec = GridSpec(axes=(Axis("T", 0.001, 0.101, 3),), base=SystemParams())
-        assert _point_params(spec, (0.051,)).T == 0.051
+        values = _point_values(spec, (0.051,))
+        assert updated_in_omega_d_units(spec.base, values).T == 0.051
 
     def test_unstable_points_have_empty_measures(self):
         base = SystemParams().updated(delta_1=-1.41 * WD, delta_2=-0.68 * WD,
@@ -105,14 +107,29 @@ class TestRunGrid:
         assert all(row.stable is False for row in result.rows)
         assert all(row.measures is None for row in result.rows)
 
-    def test_parallel_equals_serial(self):
-        spec = small_spec()
-        serial = run_grid(spec, workers=1)
-        parallel = run_grid(spec, workers=4)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.axis_values == b.axis_values
-            assert a.stable == b.stable
-            assert a.measures == b.measures
+    @pytest.mark.parametrize("points, expected", [(450, [200, 400, 450]),
+                                                  (200, [200])])
+    def test_progress_every_200_rows_and_at_the_end(self, points, expected):
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, points),), base=SystemParams())
+        calls = []
+        run_grid(spec, progress=calls.append)
+        assert calls == expected
+
+    def test_no_steady_state_becomes_an_error_row(self, monkeypatch):
+        def fail(p):
+            raise SteadyStateError("singular denominator")
+        monkeypatch.setattr(sweep, "steady_covariance", fail)
+        result = run_grid(small_spec())
+        assert all(row.stable is None and row.measures is None
+                   and row.error == "singular denominator"
+                   for row in result.rows)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def fail(p):
+            raise TypeError("bug")
+        monkeypatch.setattr(sweep, "steady_covariance", fail)
+        with pytest.raises(TypeError, match="bug"):
+            run_grid(small_spec())
 
     def test_determinism(self):
         spec = small_spec()
