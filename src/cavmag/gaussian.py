@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
@@ -144,6 +145,10 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(entries=V, mode_labels=labels)
 
 
+def _quadratures(modes) -> list[int]:
+    return [q for k in modes for q in (2 * k, 2 * k + 1)]
+
+
 def reduce(V: CovarianceMatrix, modes) -> CovarianceMatrix:
     """Covariance of a subset of modes, kept in V's mode order."""
     modes = list(modes)
@@ -153,12 +158,35 @@ def reduce(V: CovarianceMatrix, modes) -> CovarianceMatrix:
     missing = set(modes) - set(keep)
     if missing:
         raise GaussianError(f"unknown mode label(s) {sorted(missing)!r}")
-    idx = []
-    for label in keep:
-        a, b = V.block_indices(label)
-        idx += [a, b]
+    idx = _quadratures(V.mode_labels.index(label) for label in keep)
     return CovarianceMatrix(entries=V.entries[np.ix_(idx, idx)],
                             mode_labels=tuple(keep))
+
+
+def _flip_signs(n_modes: int, k: int) -> np.ndarray:
+    """Sign matrix s s^T that flips the second quadrature of mode k when
+    applied elementwise: the partial transpose of mode k."""
+    s = np.ones(2 * n_modes)
+    s[2 * k + 1] = -1.0
+    return np.outer(s, s)
+
+
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_I_OMEGA = {m: 1j * np.kron(np.eye(m), _J) for m in range(1, len(MODE_LABELS) + 1)}
+
+# Blocks are addressed by ascending mode positions in the covariance
+# (MODE_LABELS order for the full state, (0, 1, 2) for a 3-mode one).  A pair
+# is transposed on its first mode; a triple stacks its three one-vs-two
+# splits, mode r transposed in split r.
+_BLOCK_OF = {mid: tuple(sorted(MODE_LABELS.index(m) for m in modes))
+             for mid, modes in (BIPARTITE_MEASURES | TRIPARTITE_MEASURES).items()}
+_QUADRATURES = {
+    block: _quadratures(block)
+    for block in (*combinations(range(len(MODE_LABELS)), 2), (0, 1, 2),
+                  *_BLOCK_OF.values())
+}
+_PAIR_SIGNS = _flip_signs(2, 0)
+_SPLIT_SIGNS = np.stack([_flip_signs(3, r) for r in range(3)])
 
 
 def partial_transpose(V: CovarianceMatrix, transposed_mode: str) -> CovarianceMatrix:
@@ -169,32 +197,102 @@ def partial_transpose(V: CovarianceMatrix, transposed_mode: str) -> CovarianceMa
             "defined here for 2- and 3-mode covariances"
         )
     _, w = V.block_indices(transposed_mode)
-    signs = np.ones(2 * V.n_modes)
-    signs[w] = -1.0
-    T = np.diag(signs)
-    return CovarianceMatrix(entries=T @ V.entries @ T, mode_labels=V.mode_labels)
+    return CovarianceMatrix(entries=V.entries * _flip_signs(V.n_modes, w // 2),
+                            mode_labels=V.mode_labels)
+
+
+def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
+    """Symplectic spectra, ascending, of a (k, 2m, 2m) stack in one eigen-solve.
+
+    The 2m magnitudes of the spectrum of i*Omega*W are sorted and paired; a
+    relative pair mismatch beyond PAIRING_RTOL is a diagnostics error, and a
+    minimum that is not positive (a singular covariance) is a degenerate
+    spectrum.
+    """
+    m = W.shape[-1] // 2
+    i_omega = _I_OMEGA[m] if m in _I_OMEGA else 1j * np.kron(np.eye(m), _J)
+    try:
+        raw = np.abs(np.linalg.eigvals(i_omega @ W))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise GaussianError(f"eigen-solver failure: {exc}") from exc
+    raw.sort()
+    lo, hi = raw[:, 0::2], raw[:, 1::2]
+    rel = (hi - lo) / np.maximum(hi, 1e-300)
+    unpaired = np.any(rel > PAIRING_RTOL, axis=1)
+    if unpaired.any():
+        raise GaussianError(
+            f"symplectic eigenvalue pairing failure: spectrum {raw[unpaired][0]!r}"
+        )
+    nu = 0.5 * (lo + hi)
+    if not np.all(nu[:, 0] > 0.0):
+        raise GaussianError(
+            f"degenerate symplectic spectrum: minimum symplectic eigenvalue "
+            f"{np.min(nu[:, 0]):.3g} is not positive"
+        )
+    return nu
+
+
+def _log_negativities(W: np.ndarray) -> list[float]:
+    """max(0, -ln 2f) per partially transposed covariance in the stack W,
+    f its minimum symplectic eigenvalue."""
+    return [max(0.0, -np.log(2.0 * f)) for f in _symplectic_spectra(W)[:, 0].tolist()]
+
+
+def _contangle(labels, triple, e_split, e_pair) -> ResidualContangle:
+    """Residual contangle of a triple from its split and pair negativities."""
+    partitions: dict[str, float] = {}
+    clamped = []
+    for r, k in enumerate(labels):
+        others = [x for x in range(3) if x != r]
+        e1, e2 = (e_pair[tuple(sorted((triple[r], triple[x])))] for x in others)
+        raw = e_split[r]**2 - e1**2 - e2**2
+        if raw < 0.0:
+            logger.debug(
+                "clamping negative residual contangle %.3e for partition %s|%s%s",
+                raw, k, labels[others[0]], labels[others[1]],
+            )
+            clamped.append(k)
+            raw = 0.0
+        partitions[k] = raw
+    return ResidualContangle(
+        partitions=partitions,
+        r_min=min(partitions.values()),
+        clamped=tuple(clamped),
+    )
+
+
+def _measures(V: CovarianceMatrix, blocks):
+    """Log-negativities of every mode pair within the blocks (mode-position
+    pairs and triples) and residual contangles of the triples, from one
+    stacked eigen-solve per block size; each pair is computed once.
+
+    Returns ``{pair: E}`` and ``{triple: ResidualContangle}``.
+    """
+    pairs = list(dict.fromkeys(pair for b in blocks for pair in combinations(b, 2)))
+    triples = list(dict.fromkeys(b for b in blocks if len(b) == 3))
+    e_pair, contangles = {}, {}
+    if pairs:
+        q = np.array([_QUADRATURES[pair] for pair in pairs])
+        W = V.entries[q[:, :, None], q[:, None, :]] * _PAIR_SIGNS
+        e_pair = dict(zip(pairs, _log_negativities(W)))
+    if triples:
+        q = np.array([_QUADRATURES[triple] for triple in triples])
+        W = V.entries[q[:, None, :, None], q[:, None, None, :]] * _SPLIT_SIGNS
+        e_split = _log_negativities(W.reshape(-1, 6, 6))
+        for n, t in enumerate(triples):
+            contangles[t] = _contangle([V.mode_labels[k] for k in t], t,
+                                       e_split[3 * n:3 * n + 3], e_pair)
+    return e_pair, contangles
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
     """Absolute spectrum of i*Omega*V reduced to the m pair-degenerate values.
 
     The 2m raw magnitudes are sorted and paired greedily; a relative pair
-    mismatch beyond 1e-6 is a diagnostics error.
+    mismatch beyond 1e-6 is a diagnostics error, and so is a minimum that is
+    not positive.
     """
-    m = V.n_modes
-    omega = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    try:
-        raw = np.abs(np.linalg.eigvals(1j * omega @ V.entries))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise GaussianError(f"eigen-solver failure: {exc}") from exc
-    raw.sort()
-    lo, hi = raw[0::2], raw[1::2]
-    rel = (hi - lo) / np.maximum(hi, 1e-300)
-    if np.any(rel > PAIRING_RTOL):
-        raise GaussianError(
-            f"symplectic eigenvalue pairing failure: spectrum {raw!r}"
-        )
-    return 0.5 * (lo + hi)
+    return _symplectic_spectra(V.entries[None])[0]
 
 
 def min_symplectic_eigenvalue(V: CovarianceMatrix) -> float:
@@ -206,48 +304,29 @@ def log_negativity(V2: CovarianceMatrix) -> float:
     partial transpose.  Symmetric in which of the two modes is transposed."""
     if V2.n_modes != 2:
         raise GaussianError("log_negativity expects a 2-mode covariance")
-    f_min = min_symplectic_eigenvalue(partial_transpose(V2, V2.mode_labels[0]))
-    return max(0.0, -np.log(2.0 * f_min))
+    return _log_negativities((V2.entries * _PAIR_SIGNS)[None])[0]
 
 
 def one_vs_two_negativity(V3: CovarianceMatrix, singled_mode: str) -> float:
     """Negativity of one mode against the remaining two of a 3-mode state."""
     if V3.n_modes != 3:
         raise GaussianError("one_vs_two_negativity expects a 3-mode covariance")
-    f_min = min_symplectic_eigenvalue(partial_transpose(V3, singled_mode))
-    return max(0.0, -np.log(2.0 * f_min))
+    _, w = V3.block_indices(singled_mode)
+    return _log_negativities((V3.entries * _SPLIT_SIGNS[w // 2])[None])[0]
 
 
 def residual_contangle(V3: CovarianceMatrix) -> ResidualContangle:
     """Residual contangle per one-vs-two partition, clamped at zero.
 
     For each singled mode k the raw value is E(k|lm)^2 - E(k|l)^2 - E(k|m)^2
-    with squared logarithmic negativities.  Negative excursions are clamped
-    to 0 and logged; they range from rounding noise up to ~1e-3, since this
-    squared-negativity residual is not exactly monogamous for mixed states.
+    with squared logarithmic negativities, each pair negativity computed once.
+    Negative excursions are clamped to 0 and logged; they range from rounding
+    noise up to ~1e-3, since this squared-negativity residual is not exactly
+    monogamous for mixed states.
     """
     if V3.n_modes != 3:
         raise GaussianError("residual_contangle expects a 3-mode covariance")
-    partitions: dict[str, float] = {}
-    clamped = []
-    for k in V3.mode_labels:
-        others = [m for m in V3.mode_labels if m != k]
-        e_one_two = one_vs_two_negativity(V3, k)
-        e_pair = [log_negativity(reduce(V3, [k, other])) for other in others]
-        raw = e_one_two**2 - e_pair[0]**2 - e_pair[1]**2
-        if raw < 0.0:
-            logger.debug(
-                "clamping negative residual contangle %.3e for partition %s|%s%s",
-                raw, k, others[0], others[1],
-            )
-            clamped.append(k)
-            raw = 0.0
-        partitions[k] = raw
-    return ResidualContangle(
-        partitions=partitions,
-        r_min=min(partitions.values()),
-        clamped=tuple(clamped),
-    )
+    return _measures(V3, [(0, 1, 2)])[1][(0, 1, 2)]
 
 
 def steady_covariance(p: SystemParams):
@@ -263,16 +342,16 @@ def steady_covariance(p: SystemParams):
 
 def measure_values(V: CovarianceMatrix, measure_ids) -> dict[str, float]:
     """Requested entanglement measures evaluated on a full covariance."""
-    values: dict[str, float] = {}
+    if V.mode_labels != MODE_LABELS:
+        raise GaussianError(
+            f"measures need mode labels {MODE_LABELS}; have {V.mode_labels}")
     for mid in measure_ids:
-        if mid in BIPARTITE_MEASURES:
-            values[mid] = log_negativity(reduce(V, BIPARTITE_MEASURES[mid]))
-        elif mid in TRIPARTITE_MEASURES:
-            values[mid] = residual_contangle(
-                reduce(V, TRIPARTITE_MEASURES[mid])).r_min
-        else:
+        if mid not in _BLOCK_OF:
             raise GaussianError(f"unknown measure id {mid!r}")
-    return values
+    e_pair, contangles = _measures(V, [_BLOCK_OF[mid] for mid in measure_ids])
+    return {mid: e_pair[_BLOCK_OF[mid]] if mid in BIPARTITE_MEASURES
+            else contangles[_BLOCK_OF[mid]].r_min
+            for mid in measure_ids}
 
 
 def full_report(p: SystemParams) -> EntanglementReport:
@@ -283,15 +362,11 @@ def full_report(p: SystemParams) -> EntanglementReport:
     ss, verdict, V = steady_covariance(p)
     if V is None:
         return EntanglementReport(stable=False, verdict=verdict, steady=ss)
-    bipartite = {
-        pair: log_negativity(reduce(V, pair))
-        for pair in BIPARTITE_MEASURES.values()
-    }
-    tripartite = {
-        triple: residual_contangle(reduce(V, triple))
-        for triple in TRIPARTITE_MEASURES.values()
-    }
+    e_pair, contangles = _measures(V, list(_BLOCK_OF.values()))
     return EntanglementReport(
         stable=True, verdict=verdict, steady=ss,
-        bipartite=bipartite, tripartite=tripartite,
+        bipartite={pair: e_pair[_BLOCK_OF[mid]]
+                   for mid, pair in BIPARTITE_MEASURES.items()},
+        tripartite={triple: contangles[_BLOCK_OF[mid]]
+                    for mid, triple in TRIPARTITE_MEASURES.items()},
     )

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 from cavmag.dynamics import diffusion_matrix, drift_matrix, steady_state
 from cavmag.gaussian import (
     BIPARTITE_MEASURES,
+    MEASURE_IDS,
+    NO_STEADY_STATE,
+    PAIRING_RTOL,
+    TRIPARTITE_MEASURES,
     CovarianceMatrix,
     GaussianError,
     full_report,
@@ -156,6 +161,16 @@ class TestSymplecticEigenvalues:
         with pytest.raises(GaussianError, match="pairing"):
             symplectic_eigenvalues(V)
 
+    def test_degenerate_spectrum_is_named(self):
+        V = cov(np.zeros((4, 4)), ["a1", "a2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero on the way
+            with pytest.raises(GaussianError, match="degenerate") as info:
+                log_negativity(V)
+            with pytest.raises(GaussianError, match="degenerate"):
+                symplectic_eigenvalues(V)
+        assert isinstance(info.value, NO_STEADY_STATE)  # a sweep error row
+
 
 class TestLogNegativity:
     def test_vacuum_is_separable(self):
@@ -287,3 +302,146 @@ class TestFullReport:
     def test_pair_keys_cover_the_measure_table(self):
         report = full_report(SystemParams())
         assert set(report.bipartite) == set(BIPARTITE_MEASURES.values())
+
+
+# Slow reference: the per-call measure path the stacked kernel replaced
+# (reduce -> T V T partial transpose -> kron Omega -> one eigvals per matrix,
+# 22 pair and 6 one-vs-two solves per report).  The kernel must match it
+# bit for bit.
+def _ref_reduce(V, modes):
+    keep = [k for k, label in enumerate(V.mode_labels) if label in modes]
+    idx = [q for k in keep for q in (2 * k, 2 * k + 1)]
+    return cov(V.entries[np.ix_(idx, idx)], [V.mode_labels[k] for k in keep])
+
+
+def _ref_negativity(V, transposed_mode):
+    m = V.n_modes
+    signs = np.ones(2 * m)
+    signs[2 * V.mode_labels.index(transposed_mode) + 1] = -1.0
+    T = np.diag(signs)
+    omega = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    raw = np.abs(np.linalg.eigvals(1j * omega @ (T @ V.entries @ T)))
+    raw.sort()
+    lo, hi = raw[0::2], raw[1::2]
+    if np.any((hi - lo) / np.maximum(hi, 1e-300) > PAIRING_RTOL):
+        raise GaussianError("symplectic eigenvalue pairing failure")
+    f_min = float((0.5 * (lo + hi))[0])
+    return max(0.0, -np.log(2.0 * f_min))
+
+
+def _ref_pair(V, pair):
+    V2 = _ref_reduce(V, pair)
+    return _ref_negativity(V2, V2.mode_labels[0])
+
+
+def _ref_contangle(V3):
+    partitions, clamped = {}, []
+    for k in V3.mode_labels:
+        others = [m for m in V3.mode_labels if m != k]
+        raw = (_ref_negativity(V3, k)**2 - _ref_pair(V3, [k, others[0]])**2
+               - _ref_pair(V3, [k, others[1]])**2)
+        if raw < 0.0:
+            clamped.append(k)
+            raw = 0.0
+        partitions[k] = raw
+    return partitions, tuple(clamped)
+
+
+def _ref_measures(V):
+    values = {mid: _ref_pair(V, pair) for mid, pair in BIPARTITE_MEASURES.items()}
+    contangles = {mid: _ref_contangle(_ref_reduce(V, triple))
+                  for mid, triple in TRIPARTITE_MEASURES.items()}
+    values.update((mid, min(parts.values())) for mid, (parts, _) in contangles.items())
+    return values, contangles
+
+
+@pytest.fixture(scope="module")
+def reference_points():
+    out = []
+    for p in sample_stable_params(seed=41, count=200):
+        _, _, V = steady_covariance(p)
+        out.append((p, V, *_ref_measures(V)))
+    return out
+
+
+class TestStackedKernelMatchesReference:
+    def test_full_report_bit_for_bit(self, reference_points):
+        clamped = 0
+        for p, _, values, contangles in reference_points:
+            report = full_report(p)
+            for mid in MEASURE_IDS:
+                assert report.measure(mid) == values[mid], mid
+            for mid, triple in TRIPARTITE_MEASURES.items():
+                rc = report.tripartite[triple]
+                partitions, ref_clamped = contangles[mid]
+                assert list(rc.partitions.items()) == list(partitions.items())
+                assert rc.clamped == ref_clamped
+                clamped += len(rc.clamped)
+        assert clamped > 0  # the clamp branch is exercised too
+
+    @pytest.mark.parametrize("ids", [["EN_ne"], ["R_nde"], ["EN_de", "R_nde"]])
+    def test_subset_requests_bit_for_bit(self, reference_points, ids):
+        for _, V, values, _ in reference_points:
+            assert measure_values(V, ids) == {mid: values[mid] for mid in ids}
+
+    def test_one_unpaired_matrix_fails_the_stack(self):
+        _, _, V = steady_covariance(SystemParams())
+        entries = V.entries.copy()
+        entries[0, 3] += 50.0  # one-sided x_a1 p_a2 term: only the a1-a2 block
+        bad = cov(entries, V.mode_labels)
+        with pytest.raises(GaussianError, match="pairing"):
+            measure_values(bad, MEASURE_IDS)
+        assert measure_values(bad, ["EN_ne", "R_nde"]) == \
+            measure_values(V, ["EN_ne", "R_nde"])
+
+
+def _two_mode_squeezer(i, j, r, n_modes=3):
+    S = np.eye(2 * n_modes)
+    c, s = np.cosh(r), np.sinh(r)
+    Z = np.diag([1.0, -1.0])
+    for a, b in ((i, i), (j, j)):
+        S[2 * a:2 * a + 2, 2 * b:2 * b + 2] = c * np.eye(2)
+    for a, b in ((i, j), (j, i)):
+        S[2 * a:2 * a + 2, 2 * b:2 * b + 2] = s * Z
+    return S
+
+
+def _local_symplectic(rng, n_modes=3):
+    """A rotation followed by a single-mode squeeze on every mode."""
+    S = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        theta, r = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0)
+        R = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        S[2 * k:2 * k + 2, 2 * k:2 * k + 2] = R @ np.diag([np.exp(r), np.exp(-r)])
+    return S
+
+
+class TestProperties:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_local_symplectic_invariance(self, seed):
+        rng = np.random.default_rng(seed)
+        # entangle a random physical state across both cuts
+        S = (_two_mode_squeezer(0, 1, rng.uniform(0.0, 1.0))
+             @ _two_mode_squeezer(1, 2, rng.uniform(0.0, 1.0)))
+        V = S @ random_physical_covariance(rng, 3, spread=0.3) @ S.T
+        L = _local_symplectic(rng)
+        before = cov(V, ["a1", "n", "d"])
+        after = cov(L @ V @ L.T, ["a1", "n", "d"])
+        for mode in before.mode_labels:
+            assert one_vs_two_negativity(after, mode) == pytest.approx(
+                one_vs_two_negativity(before, mode), abs=1e-10)
+        rc_before, rc_after = residual_contangle(before), residual_contangle(after)
+        for mode, value in rc_before.partitions.items():
+            assert rc_after.partitions[mode] == pytest.approx(value, abs=1e-10)
+
+    @given(st.integers(min_value=0, max_value=50),
+           st.sets(st.sampled_from(MEASURE_IDS)))
+    @settings(max_examples=40, deadline=None)
+    def test_measure_values_equals_full_report(self, seed, ids):
+        p = sample_stable_params(seed=seed, count=1)[0]
+        _, _, V = steady_covariance(p)
+        report = full_report(p)
+        assert measure_values(V, sorted(ids)) == \
+            {mid: report.measure(mid) for mid in sorted(ids)}
