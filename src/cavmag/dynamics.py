@@ -35,36 +35,11 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """Verdict on one drift; for a stack of drifts each field is an array."""
+
     stable: bool
     spectral_abscissa: float  # max real part of the drift spectrum, rad/s
     margin: float  # distance of the abscissa below the threshold, rad/s
-
-
-def _amplitudes(p: SystemParams, dnt: float):
-    """Closed-form driven steady state at a fixed effective magnon detuning.
-
-    Derived by eliminating the ensemble, magnon and cavity-2 amplitudes from
-    the mean-field fixed-point equations.
-    """
-    ka1 = p.kappa_a + 1j * p.delta_1
-    ka2 = p.kappa_a + 1j * p.delta_2
-    kn = p.kappa_n + 1j * dnt
-    ge = p.gamma_e + 1j * p.delta_e
-    beta = ka2 * kn + p.g_na**2
-    S = ka1 * ge * beta + p.G_ae**2 * beta + p.J**2 * ge * kn
-    scale = p.omega_d**4
-    if abs(S) < 1e-30 * scale or abs(beta) < 1e-30 * p.omega_d**2:
-        raise SteadyStateError(
-            f"singular denominator in steady-state solve (|S|={abs(S):.3e})"
-        )
-    num = (p.Omega_l * ka2 * kn * ge + p.g_na**2 * p.Omega_l * ge
-           - p.g_na * p.Omega_n * p.J * ge)
-    a1 = num / S
-    a2 = (-1j * p.J * kn * a1 - 1j * p.g_na * p.Omega_n) / beta
-    e = -1j * p.G_ae * a1 / ge
-    n = (p.Omega_n - 1j * p.g_na * a2) / kn
-    x = -(p.g_nd / p.omega_d) * abs(n) ** 2
-    return a1, a2, e, n, x
 
 
 _SC_MIXING = 0.5
@@ -78,19 +53,55 @@ def steady_state(p: SystemParams) -> SteadyState:
     that detuning.  Otherwise the effective detuning is found by damped
     fixed-point iteration of ``delta_n + g_nd * <x>`` (mixing 0.5) to
     1e-12 * omega_d, with a 10^4 iteration cap.
-    """
-    if p.delta_n_tilde_override is not None:
-        dnt = p.delta_n_tilde_override
-        a1, a2, e, n, x = _amplitudes(p, dnt)
-        return SteadyState(a1, a2, e, n, x, dnt, 0)
 
+    The closed form is derived by eliminating the ensemble, magnon and
+    cavity-2 amplitudes from the mean-field fixed-point equations.  Its
+    detuning-independent terms are computed once, before the loop; each
+    product keeps the left-to-right operand order of the full expression.
+    """
+    ka2 = p.kappa_a + 1j * p.delta_2
+    ge = p.gamma_e + 1j * p.delta_e
+    ka1_ge = (p.kappa_a + 1j * p.delta_1) * ge
+    g_na2 = p.g_na**2
+    G_ae2 = p.G_ae**2
+    J2_ge = p.J**2 * ge
+    Omega_l_ka2 = p.Omega_l * ka2
+    drive_l = g_na2 * p.Omega_l * ge
+    drive_n = p.g_na * p.Omega_n * p.J * ge
+    mi_J, i_gna, mi_Gae = -1j * p.J, 1j * p.g_na, -1j * p.G_ae
+    i_gna_Omega_n = i_gna * p.Omega_n
+    x_per_n2 = -(p.g_nd / p.omega_d)
+    kappa_n, Omega_n, delta_n, g_nd = p.kappa_n, p.Omega_n, p.delta_n, p.g_nd
+    tiny_S, tiny_beta = 1e-30 * p.omega_d**4, 1e-30 * p.omega_d**2
+    tiny_rate = 1e-30 * p.omega_d
+    ge_singular, kn_may_vanish = abs(ge) < tiny_rate, kappa_n < tiny_rate
     tol = 1e-12 * p.omega_d
-    dnt = p.delta_n
+
+    pinned = p.delta_n_tilde_override is not None
+    dnt = p.delta_n_tilde_override if pinned else delta_n
     for it in range(1, _SC_MAX_ITER + 1):
-        a1, a2, e, n, x = _amplitudes(p, dnt)
-        target = p.delta_n + p.g_nd * x
+        kn = kappa_n + 1j * dnt
+        beta = ka2 * kn + g_na2
+        S = ka1_ge * beta + G_ae2 * beta + J2_ge * kn
+        if abs(S) < tiny_S or abs(beta) < tiny_beta:
+            raise SteadyStateError(
+                f"singular denominator in steady-state solve (|S|={abs(S):.3e})"
+            )
+        if ge_singular or kn_may_vanish and abs(kn) < tiny_rate:
+            raise SteadyStateError(
+                "singular denominator in steady-state solve "
+                f"(|kappa_n + i delta_n_tilde|={abs(kn):.3e}, "
+                f"|gamma_e + i delta_e|={abs(ge):.3e})"
+            )
+        a1 = (Omega_l_ka2 * kn * ge + drive_l - drive_n) / S
+        a2 = (mi_J * kn * a1 - i_gna_Omega_n) / beta
+        n = (Omega_n - i_gna * a2) / kn
+        x = x_per_n2 * abs(n) ** 2
+        if pinned:
+            return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, 0)
+        target = delta_n + g_nd * x
         if abs(target - dnt) < tol:
-            return SteadyState(a1, a2, e, n, x, dnt, it)
+            return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, it)
         dnt = (1.0 - _SC_MIXING) * dnt + _SC_MIXING * target
     raise SteadyStateError(
         f"non-convergent self-consistency after {_SC_MAX_ITER} iterations "
@@ -143,16 +154,21 @@ def diffusion_matrix(p: SystemParams) -> np.ndarray:
     return np.diag(diag)
 
 
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part of the spectrum; a LAPACK failure raises LinAlgError."""
-    return float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
+def spectral_abscissa(A: np.ndarray):
+    """Largest real part of the spectrum of a matrix (a float) or of each
+    matrix in an (..., n, n) stack (an array), from one eigen-solve call; a
+    LAPACK failure raises LinAlgError."""
+    abscissa = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    return float(abscissa) if abscissa.ndim == 0 else abscissa
 
 
-def stability(A: np.ndarray, omega_d: float) -> StabilityVerdict:
+def stability(A: np.ndarray, omega_d) -> StabilityVerdict:
     """Spectral stability test: stable iff all drift eigenvalues decay.
 
     Marginal systems within 1e-9 * omega_d of the imaginary axis are declared
-    unstable.
+    unstable.  For an (..., 10, 10) stack of drifts (``omega_d`` a scalar or
+    an array with one value per drift) the verdict's fields are arrays over
+    the stack.
     """
     abscissa = spectral_abscissa(A)
     threshold = -STABILITY_EPS_FACTOR * omega_d

@@ -1,8 +1,9 @@
 """Grid evaluation of entanglement measures with figure-ready CSV output.
 
 Axis values are dimensionless (units of omega_d) except the temperature axis,
-which is kelvin.  Points are evaluated one after another and rows are emitted
-in row-major order over the axes.
+which is kelvin.  Points are evaluated in consecutive chunks of 200, with one
+stacked stability eigen-solve per chunk, and rows are emitted in row-major
+order over the axes.
 """
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariances
 from .model import EPS0, HBAR, KB, SystemParams, updated_in_omega_d_units
+
+CHUNK = 200  # grid points per stacked stability solve and per progress report
 
 SWEEP_PARAMS = ("delta_1", "delta_2", "delta_e", "delta_n_tilde", "J", "T", "delta_a")
 LINKAGES = ("independent", "symmetric", "antisymmetric")
@@ -126,16 +129,34 @@ def _point_values(spec: GridSpec, axis_values) -> dict[str, float]:
     return values
 
 
-def _evaluate(spec: GridSpec, axis_values) -> SweepRow:
-    try:
-        p = updated_in_omega_d_units(spec.base, _point_values(spec, axis_values))
-        _, _, V = steady_covariance(p)
-        if V is None:
-            return SweepRow(axis_values, stable=False, measures=None)
-        return SweepRow(axis_values, stable=True,
-                        measures=measure_values(V, spec.measures))
-    except NO_STEADY_STATE as exc:
-        return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
+def _error_row(axis_values, exc) -> SweepRow:
+    return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
+
+
+def _evaluate_chunk(spec: GridSpec, points) -> list[SweepRow]:
+    """Rows of consecutive grid points; a point that has no usable steady
+    state becomes an error row."""
+    rows = [None] * len(points)
+    params, at = [], []
+    for i, pt in enumerate(points):
+        try:
+            params.append(updated_in_omega_d_units(spec.base, _point_values(spec, pt)))
+            at.append(i)
+        except NO_STEADY_STATE as exc:
+            rows[i] = _error_row(pt, exc)
+    for i, V in zip(at, steady_covariances(params)):
+        pt = points[i]
+        if isinstance(V, Exception):
+            rows[i] = _error_row(pt, V)
+        elif V is None:
+            rows[i] = SweepRow(pt, stable=False, measures=None)
+        else:
+            try:
+                rows[i] = SweepRow(pt, stable=True,
+                                   measures=measure_values(V, spec.measures))
+            except NO_STEADY_STATE as exc:
+                rows[i] = _error_row(pt, exc)
+    return rows
 
 
 def grid_points(spec: GridSpec):
@@ -149,15 +170,18 @@ def grid_points(spec: GridSpec):
 def run_grid(spec: GridSpec, progress: "callable | None" = None) -> SweepResult:
     """Evaluate the requested measures at every grid point, in row-major order.
 
-    ``progress`` (if given) is called with the number of completed rows every
+    Points go through in chunks of ``CHUNK``: each point's steady state and
+    drift, one stacked stability verdict for the chunk, then the Lyapunov
+    solve and the measures of each stable point.  ``progress`` (if given) is
+    called with the number of completed rows after each chunk, that is every
     200 rows and once after the last row.
     """
     points = grid_points(spec)
     rows = []
-    for done, pt in enumerate(points, 1):
-        rows.append(_evaluate(spec, pt))
-        if progress is not None and (done % 200 == 0 or done == len(points)):
-            progress(done)
+    for start in range(0, len(points), CHUNK):
+        rows += _evaluate_chunk(spec, points[start:start + CHUNK])
+        if progress is not None:
+            progress(len(rows))
     metadata = {
         "tool": "cavmag",
         "version": __version__,

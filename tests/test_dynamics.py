@@ -6,13 +6,14 @@ from cavmag.dynamics import (
     diffusion_matrix,
     drift_matrix,
     export_matrix,
+    spectral_abscissa,
     stability,
     steady_state,
 )
 from cavmag.gaussian import lyapunov_solve, symplectic_eigenvalues
 from cavmag.model import TWO_PI, SystemParams
 
-from conftest import sample_stable_params
+from conftest import draw_params, sample_stable_params
 
 WD = SystemParams().omega_d
 
@@ -90,6 +91,90 @@ class TestSteadyState:
                          delta_n_tilde_override=0.0)
         with pytest.raises(SteadyStateError, match="singular"):
             steady_state(p)
+
+
+    @pytest.mark.parametrize("zeroed", [
+        dict(gamma_e=0.0, delta_e=0.0),
+        dict(kappa_n=0.0, delta_n_tilde_override=0.0),
+        dict(kappa_n=0.0, delta_n=0.0, delta_n_tilde_override=None),
+    ])
+    def test_zero_damping_denominator_raises(self, zeroed):
+        # only the ensemble or the magnon denominator vanishes; S and beta
+        # stay finite, so this is the kappa_n / gamma_e check
+        with pytest.raises(SteadyStateError, match="singular denominator"):
+            steady_state(SystemParams().updated(**zeroed))
+
+
+def _reference_amplitudes(p, dnt):
+    """The closed form as it was evaluated before the detuning-independent
+    terms were hoisted out of the self-consistency loop."""
+    ka1 = p.kappa_a + 1j * p.delta_1
+    ka2 = p.kappa_a + 1j * p.delta_2
+    kn = p.kappa_n + 1j * dnt
+    ge = p.gamma_e + 1j * p.delta_e
+    beta = ka2 * kn + p.g_na**2
+    S = ka1 * ge * beta + p.G_ae**2 * beta + p.J**2 * ge * kn
+    scale = p.omega_d**4
+    if abs(S) < 1e-30 * scale or abs(beta) < 1e-30 * p.omega_d**2:
+        raise SteadyStateError(
+            f"singular denominator in steady-state solve (|S|={abs(S):.3e})"
+        )
+    num = (p.Omega_l * ka2 * kn * ge + p.g_na**2 * p.Omega_l * ge
+           - p.g_na * p.Omega_n * p.J * ge)
+    a1 = num / S
+    a2 = (-1j * p.J * kn * a1 - 1j * p.g_na * p.Omega_n) / beta
+    e = -1j * p.G_ae * a1 / ge
+    n = (p.Omega_n - 1j * p.g_na * a2) / kn
+    x = -(p.g_nd / p.omega_d) * abs(n) ** 2
+    return a1, a2, e, n, x
+
+
+def _reference_steady_state(p):
+    if p.delta_n_tilde_override is not None:
+        dnt = p.delta_n_tilde_override
+        return (*_reference_amplitudes(p, dnt), dnt, 0)
+    dnt = p.delta_n
+    for it in range(1, 10_001):
+        a1, a2, e, n, x = _reference_amplitudes(p, dnt)
+        target = p.delta_n + p.g_nd * x
+        if abs(target - dnt) < 1e-12 * p.omega_d:
+            return a1, a2, e, n, x, dnt, it
+        dnt = 0.5 * dnt + 0.5 * target
+    raise SteadyStateError("non-convergent")
+
+
+class TestSteadyStateMatchesReference:
+    def _assert_identical(self, ps):
+        """Same amplitudes, detuning and iteration count with ==, or both
+        raise; returns the total iteration count."""
+        iterations = 0
+        for p in ps:
+            try:
+                want = _reference_steady_state(p)
+            except SteadyStateError:
+                with pytest.raises(SteadyStateError):
+                    steady_state(p)
+                continue
+            ss = steady_state(p)
+            assert (ss.a1, ss.a2, ss.e, ss.n, ss.x_mean, ss.delta_n_tilde,
+                    ss.iterations) == want
+            iterations += ss.iterations
+        return iterations
+
+    def test_pinned_detuning(self):
+        rng = np.random.default_rng(61)
+        assert self._assert_identical(
+            [draw_params(rng, SystemParams()) for _ in range(200)]) == 0
+
+    def test_self_consistent_detuning(self):
+        # the stability-map regime: bare magnon detuning, strong magnon drive
+        rng = np.random.default_rng(62)
+        ps = [draw_params(rng, SystemParams()).updated(
+                  delta_n_tilde_override=None,
+                  delta_n=rng.uniform(-1.0, 1.0) * WD,
+                  Omega_n=rng.uniform(1e11, 5e14))
+              for _ in range(200)]
+        assert self._assert_identical(ps) > 2 * len(ps)
 
 
 def hand_transcribed_drift(p, dnt):
@@ -223,6 +308,23 @@ class TestStability:
     def test_marginal_system_declared_unstable(self):
         A = np.diag([-1.0] * 9 + [-1e-12])
         assert not stability(A, omega_d=1.0).stable
+
+    def test_stack_matches_one_drift_at_a_time(self):
+        rng = np.random.default_rng(63)
+        ps = [draw_params(rng, SystemParams()) for _ in range(60)]
+        ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
+               for p in ps[:20]]
+        drifts = np.array([drift_matrix(p, steady_state(p)) for p in ps])
+        stacked = stability(drifts, WD)
+        assert list(spectral_abscissa(drifts)) == [spectral_abscissa(A)
+                                                   for A in drifts]
+        for k, A in enumerate(drifts):
+            one = stability(A, WD)
+            assert type(one.stable) is bool
+            assert (stacked.stable[k], stacked.spectral_abscissa[k],
+                    stacked.margin[k]) == (one.stable, one.spectral_abscissa,
+                                           one.margin)
+        assert 0 < stacked.stable.sum() < len(ps)
 
     def test_stable_points_yield_physical_covariances(self):
         for p in sample_stable_params(seed=13, count=5):

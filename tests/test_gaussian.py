@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_lyapunov
 
-from cavmag.dynamics import diffusion_matrix, drift_matrix, steady_state
+from cavmag.dynamics import (
+    diffusion_matrix,
+    drift_matrix,
+    spectral_abscissa,
+    steady_state,
+)
 from cavmag.gaussian import (
     BIPARTITE_MEASURES,
     MEASURE_IDS,
@@ -30,6 +36,7 @@ from cavmag.gaussian import (
 from cavmag.model import SystemParams
 
 from conftest import (
+    draw_params,
     integrate_lyapunov,
     random_physical_covariance,
     sample_stable_params,
@@ -78,6 +85,69 @@ class TestLyapunovSolve:
         p = SystemParams()
         V = lyapunov_solve(drift_matrix(p, steady_state(p)), diffusion_matrix(p))
         np.testing.assert_array_equal(V.entries, V.entries.T)
+
+
+def _scipy_lyapunov(A, D):
+    """The solve lyapunov_solve replaced: scipy's Bartels-Stewart wrapper on
+    the same prescaled matrices, then the same symmetrization."""
+    scale = np.max(np.abs(A))
+    V = solve_continuous_lyapunov(A / scale, -D / scale)
+    return 0.5 * (V + V.T)
+
+
+class TestLyapunovMatchesScipy:
+    def test_bit_identical_on_stable_points(self):
+        for p in sample_stable_params(seed=52, count=200):
+            A, D = drift_matrix(p, steady_state(p)), diffusion_matrix(p)
+            np.testing.assert_array_equal(lyapunov_solve(A, D).entries,
+                                          _scipy_lyapunov(A, D))
+
+    def test_bit_identical_two_by_two(self):
+        A = np.array([[-0.3, 2.0], [-1.5, -0.7]])
+        D = np.array([[0.4, 0.1], [0.1, 0.9]])
+        V = lyapunov_solve(A, D)
+        assert V.mode_labels == ("m0",)
+        np.testing.assert_array_equal(V.entries, _scipy_lyapunov(A, D))
+
+    def test_precondition_is_the_strict_abscissa(self):
+        # random draws, half of them with a negative (mostly unstable)
+        # magnon detuning: the solve refuses exactly the drifts whose
+        # spectrum reaches the closed right half-plane
+        rng = np.random.default_rng(53)
+        refused = 0
+        for k in range(100):
+            p = draw_params(rng, SystemParams())
+            if k % 2:
+                p = p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
+            A = drift_matrix(p, steady_state(p))
+            unstable = spectral_abscissa(A) >= 0.0
+            try:
+                lyapunov_solve(A, diffusion_matrix(p))
+            except GaussianError as exc:
+                assert unstable and "unstable" in str(exc)
+                refused += 1
+            else:
+                assert not unstable
+        assert 10 < refused < 90
+
+    def test_zero_drift_is_unstable(self):
+        with pytest.raises(GaussianError, match="unstable"):
+            lyapunov_solve(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("which", ["A", "D"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, which, bad):
+        A, D = np.diag([-1.0, -2.0]), np.eye(2)
+        (A if which == "A" else D)[0, 1] = bad
+        with pytest.raises(GaussianError, match="non-finite"):
+            lyapunov_solve(A, D)
+
+    def test_eigenvalue_pair_near_zero_sum_warns(self):
+        # trsyl perturbs the -1e-20 + -1e-20 pair (its info 1); the
+        # perturbed solution then fails the residual check
+        with pytest.warns(RuntimeWarning, match="perturbing"):
+            with pytest.raises(GaussianError, match="residual"):
+                lyapunov_solve(np.diag([-1.0, -1e-20]), np.eye(2))
 
 
 class TestReduce:

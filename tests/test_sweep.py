@@ -1,11 +1,19 @@
+import numpy as np
 import pytest
 
-from cavmag import sweep
+from cavmag import gaussian
 from cavmag.dynamics import SteadyStateError
+from cavmag.gaussian import (
+    NO_STEADY_STATE,
+    measure_values,
+    steady_covariance,
+    steady_covariances,
+)
 from cavmag.model import SystemParams, updated_in_omega_d_units
 from cavmag.sweep import (
     Axis,
     GridSpec,
+    SweepRow,
     SweepSpecError,
     _point_values,
     emit_csv,
@@ -108,7 +116,8 @@ class TestRunGrid:
         assert all(row.measures is None for row in result.rows)
 
     @pytest.mark.parametrize("points, expected", [(450, [200, 400, 450]),
-                                                  (200, [200])])
+                                                  (200, [200]), (199, [199]),
+                                                  (201, [200, 201])])
     def test_progress_every_200_rows_and_at_the_end(self, points, expected):
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, points),), base=SystemParams())
         calls = []
@@ -118,16 +127,29 @@ class TestRunGrid:
     def test_no_steady_state_becomes_an_error_row(self, monkeypatch):
         def fail(p):
             raise SteadyStateError("singular denominator")
-        monkeypatch.setattr(sweep, "steady_covariance", fail)
+        monkeypatch.setattr(gaussian, "steady_state", fail)
         result = run_grid(small_spec())
         assert all(row.stable is None and row.measures is None
                    and row.error == "singular denominator"
                    for row in result.rows)
 
+    @pytest.mark.parametrize("axis, zeroed", [
+        (Axis("delta_e", -1.0, 1.0, 3), dict(gamma_e=0.0)),
+        (Axis("delta_n_tilde", -1.0, 1.0, 3), dict(kappa_n=0.0)),
+    ])
+    def test_zero_damping_resonance_is_an_error_row(self, axis, zeroed):
+        spec = GridSpec(axes=(axis,), base=SystemParams(**zeroed),
+                        measures=("EN_ne",))
+        rows = run_grid(spec).rows
+        assert rows[1].axis_values == (0.0,)
+        assert rows[1].stable is None and rows[1].measures is None
+        assert "singular denominator" in rows[1].error
+        assert rows[0].error is None and rows[2].error is None
+
     def test_programming_error_propagates(self, monkeypatch):
         def fail(p):
             raise TypeError("bug")
-        monkeypatch.setattr(sweep, "steady_covariance", fail)
+        monkeypatch.setattr(gaussian, "steady_state", fail)
         with pytest.raises(TypeError, match="bug"):
             run_grid(small_spec())
 
@@ -141,6 +163,91 @@ class TestRunGrid:
         assert result.metadata["base_params"]["J"] == pytest.approx(0.8 * WD)
         assert result.metadata["grid"]["linkage"] == "antisymmetric"
         assert result.metadata["axis_units"]["delta_a"] == "omega_d"
+
+
+def reference_rows(spec):
+    """The per-point loop the chunked engine replaced: one steady_covariance
+    per point, its own stability eigen-solve included."""
+    rows = []
+    for pt in grid_points(spec):
+        try:
+            p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
+            _, _, V = steady_covariance(p)
+            if V is None:
+                rows.append(SweepRow(pt, stable=False, measures=None))
+            else:
+                rows.append(SweepRow(pt, stable=True,
+                                     measures=measure_values(V, spec.measures)))
+        except NO_STEADY_STATE as exc:
+            rows.append(SweepRow(pt, stable=None, measures=None, error=str(exc)))
+    return rows
+
+
+def assert_rows_identical(spec):
+    """run_grid equals the per-point reference row by row, with ==; returns
+    the counts of stable, unstable and error rows."""
+    got, want = run_grid(spec).rows, reference_rows(spec)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.axis_values, g.stable, g.measures, g.error) == (
+            w.axis_values, w.stable, w.measures, w.error)
+    return (sum(r.stable is True for r in got), sum(r.stable is False for r in got),
+            sum(r.error is not None for r in got))
+
+
+class TestEngineMatchesPerPointReference:
+    def test_self_consistent_stability_map(self):
+        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points: the
+        # magnon detuning is left to the mean-field loop
+        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
+        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
+                        base=base, linkage="antisymmetric", measures=("EN_ne",))
+        stable, unstable, _ = assert_rows_identical(spec)
+        assert stable > 20 and unstable > 20
+
+    def test_pinned_grid_with_measures_and_unstable_rows(self):
+        spec = GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 12),
+                              Axis("delta_n_tilde", -0.8, 1.6, 10)),
+                        base=SystemParams(), linkage="antisymmetric",
+                        measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd"))
+        stable, unstable, _ = assert_rows_identical(spec)
+        assert stable > 10 and unstable > 10
+
+    def test_temperature_axis(self):
+        spec = GridSpec(axes=(Axis("T", 0.0, 0.3, 7), Axis("J", 0.2, 1.6, 5)),
+                        base=SystemParams(), measures=("EN_ne", "R_nde"))
+        stable, _, _ = assert_rows_identical(spec)
+        assert stable > 0
+
+    def test_error_rows(self):
+        # a negative temperature fails the parameter check; delta_e = 0 with
+        # gamma_e = 0 makes the ensemble denominator vanish
+        spec = GridSpec(axes=(Axis("T", -0.02, 0.02, 3), Axis("delta_e", -1.0, 1.0, 5)),
+                        base=SystemParams(gamma_e=0.0), measures=("EN_de",))
+        rows = run_grid(spec).rows
+        errors = [r.error for r in rows]
+        assert "T must be non-negative" in errors[0]
+        assert "singular denominator" in errors[7]
+        _, _, n_errors = assert_rows_identical(spec)
+        assert n_errors == 5 + 1 + 1
+
+    def test_failed_eigen_solve_stays_on_its_point(self):
+        # a NaN coupling reaches only the drift, whose eigen-solve then fails
+        # the stacked call; the other points keep their covariances
+        ps = [SystemParams(), SystemParams(G_nd=float("nan")),
+              SystemParams(J=1.2 * WD)]
+        out = steady_covariances(ps)
+        assert isinstance(out[1], np.linalg.LinAlgError)
+        for k in (0, 2):
+            np.testing.assert_array_equal(out[k].entries,
+                                          steady_covariance(ps[k])[2].entries)
+
+    @pytest.mark.parametrize("points", [199, 200, 201, 450])
+    def test_chunk_boundaries(self, points):
+        spec = GridSpec(axes=(Axis("delta_n_tilde", -0.5, 1.5, points),),
+                        base=SystemParams(), measures=("EN_ne",))
+        stable, unstable, _ = assert_rows_identical(spec)
+        assert stable > 0 and unstable > 0
 
 
 class TestCsv:
