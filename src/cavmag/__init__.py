@@ -34,7 +34,6 @@ from .gaussian import (  # noqa: F401
     log_negativity,
     lyapunov_solve,
     one_vs_two_negativity,
-    partial_transpose,
     reduce,
     residual_contangle,
     symplectic_eigenvalues,

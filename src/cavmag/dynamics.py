@@ -35,11 +35,18 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Verdict on one drift; for a stack of drifts each field is an array."""
+    """Verdict on one drift."""
 
     stable: bool
     spectral_abscissa: float  # max real part of the drift spectrum, rad/s
     margin: float  # distance of the abscissa below the threshold, rad/s
+
+    @classmethod
+    def from_abscissa(cls, abscissa: float, omega_d: float) -> "StabilityVerdict":
+        """Verdict on a drift with the given spectral abscissa; marginal
+        systems within 1e-9 * omega_d of the imaginary axis are unstable."""
+        threshold = -STABILITY_EPS_FACTOR * omega_d
+        return cls(abscissa < threshold, abscissa, threshold - abscissa)
 
 
 _SC_MIXING = 0.5
@@ -162,21 +169,11 @@ def spectral_abscissa(A: np.ndarray):
     return float(abscissa) if abscissa.ndim == 0 else abscissa
 
 
-def stability(A: np.ndarray, omega_d) -> StabilityVerdict:
-    """Spectral stability test: stable iff all drift eigenvalues decay.
-
-    Marginal systems within 1e-9 * omega_d of the imaginary axis are declared
-    unstable.  For an (..., 10, 10) stack of drifts (``omega_d`` a scalar or
-    an array with one value per drift) the verdict's fields are arrays over
-    the stack.
-    """
-    abscissa = spectral_abscissa(A)
-    threshold = -STABILITY_EPS_FACTOR * omega_d
-    return StabilityVerdict(
-        stable=abscissa < threshold,
-        spectral_abscissa=abscissa,
-        margin=threshold - abscissa,
-    )
+def stability(A: np.ndarray, omega_d: float) -> StabilityVerdict:
+    """Spectral stability test of one drift: stable iff all its eigenvalues
+    decay, with marginal systems within 1e-9 * omega_d of the imaginary axis
+    declared unstable."""
+    return StabilityVerdict.from_abscissa(spectral_abscissa(A), omega_d)
 
 
 def export_matrix(matrix: np.ndarray, destination) -> None:

@@ -14,7 +14,6 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from . import dynamics
 from .dynamics import (
     MODE_LABELS,
     StabilityVerdict,
@@ -22,7 +21,7 @@ from .dynamics import (
     SteadyStateError,
     diffusion_matrix,
     drift_matrix,
-    stability,
+    spectral_abscissa,
     steady_state,
 )
 from .model import ParameterError, SystemParams
@@ -219,18 +218,6 @@ _PAIR_SIGNS = _flip_signs(2, 0)
 _SPLIT_SIGNS = np.stack([_flip_signs(3, r) for r in range(3)])
 
 
-def partial_transpose(V: CovarianceMatrix, transposed_mode: str) -> CovarianceMatrix:
-    """Flip the second quadrature of one mode: T V T with T a sign diagonal."""
-    if V.n_modes not in (2, 3):
-        raise GaussianError(
-            f"unsupported mode count {V.n_modes}; partial transposition is "
-            "defined here for 2- and 3-mode covariances"
-        )
-    _, w = V.block_indices(transposed_mode)
-    return CovarianceMatrix(entries=V.entries * _flip_signs(V.n_modes, w // 2),
-                            mode_labels=V.mode_labels)
-
-
 def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
     """Symplectic spectra, ascending, of a (k, 2m, 2m) stack in one eigen-solve.
 
@@ -316,17 +303,13 @@ def _measures(V: CovarianceMatrix, blocks):
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
-    """Absolute spectrum of i*Omega*V reduced to the m pair-degenerate values.
+    """The m symplectic eigenvalues of an m-mode covariance, ascending.
 
-    The 2m raw magnitudes are sorted and paired greedily; a relative pair
-    mismatch beyond 1e-6 is a diagnostics error, and so is a minimum that is
-    not positive.
+    The 2m magnitudes of the spectrum of i*Omega*V are sorted and paired
+    neighbour with neighbour; a relative pair mismatch beyond PAIRING_RTOL is
+    a diagnostics error, and so is a minimum that is not positive.
     """
     return _symplectic_spectra(V.entries[None])[0]
-
-
-def min_symplectic_eigenvalue(V: CovarianceMatrix) -> float:
-    return float(symplectic_eigenvalues(V)[0])
 
 
 def log_negativity(V2: CovarianceMatrix) -> float:
@@ -359,49 +342,49 @@ def residual_contangle(V3: CovarianceMatrix) -> ResidualContangle:
     return _measures(V3, [(0, 1, 2)])[1][(0, 1, 2)]
 
 
-def steady_covariance(p: SystemParams):
-    """Steady state, stability verdict and (if stable) the 10x10 covariance."""
-    ss = steady_state(p)
-    A = drift_matrix(p, ss)
-    verdict = stability(A, p.omega_d)
-    if not verdict.stable:
-        return ss, verdict, None
-    V = lyapunov_solve(A, diffusion_matrix(p))
-    return ss, verdict, V
-
-
 def steady_covariances(ps) -> list:
-    """What steady_covariance gives for each point: its covariance, None if
-    it is unstable, or the NO_STEADY_STATE error it raised.
+    """Per point: (steady state, stability verdict, 10x10 covariance or None
+    if unstable), or the NO_STEADY_STATE error the point raised.
 
-    Each point gets steady_covariance's calls in the same order, except that
-    all stability verdicts come from one stacked eigen-solve.
+    Each point gets steady_state and drift_matrix, then its verdict, then
+    diffusion_matrix and lyapunov_solve if it is stable.  All the verdicts
+    come from one stacked eigen-solve of the drifts; a stack that LAPACK
+    fails is solved one drift at a time, so the error lands on its point.
     """
     out = [None] * len(ps)
     n = 2 * len(MODE_LABELS)
     drifts, live = np.empty((len(ps), n, n)), []
     for i, p in enumerate(ps):
         try:
-            drifts[len(live)] = drift_matrix(p, steady_state(p))
-            live.append(i)
+            ss = steady_state(p)
+            drifts[len(live)] = drift_matrix(p, ss)
+            live.append((i, ss))
         except NO_STEADY_STATE as exc:
             out[i] = exc
     drifts = drifts[:len(live)]
-    omega_d = np.array([ps[i].omega_d for i in live])
-    # dynamics.stability, not this module's name: perfbench traces the latter
-    # with a note that reads one verdict per call
     try:
-        flags = dynamics.stability(drifts, omega_d).stable if live else []
-    except np.linalg.LinAlgError:  # one failed eigen-solve fails the stack
-        flags = [None] * len(live)
-    for i, A, stable in zip(live, drifts, flags):
+        abscissae = spectral_abscissa(drifts).tolist()
+    except np.linalg.LinAlgError:
+        abscissae = [None] * len(live)
+    for (i, ss), A, abscissa in zip(live, drifts, abscissae):
+        p = ps[i]
         try:
-            if stable is None:
-                stable = dynamics.stability(A, ps[i].omega_d).stable
-            if stable:
-                out[i] = lyapunov_solve(A, diffusion_matrix(ps[i]))
+            if abscissa is None:
+                abscissa = spectral_abscissa(A)
+            verdict = StabilityVerdict.from_abscissa(abscissa, p.omega_d)
+            V = lyapunov_solve(A, diffusion_matrix(p)) if verdict.stable else None
+            out[i] = ss, verdict, V
         except NO_STEADY_STATE as exc:
             out[i] = exc
+    return out
+
+
+def steady_covariance(p: SystemParams):
+    """Steady state, stability verdict and (if stable) the 10x10 covariance
+    at one point: steady_covariances on a one-point list, its error raised."""
+    (out,) = steady_covariances([p])
+    if isinstance(out, Exception):
+        raise out
     return out
 
 

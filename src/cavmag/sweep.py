@@ -144,16 +144,16 @@ def _evaluate_chunk(spec: GridSpec, points) -> list[SweepRow]:
             at.append(i)
         except NO_STEADY_STATE as exc:
             rows[i] = _error_row(pt, exc)
-    for i, V in zip(at, steady_covariances(params)):
+    for i, out in zip(at, steady_covariances(params)):
         pt = points[i]
-        if isinstance(V, Exception):
-            rows[i] = _error_row(pt, V)
-        elif V is None:
+        if isinstance(out, Exception):
+            rows[i] = _error_row(pt, out)
+        elif out[2] is None:
             rows[i] = SweepRow(pt, stable=False, measures=None)
         else:
             try:
                 rows[i] = SweepRow(pt, stable=True,
-                                   measures=measure_values(V, spec.measures))
+                                   measures=measure_values(out[2], spec.measures))
             except NO_STEADY_STATE as exc:
                 rows[i] = _error_row(pt, exc)
     return rows

@@ -10,7 +10,7 @@ from cavmag.dynamics import (
     stability,
     steady_state,
 )
-from cavmag.gaussian import lyapunov_solve, symplectic_eigenvalues
+from cavmag.gaussian import lyapunov_solve, steady_covariances, symplectic_eigenvalues
 from cavmag.model import TWO_PI, SystemParams
 
 from conftest import draw_params, sample_stable_params
@@ -310,21 +310,22 @@ class TestStability:
         assert not stability(A, omega_d=1.0).stable
 
     def test_stack_matches_one_drift_at_a_time(self):
+        # steady_covariances takes every verdict from one stacked eigen-solve
         rng = np.random.default_rng(63)
         ps = [draw_params(rng, SystemParams()) for _ in range(60)]
         ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
                for p in ps[:20]]
         drifts = np.array([drift_matrix(p, steady_state(p)) for p in ps])
-        stacked = stability(drifts, WD)
         assert list(spectral_abscissa(drifts)) == [spectral_abscissa(A)
                                                    for A in drifts]
-        for k, A in enumerate(drifts):
-            one = stability(A, WD)
+        stacked = [verdict for _, verdict, _ in steady_covariances(ps)]
+        for p, A, verdict in zip(ps, drifts, stacked):
+            one = stability(A, p.omega_d)
             assert type(one.stable) is bool
-            assert (stacked.stable[k], stacked.spectral_abscissa[k],
-                    stacked.margin[k]) == (one.stable, one.spectral_abscissa,
-                                           one.margin)
-        assert 0 < stacked.stable.sum() < len(ps)
+            assert [type(v) for v in vars(verdict).values()] == [bool, float, float]
+            assert (verdict.stable, verdict.spectral_abscissa, verdict.margin) == (
+                one.stable, one.spectral_abscissa, one.margin)
+        assert 0 < sum(v.stable for v in stacked) < len(ps)
 
     def test_stable_points_yield_physical_covariances(self):
         for p in sample_stable_params(seed=13, count=5):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
@@ -25,17 +25,16 @@ from cavmag.gaussian import (
     log_negativity,
     lyapunov_solve,
     measure_values,
-    min_symplectic_eigenvalue,
     one_vs_two_negativity,
-    partial_transpose,
     reduce,
     residual_contangle,
     steady_covariance,
     symplectic_eigenvalues,
 )
-from cavmag.model import SystemParams
+from cavmag.model import SystemParams, updated_in_omega_d_units
 
 from conftest import (
+    SAMPLING_BOX,
     draw_params,
     integrate_lyapunov,
     random_physical_covariance,
@@ -182,33 +181,6 @@ class TestReduce:
             reduce(self.V, ["a1", "a1"])
 
 
-class TestPartialTranspose:
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        V = cov(random_physical_covariance(rng, 2), ["a1", "a2"])
-        W = partial_transpose(partial_transpose(V, "a1"), "a1")
-        np.testing.assert_array_equal(W.entries, V.entries)
-
-    def test_two_mode_sign_matrix(self):
-        rng = np.random.default_rng(4)
-        V = cov(random_physical_covariance(rng, 2), ["a1", "a2"])
-        T = np.diag([1.0, -1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(partial_transpose(V, "a1").entries,
-                                      T @ V.entries @ T)
-
-    def test_three_mode_last_sign_matrix(self):
-        rng = np.random.default_rng(5)
-        V = cov(random_physical_covariance(rng, 3), ["n", "d", "e"])
-        T = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-        np.testing.assert_array_equal(partial_transpose(V, "e").entries,
-                                      T @ V.entries @ T)
-
-    def test_single_mode_count_rejected(self):
-        V = cov(0.5 * np.eye(2), ["a1"])
-        with pytest.raises(GaussianError, match="mode count"):
-            partial_transpose(V, "a1")
-
-
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
         for m in (1, 2, 3, 5):
@@ -222,8 +194,9 @@ class TestSymplecticEigenvalues:
         np.testing.assert_allclose(symplectic_eigenvalues(V), [0.5], atol=1e-12)
 
     def test_two_mode_squeezed_partial_transpose_minimum(self):
-        V = partial_transpose(cov(two_mode_squeezed(1.0), ["a1", "a2"]), "a1")
-        assert min_symplectic_eigenvalue(V) == pytest.approx(
+        T = np.diag([1.0, -1.0, 1.0, 1.0])  # transposes mode a1
+        V = cov(T @ two_mode_squeezed(1.0) @ T, ["a1", "a2"])
+        assert symplectic_eigenvalues(V)[0] == pytest.approx(
             np.exp(-2.0) / 2.0, rel=1e-12)
 
     def test_pairing_failure_diagnosed(self):
@@ -259,9 +232,15 @@ class TestLogNegativity:
     @settings(max_examples=40, deadline=None)
     def test_partition_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        V = cov(random_physical_covariance(rng, 2), ["a1", "a2"])
-        e1 = max(0.0, -np.log(2 * min_symplectic_eigenvalue(partial_transpose(V, "a1"))))
-        e2 = max(0.0, -np.log(2 * min_symplectic_eigenvalue(partial_transpose(V, "a2"))))
+        V = random_physical_covariance(rng, 2)
+
+        def negativity(signs):  # the partial transpose is T V T, T = diag(signs)
+            T = np.diag(signs)
+            nu = symplectic_eigenvalues(cov(T @ V @ T, ["a1", "a2"]))[0]
+            return max(0.0, -np.log(2 * nu))
+
+        e1 = negativity([1.0, -1.0, 1.0, 1.0])
+        e2 = negativity([1.0, 1.0, 1.0, -1.0])
         assert e1 == pytest.approx(e2, abs=1e-10)
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
@@ -515,3 +494,15 @@ class TestProperties:
         report = full_report(p)
         assert measure_values(V, sorted(ids)) == \
             {mid: report.measure(mid) for mid in sorted(ids)}
+
+    @given(st.fixed_dictionaries({name: st.floats(lo, hi)
+                                  for name, (lo, hi) in SAMPLING_BOX.items()}))
+    @settings(max_examples=40, deadline=None)
+    def test_steady_covariance_is_physical(self, values):
+        _, _, V = steady_covariance(updated_in_omega_d_units(SystemParams(), values))
+        assume(V is not None)
+        V = V.entries
+        assert np.array_equal(V, V.T)
+        # uncertainty principle: V + i Omega / 2 is positive semidefinite
+        omega = np.kron(np.eye(5), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.linalg.eigvalsh(V + 0.5j * omega).min() >= -1e-9 * np.linalg.norm(V)

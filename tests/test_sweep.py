@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from cavmag import gaussian
-from cavmag.dynamics import SteadyStateError
+from cavmag.dynamics import (
+    SteadyStateError,
+    diffusion_matrix,
+    drift_matrix,
+    stability,
+    steady_state,
+)
 from cavmag.gaussian import (
     NO_STEADY_STATE,
+    lyapunov_solve,
     measure_values,
     steady_covariance,
     steady_covariances,
@@ -21,6 +28,8 @@ from cavmag.sweep import (
     read_csv,
     run_grid,
 )
+
+from conftest import sample_stable_params
 
 WD = SystemParams().omega_d
 
@@ -165,14 +174,26 @@ class TestRunGrid:
         assert result.metadata["axis_units"]["delta_a"] == "omega_d"
 
 
+def reference_steady_covariance(p):
+    """The scalar evaluation the chunk kernel replaced: the point's own
+    stability eigen-solve, then its Lyapunov solve if it is stable."""
+    ss = steady_state(p)
+    A = drift_matrix(p, ss)
+    verdict = stability(A, p.omega_d)
+    if not verdict.stable:
+        return ss, verdict, None
+    V = lyapunov_solve(A, diffusion_matrix(p))
+    return ss, verdict, V
+
+
 def reference_rows(spec):
-    """The per-point loop the chunked engine replaced: one steady_covariance
+    """The per-point loop the chunked engine replaced: one scalar evaluation
     per point, its own stability eigen-solve included."""
     rows = []
     for pt in grid_points(spec):
         try:
             p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
-            _, _, V = steady_covariance(p)
+            _, _, V = reference_steady_covariance(p)
             if V is None:
                 rows.append(SweepRow(pt, stable=False, measures=None))
             else:
@@ -239,8 +260,19 @@ class TestEngineMatchesPerPointReference:
         out = steady_covariances(ps)
         assert isinstance(out[1], np.linalg.LinAlgError)
         for k in (0, 2):
-            np.testing.assert_array_equal(out[k].entries,
-                                          steady_covariance(ps[k])[2].entries)
+            np.testing.assert_array_equal(out[k][2].entries,
+                                          reference_steady_covariance(ps[k])[2].entries)
+
+    def test_chunk_without_a_valid_point(self):
+        # every point fails the parameter check, so the drift stack is empty
+        spec = GridSpec(axes=(Axis("T", -0.3, -0.1, 3),), base=SystemParams(),
+                        measures=("EN_ne",))
+        rows = run_grid(spec).rows
+        assert len(rows) == 3
+        assert all("T must be non-negative" in r.error for r in rows)
+        _, _, n_errors = assert_rows_identical(spec)
+        assert n_errors == 3
+        assert steady_covariances([]) == []
 
     @pytest.mark.parametrize("points", [199, 200, 201, 450])
     def test_chunk_boundaries(self, points):
@@ -248,6 +280,48 @@ class TestEngineMatchesPerPointReference:
                         base=SystemParams(), measures=("EN_ne",))
         stable, unstable, _ = assert_rows_identical(spec)
         assert stable > 0 and unstable > 0
+
+
+def assert_same_evaluation(got, want):
+    """Steady state, verdict fields with their Python types, and covariance
+    entries equal with ==."""
+    (ss, verdict, V), (ss_ref, verdict_ref, V_ref) = got, want
+    assert ss == ss_ref
+    fields, ref_fields = list(vars(verdict).values()), list(vars(verdict_ref).values())
+    assert fields == ref_fields
+    assert [type(v) for v in fields] == [type(v) for v in ref_fields] == [bool, float, float]
+    assert (V is None) == (V_ref is None)
+    if V is not None:
+        assert V.mode_labels == V_ref.mode_labels
+        assert V.entries.tolist() == V_ref.entries.tolist()
+
+
+class TestOnePointCallMatchesScalarReference:
+    def test_stable_points(self):
+        for p in sample_stable_params(seed=71, count=100):
+            assert_same_evaluation(steady_covariance(p), reference_steady_covariance(p))
+
+    def test_unstable_points(self):
+        ps = [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
+              for p in sample_stable_params(seed=72, count=30)]
+        unstable = 0
+        for p in ps:
+            got = steady_covariance(p)
+            assert_same_evaluation(got, reference_steady_covariance(p))
+            unstable += got[2] is None
+        assert unstable > 15
+
+    @pytest.mark.parametrize("params, error", [
+        (SystemParams(G_nd=float("nan")), np.linalg.LinAlgError),
+        (SystemParams(gamma_e=0.0, delta_e=0.0), SteadyStateError),
+    ])
+    def test_same_error(self, params, error):
+        with pytest.raises(error) as want:
+            reference_steady_covariance(params)
+        with pytest.raises(error) as got:
+            steady_covariance(params)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestCsv:
