@@ -4,7 +4,8 @@
 Usage:
     python scripts/reproduce_sweeps.py [--out DIR] [--workers N] [--only fig2a fig7 ...]
 
-The full set is ~40 sweeps at figure resolution, evaluated serially.
+The full set is ~40 sweeps at figure resolution, run one after another; with
+--workers N each sweep's grid chunks go to N forked processes.
 """
 import argparse
 import sys
@@ -21,7 +22,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="figure-sweeps")
     ap.add_argument("--workers", type=int, default=1,
-                    help="passed on to cavmag, which records it; no effect")
+                    help="processes per sweep, passed on to cavmag "
+                         "(default 1)")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of presets (default: every fig* preset)")
     args = ap.parse_args()

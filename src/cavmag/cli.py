@@ -42,8 +42,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default="cavmag-out",
                         help="output directory (default: cavmag-out)")
     common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="accepted and recorded; has no effect (grid "
-                             "points are evaluated serially)")
+                        help="processes for sweep grid chunks (default 1); "
+                             "capped at the chunk count and the usable CPUs, "
+                             "serial where fork is unavailable")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the optimizer seed")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -176,7 +177,7 @@ def _run_sweeps(args, only_stability: bool) -> int:
                 total *= a.points
             progress = lambda done, total=total, name=name: print(
                 f"[{name}] {done}/{total} rows", file=sys.stderr)
-        result = run_grid(spec, progress=progress)
+        result = run_grid(spec, progress=progress, workers=args.workers)
         destination = out / f"{name}.csv"
         emit_csv(result, destination)
         n_unstable = sum(1 for r in result.rows if r.stable is False)
@@ -271,6 +272,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -142,7 +142,7 @@ class SystemParams:
         if "delta_n_tilde_override" in changes and "omega_n" not in changes:
             if self.delta_n is None and "delta_n" not in changes:
                 changes["omega_n"] = None
-        return dataclasses.replace(self, **changes)
+        return type(self)(**{**vars(self), **changes})
 
     def occupations(self) -> "ThermalOccupations":
         return ThermalOccupations(

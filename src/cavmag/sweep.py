@@ -3,12 +3,17 @@
 Axis values are dimensionless (units of omega_d) except the temperature axis,
 which is kelvin.  Points are evaluated in consecutive chunks of 200, with one
 stacked stability eigen-solve per chunk, and rows are emitted in row-major
-order over the axes.
+order over the axes.  With ``workers > 1`` the chunks run on a pool of forked
+processes; the rows are equal either way.
 """
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -167,7 +172,14 @@ def grid_points(spec: GridSpec):
     return [(u, v) for u in outer.values() for v in inner.values()]
 
 
-def run_grid(spec: GridSpec, progress: "callable | None" = None) -> SweepResult:
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_grid(spec: GridSpec, progress: "callable | None" = None,
+             workers: int = 1) -> SweepResult:
     """Evaluate the requested measures at every grid point, in row-major order.
 
     Points go through in chunks of ``CHUNK``: each point's steady state and
@@ -175,13 +187,32 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None) -> SweepResult:
     solve and the measures of each stable point.  ``progress`` (if given) is
     called with the number of completed rows after each chunk, that is every
     200 rows and once after the last row.
+
+    ``workers > 1`` evaluates the chunks on a pool of forked processes, at
+    most one per chunk and per CPU this process may use; results come back
+    in chunk order, so rows and progress calls are those of a serial run.
+    Without a ``fork`` start method (or with one process) the chunks run
+    here, one after another.  An exception other than a point's
+    ``NO_STEADY_STATE`` error reaches the caller with its type.
     """
+    if workers < 1:
+        raise SweepSpecError(f"workers must be at least 1, got {workers}")
     points = grid_points(spec)
+    chunks = [points[start:start + CHUNK] for start in range(0, len(points), CHUNK)]
+    n = min(workers, len(chunks), _usable_cpus())
+    pool = None
+    if n > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
+    mapper = map if pool is None else pool.map
     rows = []
-    for start in range(0, len(points), CHUNK):
-        rows += _evaluate_chunk(spec, points[start:start + CHUNK])
-        if progress is not None:
-            progress(len(rows))
+    try:
+        for rows_of_chunk in mapper(partial(_evaluate_chunk, spec), chunks):
+            rows += rows_of_chunk
+            if progress is not None:
+                progress(len(rows))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     metadata = {
         "tool": "cavmag",
         "version": __version__,

@@ -119,6 +119,13 @@ measures = EN_de
         assert code == 1
         assert "no [sweep]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_1(self, tmp_path, capsys, workers):
+        code = run_cli("sweep", "--preset", "fig9", "--out", str(tmp_path),
+                       "--workers", workers)
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+
     def test_fig9_preset_emits_four_temperature_curves(self, tmp_path):
         args = ["sweep", "--preset", "fig9", "--out", str(tmp_path)]
         for section in ("a1n", "a1d", "ne", "de"):

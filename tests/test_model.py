@@ -1,11 +1,15 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavmag import config
 from cavmag.model import (
+    _FREQ_PAIRS,
     TWO_PI,
     CouplingDerivation,
     ParameterError,
@@ -18,6 +22,7 @@ from cavmag.model import (
     validate_regime,
 )
 from cavmag.dynamics import steady_state
+from cavmag.sweep import _point_values, grid_points
 
 # frozen golden values, evaluated directly from the defining formulas
 Z_10GHZ_10MK = 1.4359925012e-21
@@ -163,6 +168,67 @@ class TestSystemParams:
         z = SystemParams().occupations()
         assert z.Z_d == pytest.approx(Z_10MHZ_10MK, rel=1e-6)
         assert z.Z_a1 == pytest.approx(Z_10GHZ_10MK, rel=1e-3)
+
+
+def replace_reference(p: SystemParams, **changes) -> SystemParams:
+    """``SystemParams.updated`` as it was before its copy stopped going
+    through ``dataclasses.replace``."""
+    for freq_name, det_name in _FREQ_PAIRS:
+        if det_name in changes and freq_name not in changes:
+            changes[freq_name] = None
+        elif freq_name in changes and det_name not in changes:
+            changes[det_name] = None
+        elif "omega_l" in changes and freq_name not in changes:
+            changes[freq_name] = None
+    if "delta_n_tilde_override" in changes and "omega_n" not in changes:
+        if p.delta_n is None and "delta_n" not in changes:
+            changes["omega_n"] = None
+    return dataclasses.replace(p, **changes)
+
+
+def sampled_grid_changes(step: int = 61):
+    """(base, omega_d-unit values) at every ``step``-th point of every
+    bundled figure grid and of the benchmark's stability map."""
+    layers = [config.load_layers(preset=name) for name in config.available_presets()
+              if name.startswith("fig")]
+    layers.append(config.load_layers(config_path=Path(__file__).resolve().parents[1]
+                                     / "perfbench" / "scmap.ini"))
+    for cfg in layers:
+        for _, spec in config.build_grid_specs(cfg, config.build_system(cfg)):
+            for pt in grid_points(spec)[::step]:
+                yield spec.base, _point_values(spec, pt)
+
+
+class TestUpdatedMatchesDataclassesReplace:
+    def test_sampled_grid_points(self):
+        checked = 0
+        for base, values in sampled_grid_changes():
+            changes = {("delta_n_tilde_override" if k == "delta_n_tilde" else k):
+                       (v if k == "T" else v * base.omega_d) for k, v in values.items()}
+            try:
+                want = replace_reference(base, **changes)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError) as got:
+                    base.updated(**changes)
+                assert str(got.value) == str(exc)
+                continue
+            got = base.updated(**changes)
+            assert got == want
+            assert repr(got.as_dict()) == repr(want.as_dict())
+            checked += 1
+        assert checked > 2500
+
+    def test_negative_temperature_same_error(self):
+        p = SystemParams()
+        with pytest.raises(ParameterError) as want:
+            replace_reference(p, T=-0.01)
+        with pytest.raises(ParameterError) as got:
+            p.updated(T=-0.01)
+        assert str(got.value) == str(want.value) == "T must be non-negative"
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="delta_q"):
+            SystemParams().updated(delta_q=1.0)
 
 
 class TestOmegaDUnits:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavmag import gaussian
+from cavmag import gaussian, sweep
 from cavmag.dynamics import (
     SteadyStateError,
     diffusion_matrix,
@@ -280,6 +280,108 @@ class TestEngineMatchesPerPointReference:
                         base=SystemParams(), measures=("EN_ne",))
         stable, unstable, _ = assert_rows_identical(spec)
         assert stable > 0 and unstable > 0
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the process pools run_grid builds, and lets it build one even
+    on a single-CPU machine."""
+    built = []
+
+    class CountedPool(sweep.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    return built
+
+
+def assert_pool_rows_equal(spec, pools):
+    """Rows of a 2-worker run equal the serial rows with ==; returns them."""
+    serial = run_grid(spec, workers=1).rows
+    assert run_grid(spec, workers=2).rows == serial
+    assert pools == ([2] if len(serial) > sweep.CHUNK else [])
+    return serial
+
+
+class TestProcessPool:
+    def test_pinned_grid_with_measures_and_unstable_rows(self, pools):
+        spec = GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 25),
+                              Axis("delta_n_tilde", -0.8, 1.6, 17)),
+                        base=SystemParams(), linkage="antisymmetric",
+                        measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd"))
+        rows = assert_pool_rows_equal(spec, pools)
+        assert sum(r.stable is True for r in rows) > 20
+        assert sum(r.stable is False for r in rows) > 20
+
+    def test_error_rows(self, pools):
+        # a negative temperature fails the parameter check; delta_e = 0 with
+        # gamma_e = 0 makes the ensemble denominator vanish
+        spec = GridSpec(axes=(Axis("T", -0.02, 0.02, 3), Axis("delta_e", -1.0, 1.0, 101)),
+                        base=SystemParams(gamma_e=0.0), measures=("EN_de",))
+        rows = assert_pool_rows_equal(spec, pools)
+        errors = [r.error for r in rows if r.error is not None]
+        assert len(errors) == 101 + 1 + 1
+        assert sum("singular denominator" in e for e in errors) == 2
+
+    @pytest.mark.parametrize("points", [199, 201, 450])
+    def test_chunk_boundaries(self, points, pools):
+        spec = GridSpec(axes=(Axis("delta_n_tilde", -0.5, 1.5, points),),
+                        base=SystemParams(), measures=("EN_ne",))
+        assert len(assert_pool_rows_equal(spec, pools)) == points
+
+    def test_self_consistent_stability_map(self, pools):
+        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points
+        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
+        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
+                        base=base, linkage="antisymmetric")
+        rows = assert_pool_rows_equal(spec, pools)
+        assert sum(r.stable is False for r in rows) > 20
+
+    def test_progress_after_each_chunk(self, pools):
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
+        calls = []
+        run_grid(spec, progress=calls.append, workers=2)
+        assert calls == [200, 400, 450]
+        assert pools == [2]
+
+    def test_programming_error_propagates_from_a_worker(self, monkeypatch, pools):
+        def fail(p):
+            raise TypeError("bug")
+        monkeypatch.setattr(gaussian, "steady_state", fail)
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
+        with pytest.raises(TypeError, match="bug"):
+            run_grid(spec, workers=2)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("points, workers", [(450, 1), (200, 2), (3, 8)])
+    def test_no_pool_for_one_process(self, monkeypatch, points, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, points),), base=SystemParams())
+        assert len(run_grid(spec, workers=workers).rows) == points
+
+    def test_workers_capped_by_chunks_and_cpus(self, pools, monkeypatch):
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
+        run_grid(spec, workers=8)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 8)
+        run_grid(spec, workers=8)
+        assert pools == [2, 3]
+
+    def test_serial_without_fork(self, monkeypatch, pools):
+        monkeypatch.setattr(sweep.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
+        assert len(run_grid(spec, workers=2).rows) == 450
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(SweepSpecError, match="workers"):
+            run_grid(small_spec(), workers=workers)
 
 
 def assert_same_evaluation(got, want):
