@@ -42,9 +42,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default="cavmag-out",
                         help="output directory (default: cavmag-out)")
     common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="processes for sweep grid chunks (default 1); "
-                             "capped at the chunk count and the usable CPUs, "
-                             "serial where fork is unavailable")
+                        help="processes for sweep grid chunks (at most one per "
+                             "chunk and usable CPU) and optimizer restarts (one per "
+                             "restart); default 1; point, tc and runs without fork are serial")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the optimizer seed")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -202,7 +202,7 @@ def cmd_optimize(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        report = maximize(spec, params)
+        report = maximize(spec, params, workers=args.workers)
     except OptimizeError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return 2

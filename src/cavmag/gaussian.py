@@ -6,6 +6,7 @@ transposed covariance is therefore 1/2.  Logarithms are natural.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -125,6 +126,12 @@ def _no_sort(*_):
     return None
 
 
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """gees workspace size for n x n matrices (LAPACK's query reads only n)."""
+    return int(_GEES(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
+
+
 def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     """Steady covariance V of A V + V A^T + D = 0 for a stable drift A.
 
@@ -144,8 +151,7 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
         raise GaussianError("non-finite drift or diffusion matrix")
     scale = np.max(np.abs(A)) or 1.0  # a zero drift fails the spectrum check
     a, q = A / scale, -D / scale
-    lwork = int(_GEES(_no_sort, a, lwork=-1)[-2][0].real)  # workspace query
-    r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=lwork, sort_t=0)
+    r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=_gees_lwork(n), sort_t=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
     if info > 0:

@@ -7,6 +7,8 @@ Unstable points score zero.
 """
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.optimize import minimize
 
 from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
 from .model import SystemParams, updated_in_omega_d_units
+from .sweep import _usable_cpus
 
 OPT_PARAMS = ("delta_1", "delta_2", "delta_n_tilde", "delta_e", "J")
 
@@ -75,38 +78,61 @@ def evaluate_measure(p: SystemParams, measure: str) -> float | None:
     return measure_values(V, [measure])[measure]
 
 
-def maximize(spec: OptimizeSpec, base: SystemParams) -> OptimumReport:
+def maximize(spec: OptimizeSpec, base: SystemParams,
+             workers: int | None = None) -> OptimumReport:
     """Box-constrained maximization of one measure by seeded direct search.
 
     A deterministic random scan seeds the best `restarts` simplex starts;
-    each restart runs bounded Nelder-Mead within the remaining evaluation
-    budget.  The returned point is the best stable one encountered anywhere.
+    each restart runs bounded Nelder-Mead within the evaluation budget its
+    predecessors left and stops before the call that would exceed it, so the
+    report counts at most ``max_evaluations`` evaluations and a run cut by
+    its budget is an exact prefix of the uncut run.  The returned point is
+    the first best stable one encountered.
+
+    ``workers`` forked processes (default: the CPUs this process may use)
+    run the restarts ahead with the budget the scan left.  A restart that
+    ended within its serial budget is taken as it ran; any other is replayed
+    here from its run's points.  So the report, or the error, is the serial
+    one.  One process, one restart or no ``fork`` start method: all run here.
     """
+    if workers is not None and workers < 1:
+        raise OptimizeError(f"workers must be at least 1, got {workers}")
     names = [n for n in OPT_PARAMS if n in spec.box]
     free = [n for n in names if spec.box[n][0] < spec.box[n][1]]
     fixed = {n: spec.box[n][0] for n in names if n not in free}
+    lo = np.array([spec.box[n][0] for n in free])
+    hi = np.array([spec.box[n][1] for n in free])
     rng = np.random.default_rng(spec.seed)
 
-    state = {"evals": 0, "best": None}  # best: (value, point tuple)
+    # best: (value, point); record: {clipped point bytes: value or None} of a
+    # speculative run; restart: the index of the shared limit a pool worker obeys
+    state = {"evals": 0, "best": None, "record": None, "restart": None}
+
+    def offer(value, point) -> None:  # strict >: the first of equal values stays
+        if state["best"] is None or value > state["best"][0]:
+            state["best"] = (value, point)
 
     def objective(x_free) -> float:
-        x_free = np.clip(
-            x_free,
-            [spec.box[n][0] for n in free],
-            [spec.box[n][1] for n in free],
-        ) if free else x_free
+        x_free = np.clip(x_free, lo, hi)
         point = dict(fixed)
         point.update(zip(free, x_free))
+        j, record, key = state["restart"], state["record"], x_free.tobytes()
+        if j is not None and state["evals"] >= limits[j]:
+            raise _LimitReached
         state["evals"] += 1
-        try:
-            value = evaluate_measure(updated_in_omega_d_units(base, point),
-                                     spec.measure)
-        except NO_STEADY_STATE:
-            value = None
+        if record is not None and key in record:
+            value = record[key]
+        else:
+            try:
+                value = evaluate_measure(updated_in_omega_d_units(base, point),
+                                         spec.measure)
+            except NO_STEADY_STATE:
+                value = None
+            if record is not None:
+                record[key] = value
         if value is None:
             return 0.0
-        if state["best"] is None or value > state["best"][0]:
-            state["best"] = (value, dict(point))
+        offer(value, dict(point))
         return value
 
     restart_log: list[dict] = []
@@ -119,8 +145,6 @@ def maximize(spec: OptimizeSpec, base: SystemParams) -> OptimumReport:
                              best_value=state["best"][0],
                              evaluations=state["evals"], restarts=restart_log)
 
-    lo = np.array([spec.box[n][0] for n in free])
-    hi = np.array([spec.box[n][1] for n in free])
     n_scan = min(max(8 * spec.restarts, 32), max(1, spec.max_evaluations // 4))
     scan = rng.uniform(lo, hi, size=(n_scan, len(free)))
     scan[0] = 0.5 * (lo + hi)
@@ -129,33 +153,93 @@ def maximize(spec: OptimizeSpec, base: SystemParams) -> OptimumReport:
     )
     starts = [np.array(x) for _, x in scanned[: spec.restarts]]
 
-    for start in starts:
-        budget = spec.max_evaluations - state["evals"]
-        if budget <= 0:
-            break
-        res = minimize(
+    def descend(start, maxfev):
+        return minimize(
             lambda x: -objective(x),
             start,
             method="Nelder-Mead",
             bounds=list(zip(lo, hi)),
             options={
-                "maxfev": budget,
+                "maxfev": maxfev,
                 "xatol": 1e-4,
                 "fatol": 1e-10,
                 "initial_simplex": _initial_simplex(start, lo, hi),
             },
         )
-        restart_log.append({
-            "start": dict(zip(free, (float(v) for v in start))),
-            "best_value": float(-res.fun),
-            "nfev": int(res.nfev),
-        })
+
+    def speculate(j):
+        """Restart j in a pool worker: (record, (fun, nfev, own best) or None if cut)."""
+        state.update(evals=0, best=None, record={}, restart=j)
+        try:
+            res = descend(starts[j], spare)
+        except _LimitReached:
+            return state["record"], None
+        return state["record"], (res.fun, res.nfev, state["best"])
+
+    spare = spec.max_evaluations - state["evals"]
+    n = min(workers or _usable_cpus(), len(starts))
+    pool = None
+    try:
+        if n > 1 and spare > 0 and "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            limits = context.RawArray("q", [spare] * len(starts))
+            pool = ProcessPoolExecutor(n, mp_context=context, initializer=_share,
+                                       initargs=(speculate,))
+            ahead = [pool.submit(_speculate, j) for j in range(len(starts))]
+        for k, start in enumerate(starts):
+            budget = spec.max_evaluations - state["evals"]
+            if budget <= 0:
+                break
+            run = None
+            if pool is not None:
+                # a restart costs at least its simplex, so restart j > k
+                # cannot get more than this
+                for j in range(k, len(starts)):
+                    limits[j] = max(0, budget - (len(free) + 1) * (j - k))
+                try:
+                    state["record"], run = ahead[k].result()
+                except Exception:  # replayed live: a serial error recurs there
+                    state["record"] = {}
+            if run is not None and run[1] < budget:
+                fun, nfev, best = run
+                state["evals"] += nfev
+                if best is not None:
+                    offer(*best)
+            else:
+                res = descend(start, budget)
+                fun, nfev = res.fun, res.nfev
+            state["record"] = None
+            restart_log.append({
+                "start": dict(zip(free, (float(v) for v in start))),
+                "best_value": float(-fun),
+                "nfev": int(nfev),
+            })
+    finally:
+        if pool is not None:
+            limits[:] = [0] * len(starts)
+            pool.shutdown(cancel_futures=True)
 
     if state["best"] is None:
         raise OptimizeError("no stable point found in the box")
     value, point = state["best"]
     return OptimumReport(best_point=point, best_value=value,
                          evaluations=state["evals"], restarts=restart_log)
+
+
+class _LimitReached(Exception):
+    """A speculative restart reached its shared call limit."""
+
+
+_SPECULATE = None  # the running maximize's speculate(j), set in each pool worker
+
+
+def _share(speculate) -> None:
+    global _SPECULATE
+    _SPECULATE = speculate
+
+
+def _speculate(j: int):
+    return _SPECULATE(j)
 
 
 def _initial_simplex(start, lo, hi):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cavmag import sweep
 from cavmag.cli import main
 
 
@@ -139,22 +140,31 @@ measures = EN_de
             # entanglement at the cold end of every curve
             assert float(lines[1].split(",")[2]) > 0.05
 
-    def test_serial_and_parallel_bytes_identical(self, tmp_path):
+    def test_serial_and_parallel_bytes_identical(self, tmp_path, monkeypatch):
+        # 441 points: three chunks, so the parallel run builds a pool of
+        # three processes even on a machine with fewer CPUs
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 8)
         cfgfile = tmp_path / "sweep.ini"
         cfgfile.write_text("""
 [sweep:par]
 axis1 = delta_a
 axis1_min_wd = -1.5
 axis1_max_wd = 0.5
-axis1_points = 9
+axis1_points = 21
+axis2 = J
+axis2_min_wd = 0.2
+axis2_max_wd = 1.6
+axis2_points = 21
 linkage = antisymmetric
 measures = EN_de, EN_ne
 """)
-        out1, out2 = tmp_path / "serial", tmp_path / "threads"
+        out1, out2 = tmp_path / "serial", tmp_path / "pool"
         assert run_cli("sweep", "--config", str(cfgfile), "--out", str(out1)) == 0
         assert run_cli("sweep", "--config", str(cfgfile), "--out", str(out2),
                        "--workers", "8") == 0
-        assert (out1 / "par.csv").read_bytes() == (out2 / "par.csv").read_bytes()
+        serial = (out1 / "par.csv").read_bytes()
+        assert len(serial.splitlines()) == 1 + 21 * 21
+        assert serial == (out2 / "par.csv").read_bytes()
 
 
 class TestStabilityMap:
@@ -233,6 +243,23 @@ box_delta_n_tilde_max_wd = -0.64
         assert code == 0
         record = json.loads((tmp_path / "optimize_report.json").read_text())
         assert record["seed"] == 123
+
+
+    def test_serial_and_parallel_bytes_identical(self, tmp_path):
+        # the first restart ends by itself, the budget cuts the second and
+        # leaves none for the third
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert run_cli("optimize", "--preset", "table2_ne",
+                           "--set", "optimize.max_evaluations=400",
+                           "--set", "optimize.restarts=3",
+                           "--workers", workers, "--out", str(out)) == 0
+            outs.append(out)
+        for name in ("optimize_report.json", "optimize_trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        record = json.loads((outs[0] / "optimize_report.json").read_text())
+        assert len(record["restarts"]) == 2 and record["evaluations"] == 400
 
 
 class TestTc:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
+from cavmag import gaussian
 from cavmag.dynamics import (
     diffusion_matrix,
     drift_matrix,
@@ -100,6 +101,17 @@ class TestLyapunovMatchesScipy:
             A, D = drift_matrix(p, steady_state(p)), diffusion_matrix(p)
             np.testing.assert_array_equal(lyapunov_solve(A, D).entries,
                                           _scipy_lyapunov(A, D))
+
+    def test_cached_workspace_equals_the_per_call_query(self):
+        def query(a):
+            return int(gaussian._GEES(gaussian._no_sort, a, lwork=-1)[-2][0].real)
+
+        for p in sample_stable_params(seed=54, count=50):
+            A = drift_matrix(p, steady_state(p))
+            assert gaussian._gees_lwork(10) == query(A / np.max(np.abs(A)))
+        rng = np.random.default_rng(55)
+        for n in (2, 4, 6, 10):
+            assert gaussian._gees_lwork(n) == query(rng.normal(size=(n, n)))
 
     def test_bit_identical_two_by_two(self):
         A = np.array([[-0.3, 2.0], [-1.5, -0.7]])

@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import pytest
 
 from cavmag import optimize
@@ -103,8 +106,8 @@ class TestMaximize:
                             box={"delta_1": (0.4, 1.1), "delta_2": (-0.9, -0.1)},
                             restarts=2, max_evaluations=90, seed=4)
         report = maximize(spec, ne_base())
-        # Nelder-Mead may finish its final simplex operation past the cap
-        assert report.evaluations <= spec.max_evaluations + 10
+        # Nelder-Mead stops before the call that would pass the cap
+        assert report.evaluations <= spec.max_evaluations
 
     def test_beats_the_center_of_a_local_box(self):
         spec = OptimizeSpec(
@@ -129,6 +132,153 @@ class TestMaximize:
             delta_2=report.best_point["delta_2"] * WD)
         assert evaluate_measure(p, "EN_ne") == pytest.approx(
             report.best_value, abs=1e-12)
+
+
+LOCAL_BOX = {"delta_1": (0.4, 1.1), "delta_2": (-0.9, -0.1)}
+
+
+def local_spec(restarts, max_evaluations, seed):
+    return OptimizeSpec(measure="EN_ne", box=LOCAL_BOX, restarts=restarts,
+                        max_evaluations=max_evaluations, seed=seed)
+
+
+def serial_order(spec, monkeypatch):
+    """The serial report and the parameter points it evaluated, in order."""
+    order = []
+    evaluate = optimize.evaluate_measure
+
+    def recording(p, measure):
+        order.append(p)
+        return evaluate(p, measure)
+
+    monkeypatch.setattr(optimize, "evaluate_measure", recording)
+    report = maximize(spec, ne_base(), workers=1)
+    monkeypatch.setattr(optimize, "evaluate_measure", evaluate)
+    return report, order
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the process pools maximize builds."""
+    built = []
+
+    class CountedPool(optimize.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", CountedPool)
+    return built
+
+
+class TestRestartPool:
+    # (restarts, max_evaluations, seed) on LOCAL_BOX; restart nfev in the comment
+    CASES = {
+        "end within the budget": (3, 400, 4),  # 56, 49, 58: 195 evaluations
+        "cut mid-run": (3, 150, 4),  # 56, 49, 13: the last is cut
+        "skipped": (3, 120, 4),  # 56, 34: the second is cut, the third skipped
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_equals_serial(self, case, pools):
+        spec = local_spec(*self.CASES[case])
+        serial = maximize(spec, ne_base(), workers=1)
+        assert maximize(spec, ne_base(), workers=2) == serial
+        assert maximize(spec, ne_base(), workers=3) == serial
+        assert pools == [2, 3]
+        assert multiprocessing.active_children() == []
+        ran_out = serial.evaluations == spec.max_evaluations
+        assert ran_out == (case != "end within the budget")
+        assert (len(serial.restarts) < spec.restarts) == (case == "skipped")
+
+    def test_more_workers_than_cpus(self, pools):
+        # eight restarts on eight processes race for the shared limits
+        spec = local_spec(8, 300, 4)
+        assert maximize(spec, ne_base(), workers=8) == maximize(spec, ne_base(), workers=1)
+        assert pools == [8]
+        assert multiprocessing.active_children() == []
+
+    def test_ties_keep_the_first_point(self, monkeypatch, pools):
+        # a coarse objective: later restarts tie with the best found before
+        evaluate = optimize.evaluate_measure
+
+        def coarse(p, measure):
+            value = evaluate(p, measure)
+            return None if value is None else round(value, 1)
+
+        monkeypatch.setattr(optimize, "evaluate_measure", coarse)
+        spec = local_spec(*self.CASES["end within the budget"])
+        assert maximize(spec, ne_base(), workers=2) == maximize(spec, ne_base(), workers=1)
+        assert pools == [2]
+
+    def test_error_past_the_serial_budget_is_not_raised(self, monkeypatch,
+                                                        tmp_path, pools):
+        spec = local_spec(*self.CASES["skipped"])
+        serial, order = serial_order(spec, monkeypatch)
+        seen = set(order)
+        n_scan = serial.evaluations - sum(r["nfev"] for r in serial.restarts)
+        hold = order[n_scan + 1]  # the first restart's second evaluation
+        reached = tmp_path / "reached"
+        evaluate = optimize.evaluate_measure
+
+        def failing(p, measure):
+            if p not in seen:
+                reached.touch()
+                raise TypeError("bug")
+            if p == hold:
+                # keep the first restart (and with it every budget) waiting
+                # until a worker has run past the serial evaluations
+                deadline = time.monotonic() + 30.0
+                while not reached.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            return evaluate(p, measure)
+
+        monkeypatch.setattr(optimize, "evaluate_measure", failing)
+        for workers in (2, 3):
+            reached.unlink(missing_ok=True)
+            assert maximize(spec, ne_base(), workers=workers) == serial
+            assert reached.exists()
+            assert multiprocessing.active_children() == []
+        assert pools == [2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_error_the_serial_run_reaches_is_raised(self, monkeypatch, workers):
+        spec = local_spec(*self.CASES["skipped"])
+        _, order = serial_order(spec, monkeypatch)
+        bad = order[-1]  # the last evaluation of the cut second restart
+        evaluate = optimize.evaluate_measure
+
+        def failing(p, measure):
+            if p == bad:
+                raise TypeError("bug")
+            return evaluate(p, measure)
+
+        monkeypatch.setattr(optimize, "evaluate_measure", failing)
+        with pytest.raises(TypeError, match="bug"):
+            maximize(spec, ne_base(), workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_default_is_the_usable_cpus(self, monkeypatch, pools):
+        monkeypatch.setattr(optimize, "_usable_cpus", lambda: 2)
+        spec = local_spec(*self.CASES["cut mid-run"])
+        assert maximize(spec, ne_base()) == maximize(spec, ne_base(), workers=1)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("restarts, workers, fork", [
+        (3, 1, True), (1, 4, True), (3, 4, False)])
+    def test_no_pool(self, monkeypatch, restarts, workers, fork):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+        monkeypatch.setattr(optimize, "ProcessPoolExecutor", refuse)
+        if not fork:
+            monkeypatch.setattr(optimize.multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        maximize(local_spec(restarts, 150, 4), ne_base(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(OptimizeError, match="workers"):
+            maximize(local_spec(3, 150, 4), ne_base(), workers=workers)
 
 
 class TestCriticalTemperature:
