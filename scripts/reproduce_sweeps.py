@@ -3,11 +3,23 @@
 
 Usage:
     python scripts/reproduce_sweeps.py [--out DIR] [--workers N] [--only fig2a fig7 ...]
+                                       [--digest PATH] [--compare PATH]
 
 The full set is ~40 sweeps at figure resolution, run one after another; with
 --workers N each sweep's grid chunks go to N forked processes.
+
+--digest PATH writes a JSON manifest with the sha256 of every <name>.csv and
+<name>.csv.meta.json the run wrote, keyed by its path under --out.
+--compare PATH checks those digests against an earlier manifest and exits 1
+if a file differs, is missing or is new, so two runs (two checkouts, or two
+worker counts) can be shown byte-identical:
+
+    python scripts/reproduce_sweeps.py --only fig7 --workers 1 --digest a.json
+    python scripts/reproduce_sweeps.py --only fig7 --workers 2 --compare a.json
 """
 import argparse
+import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -18,16 +30,44 @@ from cavmag.config import available_presets
 FIGURE_PRESETS = [name for name in available_presets() if name.startswith("fig")]
 
 
+def digests(out: Path, presets) -> dict[str, str]:
+    """sha256 of every sweep CSV and sidecar the presets wrote under out."""
+    files = sorted(path for preset in presets
+                   for pattern in ("*.csv", "*.csv.meta.json")
+                   for path in (out / preset).glob(pattern))
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in files}
+
+
+def differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """One line per file whose digest differs from, or is absent in, the other."""
+    lines = []
+    for name in sorted(got.keys() | want.keys()):
+        if name not in got:
+            lines.append(f"missing  {name}")
+        elif name not in want:
+            lines.append(f"new      {name}")
+        elif got[name] != want[name]:
+            lines.append(f"differs  {name}")
+    return lines
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default="figure-sweeps")
     ap.add_argument("--workers", type=int, default=1,
                     help="processes per sweep, passed on to cavmag "
                          "(default 1)")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of presets (default: every fig* preset)")
+    ap.add_argument("--digest", metavar="PATH",
+                    help="write the sha256 of every CSV and sidecar to PATH")
+    ap.add_argument("--compare", metavar="PATH",
+                    help="exit 1 unless the digests equal those in PATH")
     args = ap.parse_args()
 
+    want = json.loads(Path(args.compare).read_text()) if args.compare else None
     presets = args.only if args.only else FIGURE_PRESETS
     failures = []
     for preset in presets:
@@ -42,6 +82,17 @@ def main() -> int:
     if failures:
         print(f"failed presets: {failures}", file=sys.stderr)
         return 1
+    manifest = digests(Path(args.out), presets)
+    if args.digest:
+        Path(args.digest).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        print(f"{len(manifest)} digests written to {args.digest}")
+    if args.compare:
+        lines = differences(manifest, want)
+        for line in lines:
+            print(line, file=sys.stderr)
+        if lines:
+            return 1
+        print(f"{len(manifest)} files identical to {args.compare}")
     return 0
 
 

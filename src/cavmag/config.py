@@ -335,4 +335,7 @@ def build_tc(cfg) -> tuple[str, float, float]:
     measure = items.get("measure", "")
     t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
     tol = _float(items.get("tol_K", "1e-3"), "tc", "tol_K")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(
+            f"key 'tol_K' in [tc] must be a positive finite temperature, got {tol!r}")
     return measure, t_max, tol

@@ -124,19 +124,18 @@ def drift_matrix(p: SystemParams, ss: SteadyState) -> np.ndarray:
     dnt = ss.delta_n_tilde
     ka, kn, ge, gd = p.kappa_a, p.kappa_n, p.gamma_e, p.gamma_d
     gna, Gnd, Gae, J, wd = p.g_na, p.G_nd, p.G_ae, p.J, p.omega_d
-    A = np.array([
-        [-ka,   d1,   0.0,  J,    0.0,  0.0,  0.0,  0.0,  0.0,  Gae],
-        [-d1,  -ka,  -J,    0.0,  0.0,  0.0,  0.0,  0.0, -Gae,  0.0],
-        [0.0,   J,   -ka,   d2,   0.0,  gna,  0.0,  0.0,  0.0,  0.0],
-        [-J,    0.0, -d2,  -ka,  -gna,  0.0,  0.0,  0.0,  0.0,  0.0],
-        [0.0,   0.0,  0.0,  gna, -kn,   dnt, -Gnd,  0.0,  0.0,  0.0],
-        [0.0,   0.0, -gna,  0.0, -dnt, -kn,   0.0,  0.0,  0.0,  0.0],
-        [0.0,   0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  wd,   0.0,  0.0],
-        [0.0,   0.0,  0.0,  0.0,  0.0,  Gnd, -wd,  -gd,   0.0,  0.0],
-        [0.0,   Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -ge,   de],
-        [-Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -de,  -ge],
-    ])
-    return A
+    return np.array((
+        -ka,   d1,   0.0,  J,    0.0,  0.0,  0.0,  0.0,  0.0,  Gae,
+        -d1,  -ka,  -J,    0.0,  0.0,  0.0,  0.0,  0.0, -Gae,  0.0,
+        0.0,   J,   -ka,   d2,   0.0,  gna,  0.0,  0.0,  0.0,  0.0,
+        -J,    0.0, -d2,  -ka,  -gna,  0.0,  0.0,  0.0,  0.0,  0.0,
+        0.0,   0.0,  0.0,  gna, -kn,   dnt, -Gnd,  0.0,  0.0,  0.0,
+        0.0,   0.0, -gna,  0.0, -dnt, -kn,   0.0,  0.0,  0.0,  0.0,
+        0.0,   0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  wd,   0.0,  0.0,
+        0.0,   0.0,  0.0,  0.0,  0.0,  Gnd, -wd,  -gd,   0.0,  0.0,
+        0.0,   Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -ge,   de,
+        -Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -de,  -ge,
+    )).reshape(10, 10)
 
 
 def diffusion_matrix(p: SystemParams) -> np.ndarray:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -147,9 +149,10 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     n = A.shape[0]
     if A.shape != (n, n) or D.shape != (n, n):
         raise GaussianError("drift and diffusion must be square and same size")
-    if not (np.isfinite(A).all() and np.isfinite(D).all()):
-        raise GaussianError("non-finite drift or diffusion matrix")
     scale = np.max(np.abs(A)) or 1.0  # a zero drift fails the spectrum check
+    # max|A| is NaN or inf exactly when A has a non-finite entry
+    if not (math.isfinite(scale) and np.isfinite(D).all()):
+        raise GaussianError("non-finite drift or diffusion matrix")
     a, q = A / scale, -D / scale
     r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=_gees_lwork(n), sort_t=0)
     if info < 0:
@@ -215,11 +218,7 @@ _I_OMEGA = {m: 1j * np.kron(np.eye(m), _J) for m in range(1, len(MODE_LABELS) + 
 # splits, mode r transposed in split r.
 _BLOCK_OF = {mid: tuple(sorted(MODE_LABELS.index(m) for m in modes))
              for mid, modes in (BIPARTITE_MEASURES | TRIPARTITE_MEASURES).items()}
-_QUADRATURES = {
-    block: _quadratures(block)
-    for block in (*combinations(range(len(MODE_LABELS)), 2), (0, 1, 2),
-                  *_BLOCK_OF.values())
-}
+_ALL_BLOCKS = tuple(_BLOCK_OF.values())  # the ten pairs, then the two triples
 _PAIR_SIGNS = _flip_signs(2, 0)
 _SPLIT_SIGNS = np.stack([_flip_signs(3, r) for r in range(3)])
 
@@ -240,14 +239,14 @@ def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
         raise GaussianError(f"eigen-solver failure: {exc}") from exc
     raw.sort()
     lo, hi = raw[:, 0::2], raw[:, 1::2]
-    rel = (hi - lo) / np.maximum(hi, 1e-300)
-    unpaired = np.any(rel > PAIRING_RTOL, axis=1)
+    unpaired = (hi - lo) / np.maximum(hi, 1e-300) > PAIRING_RTOL
     if unpaired.any():
         raise GaussianError(
-            f"symplectic eigenvalue pairing failure: spectrum {raw[unpaired][0]!r}"
+            "symplectic eigenvalue pairing failure: spectrum "
+            f"{raw[unpaired.any(axis=1)][0]!r}"
         )
     nu = 0.5 * (lo + hi)
-    if not np.all(nu[:, 0] > 0.0):
+    if not (nu[:, 0] > 0.0).all():
         raise GaussianError(
             f"degenerate symplectic spectrum: minimum symplectic eigenvalue "
             f"{np.min(nu[:, 0]):.3g} is not positive"
@@ -257,22 +256,65 @@ def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
 
 def _log_negativities(W: np.ndarray) -> list[float]:
     """max(0, -ln 2f) per partially transposed covariance in the stack W,
-    f its minimum symplectic eigenvalue."""
-    return [max(0.0, -np.log(2.0 * f)) for f in _symplectic_spectra(W)[:, 0].tolist()]
+    f its minimum symplectic eigenvalue: an np.float64 if positive, else the
+    float 0.0.  np.log on the array gives each element the bits of np.log on
+    that element alone (not those of math.log)."""
+    return [max(0.0, e) for e in -np.log(2.0 * _symplectic_spectra(W)[:, 0])]
 
 
-def _contangle(labels, triple, e_split, e_pair) -> ResidualContangle:
+class _Plan(NamedTuple):
+    """What the measure kernel needs of one request, built once per request."""
+
+    pair_index: np.ndarray  # (P, 4, 4) flat covariance indices of the pair blocks
+    split_index: np.ndarray  # (S, 6, 6) the same for the splits, three per triple
+    # per triple, per split r: the positions of mode r and the other two
+    # modes in the covariance, of the split, and of mode r's two pairs
+    contangles: tuple
+    slots: tuple  # per requested block: (is a triple, position among its kind)
+
+
+@functools.cache
+def _plan(blocks: tuple, n: int) -> _Plan:
+    """The plan of a request for these blocks on an n x n covariance: the
+    distinct pairs in first-seen order (those of the triples included), then
+    the distinct triples."""
+    pairs = list(dict.fromkeys(pair for b in blocks for pair in combinations(b, 2)))
+    triples = list(dict.fromkeys(b for b in blocks if len(b) == 3))
+    at = {pair: i for i, pair in enumerate(pairs)}
+
+    def flat(block):
+        q = np.array(_quadratures(block))
+        return n * q[:, None] + q
+
+    contangles = []
+    for j, t in enumerate(triples):
+        parts = []
+        for r in range(3):
+            others = [x for x in range(3) if x != r]
+            parts.append((t[r], *(t[x] for x in others), 3 * j + r,
+                          *(at[tuple(sorted((t[r], t[x])))] for x in others)))
+        contangles.append(tuple(parts))
+    return _Plan(
+        pair_index=np.array([flat(p) for p in pairs], dtype=np.intp).reshape(-1, 4, 4),
+        split_index=np.array([flat(t) for t in triples for _ in range(3)],
+                             dtype=np.intp).reshape(-1, 6, 6),
+        contangles=tuple(contangles),
+        slots=tuple((True, triples.index(b)) if len(b) == 3 else (False, at[b])
+                    for b in blocks),
+    )
+
+
+def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
     """Residual contangle of a triple from its split and pair negativities."""
     partitions: dict[str, float] = {}
     clamped = []
-    for r, k in enumerate(labels):
-        others = [x for x in range(3) if x != r]
-        e1, e2 = (e_pair[tuple(sorted((triple[r], triple[x])))] for x in others)
-        raw = e_split[r]**2 - e1**2 - e2**2
+    for mode, l, m, split, pair_l, pair_m in parts:
+        k = labels[mode]
+        raw = e_split[split]**2 - e_pair[pair_l]**2 - e_pair[pair_m]**2
         if raw < 0.0:
             logger.debug(
                 "clamping negative residual contangle %.3e for partition %s|%s%s",
-                raw, k, labels[others[0]], labels[others[1]],
+                raw, k, labels[l], labels[m],
             )
             clamped.append(k)
             raw = 0.0
@@ -284,28 +326,34 @@ def _contangle(labels, triple, e_split, e_pair) -> ResidualContangle:
     )
 
 
-def _measures(V: CovarianceMatrix, blocks):
-    """Log-negativities of every mode pair within the blocks (mode-position
-    pairs and triples) and residual contangles of the triples, from one
-    stacked eigen-solve per block size; each pair is computed once.
+def _measures(entries: np.ndarray, plan: _Plan, labels) -> list[list]:
+    """Per covariance of a (k, n, n) stack with these mode labels, per
+    requested block of the plan: the pair's log-negativity or the triple's
+    ResidualContangle.
 
-    Returns ``{pair: E}`` and ``{triple: ResidualContangle}``.
+    All the pairs of all k covariances take one stacked eigen-solve, and all
+    their splits another; each pair negativity is computed once per
+    covariance and shared by the contangles.  A stacked eigen-solve gives
+    each matrix the bits of a solve on that matrix alone, but an error
+    anywhere in a stack raises for the whole stack.
     """
-    pairs = list(dict.fromkeys(pair for b in blocks for pair in combinations(b, 2)))
-    triples = list(dict.fromkeys(b for b in blocks if len(b) == 3))
-    e_pair, contangles = {}, {}
-    if pairs:
-        q = np.array([_QUADRATURES[pair] for pair in pairs])
-        W = V.entries[q[:, :, None], q[:, None, :]] * _PAIR_SIGNS
-        e_pair = dict(zip(pairs, _log_negativities(W)))
-    if triples:
-        q = np.array([_QUADRATURES[triple] for triple in triples])
-        W = V.entries[q[:, None, :, None], q[:, None, None, :]] * _SPLIT_SIGNS
+    flat = entries.reshape(len(entries), -1)
+    e_pair = e_split = []
+    if len(plan.pair_index):
+        W = flat.take(plan.pair_index, axis=1) * _PAIR_SIGNS
+        e_pair = _log_negativities(W.reshape(-1, 4, 4))
+    if plan.contangles:
+        W = flat.take(plan.split_index, axis=1).reshape(-1, 3, 6, 6) * _SPLIT_SIGNS
         e_split = _log_negativities(W.reshape(-1, 6, 6))
-        for n, t in enumerate(triples):
-            contangles[t] = _contangle([V.mode_labels[k] for k in t], t,
-                                       e_split[3 * n:3 * n + 3], e_pair)
-    return e_pair, contangles
+    n_pairs, n_splits = len(plan.pair_index), len(plan.split_index)
+    out = []
+    for i in range(len(entries)):
+        ep = e_pair[i * n_pairs:(i + 1) * n_pairs]
+        es = e_split[i * n_splits:(i + 1) * n_splits]
+        contangles = [_contangle(labels, parts, es, ep) for parts in plan.contangles]
+        out.append([contangles[pos] if triple else ep[pos]
+                    for triple, pos in plan.slots])
+    return out
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
@@ -345,7 +393,7 @@ def residual_contangle(V3: CovarianceMatrix) -> ResidualContangle:
     """
     if V3.n_modes != 3:
         raise GaussianError("residual_contangle expects a 3-mode covariance")
-    return _measures(V3, [(0, 1, 2)])[1][(0, 1, 2)]
+    return _measures(V3.entries[None], _plan(((0, 1, 2),), 6), V3.mode_labels)[0][0]
 
 
 def steady_covariances(ps) -> list:
@@ -394,18 +442,25 @@ def steady_covariance(p: SystemParams):
     return out
 
 
+def _measure_value_stack(entries: np.ndarray, measure_ids) -> list[dict[str, float]]:
+    """measure_values of every 10x10 covariance in a (k, 10, 10) stack, from
+    one stacked eigen-solve per block size; an error raises for the stack."""
+    ids = tuple(measure_ids)
+    try:
+        plan = _plan(tuple(_BLOCK_OF[mid] for mid in ids), 2 * len(MODE_LABELS))
+    except KeyError as exc:
+        raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
+    return [{mid: value.r_min if mid in TRIPARTITE_MEASURES else value
+             for mid, value in zip(ids, values)}
+            for values in _measures(entries, plan, MODE_LABELS)]
+
+
 def measure_values(V: CovarianceMatrix, measure_ids) -> dict[str, float]:
     """Requested entanglement measures evaluated on a full covariance."""
     if V.mode_labels != MODE_LABELS:
         raise GaussianError(
             f"measures need mode labels {MODE_LABELS}; have {V.mode_labels}")
-    for mid in measure_ids:
-        if mid not in _BLOCK_OF:
-            raise GaussianError(f"unknown measure id {mid!r}")
-    e_pair, contangles = _measures(V, [_BLOCK_OF[mid] for mid in measure_ids])
-    return {mid: e_pair[_BLOCK_OF[mid]] if mid in BIPARTITE_MEASURES
-            else contangles[_BLOCK_OF[mid]].r_min
-            for mid in measure_ids}
+    return _measure_value_stack(V.entries[None], measure_ids)[0]
 
 
 def full_report(p: SystemParams) -> EntanglementReport:
@@ -416,11 +471,11 @@ def full_report(p: SystemParams) -> EntanglementReport:
     ss, verdict, V = steady_covariance(p)
     if V is None:
         return EntanglementReport(stable=False, verdict=verdict, steady=ss)
-    e_pair, contangles = _measures(V, list(_BLOCK_OF.values()))
+    (values,) = _measures(V.entries[None], _plan(_ALL_BLOCKS, 2 * len(MODE_LABELS)),
+                          MODE_LABELS)
     return EntanglementReport(
         stable=True, verdict=verdict, steady=ss,
-        bipartite={pair: e_pair[_BLOCK_OF[mid]]
-                   for mid, pair in BIPARTITE_MEASURES.items()},
-        tripartite={triple: contangles[_BLOCK_OF[mid]]
-                    for mid, triple in TRIPARTITE_MEASURES.items()},
+        bipartite=dict(zip(BIPARTITE_MEASURES.values(), values)),
+        tripartite=dict(zip(TRIPARTITE_MEASURES.values(),
+                            values[len(BIPARTITE_MEASURES):])),
     )

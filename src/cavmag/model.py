@@ -95,7 +95,7 @@ class SystemParams:
         if not self.omega_d > 0:
             raise ParameterError("omega_d must be positive")
         for name in ("kappa_a", "kappa_n", "gamma_e", "gamma_d", "T"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails this test too
                 raise ParameterError(f"{name} must be non-negative")
         tol = 1e-9 * self.omega_d
         for freq_name, det_name in _FREQ_PAIRS:
@@ -215,7 +215,7 @@ def thermal_occupation(omega: float, T: float) -> float:
     """Bose occupation 1/(exp(hbar*omega/kB*T) - 1); exactly 0 at T = 0."""
     if omega <= 0:
         raise ParameterError(f"omega must be positive, got {omega!r}")
-    if T < 0:
+    if not T >= 0:
         raise ParameterError(f"T must be non-negative, got {T!r}")
     if T == 0:
         return 0.0

@@ -7,6 +7,7 @@ Unstable points score zero.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -265,6 +266,8 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
         raise OptimizeError(f"unknown measure id {measure!r}")
     if T_max <= T_FLOOR:
         raise OptimizeError(f"T_max must exceed the {T_FLOOR} K floor")
+    if not 0.0 < tol < math.inf:  # at tol <= 0 the bisection never ends
+        raise OptimizeError(f"tol must be a positive finite temperature, got {tol!r}")
 
     def value_at(T: float) -> float:
         v = evaluate_measure(p.updated(T=T), measure)

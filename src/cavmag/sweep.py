@@ -2,9 +2,10 @@
 
 Axis values are dimensionless (units of omega_d) except the temperature axis,
 which is kelvin.  Points are evaluated in consecutive chunks of 200, with one
-stacked stability eigen-solve per chunk, and rows are emitted in row-major
-order over the axes.  With ``workers > 1`` the chunks run on a pool of forked
-processes; the rows are equal either way.
+stacked stability eigen-solve per chunk and one stacked measure eigen-solve
+per block size, and rows are emitted in row-major order over the axes.
+With ``workers > 1`` the chunks run on a pool of forked processes; the rows
+are equal either way.
 """
 from __future__ import annotations
 
@@ -16,8 +17,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariances
+from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _measure_value_stack,
+                       measure_values, steady_covariances)
 from .model import EPS0, HBAR, KB, SystemParams, updated_in_omega_d_units
 
 CHUNK = 200  # grid points per stacked stability solve and per progress report
@@ -149,19 +153,43 @@ def _evaluate_chunk(spec: GridSpec, points) -> list[SweepRow]:
             at.append(i)
         except NO_STEADY_STATE as exc:
             rows[i] = _error_row(pt, exc)
+    stable, covariances = [], []
     for i, out in zip(at, steady_covariances(params)):
-        pt = points[i]
         if isinstance(out, Exception):
-            rows[i] = _error_row(pt, out)
+            rows[i] = _error_row(points[i], out)
         elif out[2] is None:
-            rows[i] = SweepRow(pt, stable=False, measures=None)
+            rows[i] = SweepRow(points[i], stable=False, measures=None)
         else:
-            try:
-                rows[i] = SweepRow(pt, stable=True,
-                                   measures=measure_values(out[2], spec.measures))
-            except NO_STEADY_STATE as exc:
-                rows[i] = _error_row(pt, exc)
+            stable.append(i)
+            covariances.append(out[2])
+    for i, values in zip(stable, _chunk_measures(spec.measures, covariances)):
+        if isinstance(values, Exception):
+            rows[i] = _error_row(points[i], values)
+        else:
+            rows[i] = SweepRow(points[i], stable=True, measures=values)
     return rows
+
+
+def _chunk_measures(measure_ids, covariances) -> list:
+    """measure_values of each covariance, or the NO_STEADY_STATE error it
+    raised.  The chunk's pair blocks take one stacked eigen-solve and its
+    one-vs-two blocks another; a stack that raises is evaluated one
+    covariance at a time, so the error lands on its own point."""
+    if not measure_ids:
+        return [{} for _ in covariances]
+    if covariances:
+        try:
+            return _measure_value_stack(np.stack([V.entries for V in covariances]),
+                                        measure_ids)
+        except NO_STEADY_STATE:
+            pass
+    values = []
+    for V in covariances:
+        try:
+            values.append(measure_values(V, measure_ids))
+        except NO_STEADY_STATE as exc:
+            values.append(exc)
+    return values
 
 
 def grid_points(spec: GridSpec):
@@ -183,8 +211,9 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     """Evaluate the requested measures at every grid point, in row-major order.
 
     Points go through in chunks of ``CHUNK``: each point's steady state and
-    drift, one stacked stability verdict for the chunk, then the Lyapunov
-    solve and the measures of each stable point.  ``progress`` (if given) is
+    drift, one stacked stability verdict for the chunk, the Lyapunov solve of
+    each stable point, then the measures of all the chunk's stable points
+    from one stacked eigen-solve per block size.  ``progress`` (if given) is
     called with the number of completed rows after each chunk, that is every
     200 rows and once after the last row.
 

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +275,13 @@ class TestTc:
         record = json.loads((tmp_path / "tc.json").read_text())
         assert 0.140 <= record["T_c_K"] <= 0.260
 
+    def test_zero_tolerance_is_a_configuration_error(self, tmp_path, capsys):
+        code = run_cli("tc", "--preset", "table2_de", "--set", "tc.tol_K=0",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert "tol_K" in capsys.readouterr().err
+        assert not (tmp_path / "tc.json").exists()
+
     def test_not_entangled_exits_2(self, tmp_path, capsys):
         code = run_cli("tc", "--set", "J=0", "--set", "g_na=0",
                        "--set", "G_nd=0", "--set", "G_ae=0",
@@ -306,3 +316,42 @@ class TestPresets:
         wd = 2 * 3.141592653589793 * 1e7
         assert record["steady_state"]["delta_n_tilde_radps"] == pytest.approx(
             0.9 * wd, rel=1e-12)
+
+
+class TestReproduceSweepsDigests:
+    @pytest.fixture
+    def reproduce(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_sweeps.py"
+        spec = importlib.util.spec_from_file_location("reproduce_sweeps", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def run(*argv):
+            monkeypatch.setattr(sys, "argv", ["reproduce_sweeps.py", *argv])
+            return script.main()
+
+        return run
+
+    def test_digest_then_compare(self, reproduce, tmp_path, capsys):
+        manifest = tmp_path / "serial.json"
+        assert reproduce("--out", str(tmp_path / "serial"), "--only", "fig8",
+                         "--digest", str(manifest)) == 0
+        digests = json.loads(manifest.read_text())
+        assert sorted(digests) == ["fig8/a1nd.csv", "fig8/a1nd.csv.meta.json",
+                                   "fig8/nde.csv", "fig8/nde.csv.meta.json"]
+        assert reproduce("--out", str(tmp_path / "again"), "--only", "fig8",
+                         "--workers", "2", "--compare", str(manifest)) == 0
+        assert "4 files identical" in capsys.readouterr().out
+
+        digests["fig8/nde.csv"] = "0" * 64
+        del digests["fig8/a1nd.csv.meta.json"]
+        digests["fig8/extra.csv"] = "0" * 64
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(digests))
+        assert reproduce("--out", str(tmp_path / "again"), "--only", "fig8",
+                         "--compare", str(tampered)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "new      fig8/a1nd.csv.meta.json",
+            "missing  fig8/extra.csv",
+            "differs  fig8/nde.csv",
+        ]

@@ -8,6 +8,7 @@ from cavmag.config import (
     build_coupling,
     build_grid_specs,
     build_system,
+    build_tc,
     load_layers,
 )
 from cavmag.model import TWO_PI
@@ -112,3 +113,12 @@ def test_unrecognized_coupling_key_named():
     cfg["coupling"]["radius_m"] = "1e-4"
     with pytest.raises(ConfigError, match="radius_m"):
         build_coupling(cfg)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+def test_tc_tolerance_must_be_positive_and_finite(tol):
+    cfg = load_layers(preset="table2_de")
+    assert build_tc(cfg)[2] == 1e-3
+    cfg["tc"]["tol_K"] = tol
+    with pytest.raises(ConfigError, match="'tol_K' in \\[tc\\] must be a positive finite"):
+        build_tc(cfg)

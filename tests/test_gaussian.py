@@ -425,25 +425,64 @@ def reference_points():
     return out
 
 
+def assert_value_types(got, want):
+    """Same values with the same Python types: a positive value is an
+    np.float64 from np.log, a zero or clamped one the float literal 0.0."""
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g) is type(w) is (np.float64 if g > 0.0 else float), (g, w)
+
+
 class TestStackedKernelMatchesReference:
     def test_full_report_bit_for_bit(self, reference_points):
-        clamped = 0
+        clamped = zero = 0
         for p, _, values, contangles in reference_points:
             report = full_report(p)
-            for mid in MEASURE_IDS:
-                assert report.measure(mid) == values[mid], mid
+            assert_value_types([report.measure(mid) for mid in MEASURE_IDS],
+                               [values[mid] for mid in MEASURE_IDS])
             for mid, triple in TRIPARTITE_MEASURES.items():
                 rc = report.tripartite[triple]
                 partitions, ref_clamped = contangles[mid]
-                assert list(rc.partitions.items()) == list(partitions.items())
+                assert list(rc.partitions) == list(partitions)
+                assert_value_types(list(rc.partitions.values()),
+                                   list(partitions.values()))
                 assert rc.clamped == ref_clamped
                 clamped += len(rc.clamped)
-        assert clamped > 0  # the clamp branch is exercised too
+            zero += sum(report.measure(mid) == 0.0 for mid in MEASURE_IDS)
+        assert clamped > 0 and zero > 0  # the clamp and zero branches run too
 
-    @pytest.mark.parametrize("ids", [["EN_ne"], ["R_nde"], ["EN_de", "R_nde"]])
+    @pytest.mark.parametrize("ids", [["EN_ne"], ["R_nde"], ["EN_de", "R_nde"],
+                                     list(MEASURE_IDS)[::-1]])
     def test_subset_requests_bit_for_bit(self, reference_points, ids):
         for _, V, values, _ in reference_points:
-            assert measure_values(V, ids) == {mid: values[mid] for mid in ids}
+            got = measure_values(V, ids)
+            assert list(got) == ids
+            assert_value_types(list(got.values()), [values[mid] for mid in ids])
+
+    def test_hand_built_three_mode_contangle(self):
+        # 3-mode states with labels of their own: noisy states squeezed
+        # across both cuts, and network triples copied out of their
+        # covariance (where the clamp shows)
+        rng = np.random.default_rng(17)
+        states = []
+        for r in np.linspace(0.0, 1.0, 21):
+            S = _two_mode_squeezer(0, 1, r) @ _two_mode_squeezer(1, 2, 0.5 * r)
+            states.append(S @ random_physical_covariance(rng, 3, spread=1.4) @ S.T)
+        for p in sample_stable_params(seed=41, count=40):
+            _, _, V = steady_covariance(p)
+            states += [reduce(V, triple).entries for triple in TRIPARTITE_MEASURES.values()]
+        clamped = positive = 0
+        for entries in states:
+            V3 = cov(entries.copy(), ["x", "y", "z"])
+            rc = residual_contangle(V3)
+            partitions, ref_clamped = _ref_contangle(V3)
+            assert list(rc.partitions) == list(partitions) == ["x", "y", "z"]
+            assert_value_types(list(rc.partitions.values()), list(partitions.values()))
+            assert rc.clamped == ref_clamped
+            assert rc.r_min == min(partitions.values())
+            clamped += len(rc.clamped)
+            positive += sum(v > 0.0 for v in partitions.values())
+        assert clamped > 0 and positive > 0
 
     def test_one_unpaired_matrix_fails_the_stack(self):
         _, _, V = steady_covariance(SystemParams())

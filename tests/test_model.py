@@ -52,6 +52,12 @@ class TestThermalOccupation:
         with pytest.raises(ParameterError):
             thermal_occupation(-1.0, 0.01)
 
+    def test_rejects_negative_and_nan_temperature(self):
+        with pytest.raises(ParameterError, match="T must be non-negative, got -1e-300"):
+            thermal_occupation(TWO_PI * 1e7, -1e-300)
+        with pytest.raises(ParameterError, match="T must be non-negative, got nan"):
+            thermal_occupation(TWO_PI * 1e7, math.nan)
+
     # domain kept where the smaller occupation is still representable,
     # so strict inequalities survive floating-point underflow
     @given(st.floats(min_value=1e3, max_value=1e10),
@@ -143,6 +149,18 @@ class TestSystemParams:
     def test_negative_rate_rejected(self):
         with pytest.raises(ParameterError):
             SystemParams(kappa_a=-1.0)
+
+    @pytest.mark.parametrize("name", ["kappa_a", "kappa_n", "gamma_e", "gamma_d", "T"])
+    def test_nan_rate_or_temperature_rejected(self, name):
+        # NaN used to pass the `< 0` test and only failed later, at the
+        # drift or diffusion matrix; negative values keep their message
+        with pytest.raises(ParameterError) as nan:
+            SystemParams(**{name: math.nan})
+        with pytest.raises(ParameterError) as negative:
+            SystemParams(**{name: -1e-300})
+        assert str(nan.value) == str(negative.value) == f"{name} must be non-negative"
+        for value in (0.0, 1e-300, 1e300):
+            assert getattr(SystemParams(**{name: value}), name) == value
 
     def test_detuning_required(self):
         with pytest.raises(ParameterError):

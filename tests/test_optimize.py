@@ -296,6 +296,17 @@ class TestCriticalTemperature:
         t_fine = critical_temperature(ne_base(), "EN_ne", 0.5, tol=1e-3)
         assert abs(t_coarse - t_fine) <= 1e-3 + 1e-12
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):
+        # at tol <= 0 the bisection reaches adjacent floats and never ends;
+        # the check comes before any evaluation
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the tolerance check")
+
+        monkeypatch.setattr(optimize, "evaluate_measure", no_evaluation)
+        with pytest.raises(OptimizeError, match="tol must be a positive finite"):
+            critical_temperature(ne_base(), "EN_ne", 0.5, tol=tol)
+
     def test_still_entangled_at_t_max_raises(self):
         with pytest.raises(OptimizeError, match="still above"):
             critical_temperature(ne_base(), "EN_ne", 0.05)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cavmag import gaussian, sweep
+from cavmag import config, gaussian, sweep
 from cavmag.dynamics import (
     SteadyStateError,
     diffusion_matrix,
@@ -212,6 +214,9 @@ def assert_rows_identical(spec):
     for g, w in zip(got, want):
         assert (g.axis_values, g.stable, g.measures, g.error) == (
             w.axis_values, w.stable, w.measures, w.error)
+        if g.measures:
+            assert [type(v) for v in g.measures.values()] == \
+                [type(v) for v in w.measures.values()]
     return (sum(r.stable is True for r in got), sum(r.stable is False for r in got),
             sum(r.error is not None for r in got))
 
@@ -273,6 +278,72 @@ class TestEngineMatchesPerPointReference:
         _, _, n_errors = assert_rows_identical(spec)
         assert n_errors == 3
         assert steady_covariances([]) == []
+
+    def test_fig7_type_grid(self):
+        # the fig7 preset's seven pair measures over its 726 points (four
+        # chunks, each with one stacked pair eigen-solve for all its stable
+        # points), with the magnon detuning moved to 0.2 so that a fifth
+        # of the points is unstable
+        cfg = config.load_layers(preset="fig7")
+        ((_, spec),) = config.build_grid_specs(cfg, config.build_system(cfg))
+        spec = dataclasses.replace(
+            spec, base=spec.base.updated(delta_n_tilde_override=0.2 * WD))
+        assert len(spec.measures) == 7 and len(grid_points(spec)) > 3 * sweep.CHUNK
+        stable, unstable, _ = assert_rows_identical(spec)
+        assert stable > 100 and unstable > 100
+
+    def test_one_stacked_solve_per_block_size_per_chunk(self, monkeypatch):
+        spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 2 * sweep.CHUNK),),
+                        base=SystemParams(), measures=("EN_ne", "R_nde"))
+        want = run_grid(spec).rows
+        assert all(r.stable for r in want)
+        stacks = []
+        real = np.linalg.eigvals
+
+        def counted(a):
+            stacks.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert run_grid(spec).rows == want
+        # per chunk: the drifts, the three pairs of n-d-e (n-e among
+        # them) and the three splits of n-d-e
+        assert stacks == [(sweep.CHUNK, 10, 10), (3 * sweep.CHUNK, 4, 4),
+                          (3 * sweep.CHUNK, 6, 6)] * 2
+
+    def test_unpaired_covariance_is_its_own_error_row(self, monkeypatch):
+        # one point's a1-a2 block loses its symplectic pairing: the chunk's
+        # pair stack raises, and the per-point fallback puts the error on
+        # that row alone
+        spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 30),), base=SystemParams(),
+                        measures=("EN_a1a2", "EN_ne", "R_nde"))
+        want = run_grid(spec).rows
+        real = sweep.steady_covariances
+
+        def one_unpaired(ps):
+            out = real(ps)
+            ss, verdict, V = out[7]
+            entries = V.entries.copy()
+            entries[0, 3] += 50.0
+            out[7] = ss, verdict, gaussian.CovarianceMatrix(entries, V.mode_labels)
+            return out
+
+        monkeypatch.setattr(sweep, "steady_covariances", one_unpaired)
+        got = run_grid(spec).rows
+        assert want[7].stable and got[7].stable is None and got[7].measures is None
+        assert "pairing" in got[7].error
+        assert got[:7] + got[8:] == want[:7] + want[8:]
+        assert all(r.stable is not None for r in want)
+
+    def test_grid_without_measures_makes_no_measure_call(self, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("measure call on a measure-less grid")
+
+        monkeypatch.setattr(sweep, "_measure_value_stack", no_call)
+        monkeypatch.setattr(sweep, "measure_values", no_call)
+        rows = run_grid(small_spec(measures=())).rows
+        assert [r.measures for r in rows if r.stable] == [{}] * sum(r.stable for r in rows)
+        assert any(r.stable for r in rows)
 
     @pytest.mark.parametrize("points", [199, 200, 201, 450])
     def test_chunk_boundaries(self, points):
