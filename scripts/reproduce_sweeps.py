@@ -16,6 +16,11 @@ worker counts) can be shown byte-identical:
 
     python scripts/reproduce_sweeps.py --only fig7 --workers 1 --digest a.json
     python scripts/reproduce_sweeps.py --only fig7 --workers 2 --compare a.json
+
+scripts/fig_digests.json is the manifest of all 62 fig* outputs; CI checks
+every run against it:
+
+    python scripts/reproduce_sweeps.py --workers 2 --compare scripts/fig_digests.json
 """
 import argparse
 import hashlib

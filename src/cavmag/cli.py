@@ -23,8 +23,7 @@ from .config import (
     build_tc,
     load_layers,
 )
-from .dynamics import SteadyStateError
-from .gaussian import BIPARTITE_MEASURES, TRIPARTITE_MEASURES, GaussianError, full_report
+from .gaussian import BIPARTITE_MEASURES, NO_STEADY_STATE, TRIPARTITE_MEASURES, full_report
 from .model import EPS0, HBAR, KB, validate_regime
 from .optimize import NonMonotoneProfile, OptimizeError, critical_temperature, maximize
 from .sweep import emit_csv, run_grid
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SteadyStateError, GaussianError) as exc:
+    except NO_STEADY_STATE as exc:
         print(f"no steady state: {exc}", file=sys.stderr)
         return 2
 

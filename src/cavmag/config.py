@@ -283,7 +283,10 @@ def build_grid_specs(cfg, base: SystemParams) -> list[tuple[str, GridSpec]]:
             raise ConfigError(f"[{section_name}] defines no axes")
         measures_raw = items.get("measures", "")
         measures = tuple(m.strip() for m in measures_raw.split(",") if m.strip())
-        point_base = _apply_point_overrides(base, section_name, items)
+        try:
+            point_base = _apply_point_overrides(base, section_name, items)
+        except ParameterError as exc:
+            raise ConfigError(f"[{section_name}]: {exc}") from exc
         try:
             spec = GridSpec(
                 axes=tuple(axes),

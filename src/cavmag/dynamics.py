@@ -5,11 +5,15 @@ cavity-2 (U, W), magnon (u, w), phonon (x, y), ensemble (u, w).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemParams
+from .model import ParameterError, SystemParams, thermal_occupation
 
 MODE_LABELS = ("a1", "a2", "n", "d", "e")
 
@@ -66,6 +70,13 @@ def steady_state(p: SystemParams) -> SteadyState:
     detuning-independent terms are computed once, before the loop; each
     product keeps the left-to-right operand order of the full expression.
     """
+    pinned = p.delta_n_tilde_override is not None
+    return _iterate(p, p.delta_n_tilde_override if pinned else p.delta_n, 1)
+
+
+def _iterate(p, dnt: float, first: int) -> SteadyState:
+    """steady_state from iteration ``first`` on, at the detuning that
+    iteration starts from (the one entry point of the scalar loop)."""
     ka2 = p.kappa_a + 1j * p.delta_2
     ge = p.gamma_e + 1j * p.delta_e
     ka1_ge = (p.kappa_a + 1j * p.delta_1) * ge
@@ -85,8 +96,7 @@ def steady_state(p: SystemParams) -> SteadyState:
     tol = 1e-12 * p.omega_d
 
     pinned = p.delta_n_tilde_override is not None
-    dnt = p.delta_n_tilde_override if pinned else delta_n
-    for it in range(1, _SC_MAX_ITER + 1):
+    for it in range(first, _SC_MAX_ITER + 1):
         kn = kappa_n + 1j * dnt
         beta = ka2 * kn + g_na2
         S = ka1_ge * beta + G_ae2 * beta + J2_ge * kn
@@ -114,6 +124,184 @@ def steady_state(p: SystemParams) -> SteadyState:
         f"non-convergent self-consistency after {_SC_MAX_ITER} iterations "
         f"(last delta_n_tilde = {dnt!r})"
     )
+
+
+# The array mean field below gives every point the bits of _iterate.  A
+# complex (k,) array is a (2, k) float array of real and imaginary parts, and
+# each operation is CPython's (Objects/complexobject.c): a float operand is
+# promoted to complex(x, 0.0), a product is _Py_c_prod (its terms reordered
+# only where IEEE addition and multiplication commute exactly), a quotient is
+# _Py_c_quot, abs is hypot and ** 2 is pow.  numpy's complex division would
+# multiply by a reciprocal and give other bits.
+
+_I = np.array([[0.0], [1.0]])  # 1j
+_MINUS_I = np.array([[-0.0], [-1.0]])  # -1j, the negation of 1j
+_ROTATE = np.array([[-1.0], [1.0]])
+_SWAP = np.array([[1.0], [-1.0]])
+_HUGE = sys.float_info.max / 2  # below it hypot(re, im) cannot overflow
+_ARRAY_MIN_LIVE = 24  # fewer live points than this finish on the scalar loop
+
+
+def _cx(x):
+    """complex(x, 0.0) per point."""
+    return np.stack([x, np.zeros_like(x)])
+
+
+def _rot(a):
+    """[-a.imag, a.real], so that a * b = a * b.real + _rot(a) * b.imag."""
+    return a[..., ::-1, :] * _ROTATE
+
+
+def _mul(a, b, a_rot=None):
+    """a * b; pass _rot(a) when a is a loop constant."""
+    return a * b[0] + (_rot(a) if a_rot is None else a_rot) * b[1]
+
+
+def _divisors(b):
+    """What _Py_c_quot takes from each divisor of a (..., 2, k) stack: which
+    branch it takes (by the real part when |re| >= |im|), the ratio and the
+    denominator, and max(|re|, |im|) unless a part is NaN."""
+    abs_b = np.abs(b)
+    by_real = abs_b[..., 0, :] >= abs_b[..., 1, :]
+    big = np.where(by_real, b[..., 0, :], b[..., 1, :])
+    small = np.where(by_real, b[..., 1, :], b[..., 0, :])
+    ratio = small / big
+    return by_real, ratio, big + small * ratio, np.abs(big)
+
+
+def _quot(a, by_real, ratio, denom):
+    """a / b, b given by its _divisors: (a.real + a.imag * ratio) / denom and
+    (a.imag - a.real * ratio) / denom by the real part, else
+    (a.real * ratio + a.imag) / denom and (a.imag * ratio - a.real) / denom."""
+    swapped = a[::-1] * _SWAP
+    return np.where(by_real, a + swapped * ratio, a * ratio + swapped) / denom
+
+
+class MeanFields(NamedTuple):
+    """steady_state of every point of a chunk as (k,) arrays, and the error
+    of each point that raised one, by position (its array entries are
+    meaningless)."""
+
+    a1: np.ndarray
+    a2: np.ndarray
+    e: np.ndarray
+    n: np.ndarray
+    x_mean: np.ndarray
+    delta_n_tilde: np.ndarray
+    iterations: np.ndarray
+    errors: dict
+
+    def states(self) -> list:
+        """Per point: its SteadyState, with Python scalars, or its error."""
+        columns = zip(*(a.tolist() for a in self[:-1]))
+        return [self.errors.get(i) or SteadyState(*values)
+                for i, values in enumerate(columns)]
+
+
+def _point(f, i: int) -> SimpleNamespace:
+    """Point i of an array chunk with the attributes steady_state reads,
+    as Python scalars, a NaN field being None."""
+    return SimpleNamespace(**{name: None if v != v else v
+                              for name, v in ((name, float(a[i]))
+                                              for name, a in vars(f).items())})
+
+
+def steady_states(f) -> MeanFields:
+    """steady_state of every point of a chunk ``f`` (model.param_arrays), with
+    the same bits, iteration counts and errors.
+
+    The closed form and the damped loop run on arrays of the live points; a
+    point leaves at its own iteration.  A point that a cheap screen cannot
+    clear continues on the scalar loop from the iteration it is at, and that
+    raises what steady_state would: its denominators (max(|re|, |im|) bounds
+    hypot from below and, under _HUGE, from above), a non-finite <x>, or
+    being live when fewer than _ARRAY_MIN_LIVE points are.
+    """
+    k = len(f.omega_d)
+    wd = f.omega_d
+    with np.errstate(all="ignore"):
+        ka2 = _cx(f.kappa_a) + _mul(_I, _cx(f.delta_2))
+        ge = _cx(f.gamma_e) + _mul(_I, _cx(f.delta_e))
+        ka1_ge = _mul(_cx(f.kappa_a) + _mul(_I, _cx(f.delta_1)), ge)
+        g_na2 = np.float_power(f.g_na, 2.0)
+        G_ae2 = _cx(np.float_power(f.G_ae, 2.0))
+        J2_ge = _mul(_cx(np.float_power(f.J, 2.0)), ge)
+        Omega_l_ka2 = _mul(_cx(f.Omega_l), ka2)
+        drive_l = _mul(_cx(g_na2 * f.Omega_l), ge)
+        drive_n = _mul(_cx(f.g_na * f.Omega_n * f.J), ge)
+        mi_J, i_gna = _mul(_MINUS_I, _cx(f.J)), _mul(_I, _cx(f.g_na))
+        i_gna_Omega_n = _mul(i_gna, _cx(f.Omega_n))
+        tiny = np.stack([1e-30 * np.float_power(wd, 4.0), 1e-30 * np.float_power(wd, 2.0)])
+        tiny_rate = 1e-30 * wd
+        pinned = ~np.isnan(f.delta_n_tilde_override)
+        start = np.where(pinned, f.delta_n_tilde_override, f.delta_n)
+        # the scalar loop takes the checks of kn and ge
+        m_ge = _divisors(ge)[3]
+        scalar = ~((m_ge >= tiny_rate) & (m_ge <= _HUGE) & (f.kappa_n >= tiny_rate))
+        handoff = [(i, start[i], 1) for i in np.flatnonzero(scalar).tolist()]
+        mi_Gae, ge_all = _mul(_MINUS_I, _cx(f.G_ae)), ge
+
+        # the products with kn, then those with beta, each as one stack
+        by_kn = np.stack([ka2, J2_ge, Omega_l_ka2, mi_J])
+        by_beta = np.stack([ka1_ge, G_ae2])
+        live = np.flatnonzero(~scalar)
+        state = [np.take(c, live, axis=-1) for c in (
+            start, _cx(f.kappa_n), by_kn, _rot(by_kn), _cx(g_na2), by_beta, _rot(by_beta),
+            ge, _rot(ge), drive_l, drive_n, i_gna, _rot(i_gna), i_gna_Omega_n,
+            _cx(f.Omega_n), -(f.g_nd / wd), f.g_nd, tiny, 1e-12 * wd, pinned, start)]
+        out = np.full((3, 2, k), np.nan)  # a1, a2 and n of the finished points
+        x_out, dnt_out = np.full(k, np.nan), np.full(k, np.nan)
+        iterations = np.zeros(k, dtype=np.int64)
+        it = 1
+        while len(live) and len(live) >= _ARRAY_MIN_LIVE and it <= _SC_MAX_ITER:
+            (dnt, kappa_n, by_kn, by_kn_r, g_na2, by_beta, by_beta_r, ge, ge_r,
+             drive_l, drive_n, i_gna, i_gna_r, i_gna_Omega_n, Omega_n, x_per_n2,
+             g_nd, tiny, tol, pinned, delta_n) = state
+            # the divisors S, beta and kn in one stack
+            b = np.empty((3,) + kappa_n.shape)
+            kn = np.multiply(_I, dnt, out=b[2])
+            kn += kappa_n
+            ka2_kn, J2_ge_kn, Olka2_kn, mi_J_kn = by_kn * kn[0] + by_kn_r * kn[1]
+            beta = np.add(ka2_kn, g_na2, out=b[1])
+            ka1_ge_beta, G_ae2_beta = by_beta * beta[0] + by_beta_r * beta[1]
+            S = np.add(ka1_ge_beta, G_ae2_beta, out=b[0])
+            S += J2_ge_kn
+            by_real, ratio, denom, m = _divisors(b)
+            a1 = _quot(_mul(ge, Olka2_kn, ge_r) + drive_l - drive_n,
+                       by_real[0], ratio[0], denom[0])
+            a2 = _quot(_mul(mi_J_kn, a1) - i_gna_Omega_n, by_real[1], ratio[1], denom[1])
+            n = _quot(Omega_n - _mul(i_gna, a2, i_gna_r), by_real[2], ratio[2], denom[2])
+            x = x_per_n2 * np.float_power(np.hypot(n[0], n[1]), 2.0)
+            target = delta_n + g_nd * x
+            screened = (m[:2] >= tiny) & (m[:2] <= _HUGE)
+            cleared = screened[0] & screened[1] & np.isfinite(x)
+            finished = cleared & (pinned | (np.abs(target - dnt) < tol))
+            if finished.any() or not cleared.all():
+                at = live[finished]
+                out[:, :, at] = np.stack([a1, a2, n])[:, :, finished]
+                x_out[at], dnt_out[at] = x[finished], dnt[finished]
+                iterations[at] = np.where(pinned[finished], 0, it)
+                handoff += zip(live[~cleared].tolist(), dnt[~cleared].tolist(),
+                               repeat(it))
+                stay = cleared & ~finished
+                live, target = live[stay], target[stay]
+                state = [np.compress(stay, c, axis=-1) for c in state]
+            state[0] = (1.0 - _SC_MIXING) * state[0] + _SC_MIXING * target
+            it += 1
+        handoff += zip(live.tolist(), state[0].tolist(), repeat(it))
+        e = _quot(_mul(mi_Gae, out[0]), *_divisors(ge_all)[:3])
+    a1, a2, e, n = (np.ascontiguousarray(z.T).view(complex)[:, 0]
+                    for z in (out[0], out[1], e, out[2]))
+    errors = {}
+    for i, dnt, first in handoff:
+        try:
+            ss = _iterate(_point(f, i), float(dnt), first)
+        except Exception as exc:  # what steady_state raises at this point
+            errors[i] = exc
+            continue
+        a1[i], a2[i], e[i], n[i] = ss.a1, ss.a2, ss.e, ss.n
+        x_out[i], dnt_out[i], iterations[i] = ss.x_mean, ss.delta_n_tilde, ss.iterations
+    return MeanFields(a1, a2, e, n, x_out, dnt_out, iterations, errors)
 
 
 def drift_matrix(p: SystemParams, ss: SteadyState) -> np.ndarray:
@@ -158,6 +346,69 @@ def diffusion_matrix(p: SystemParams) -> np.ndarray:
         p.gamma_e,
     ])
     return np.diag(diag)
+
+
+# drift_matrix by field: its sign and its cells (row, column), 0-based
+_DRIFT_CELLS = (
+    ("kappa_a", -1.0, ((0, 0), (1, 1), (2, 2), (3, 3))),
+    ("delta_1", 1.0, ((0, 1),)), ("delta_1", -1.0, ((1, 0),)),
+    ("J", 1.0, ((0, 3), (2, 1))), ("J", -1.0, ((1, 2), (3, 0))),
+    ("G_ae", 1.0, ((0, 9), (8, 1))), ("G_ae", -1.0, ((1, 8), (9, 0))),
+    ("delta_2", 1.0, ((2, 3),)), ("delta_2", -1.0, ((3, 2),)),
+    ("g_na", 1.0, ((2, 5), (4, 3))), ("g_na", -1.0, ((3, 4), (5, 2))),
+    ("kappa_n", -1.0, ((4, 4), (5, 5))),
+    ("delta_n_tilde", 1.0, ((4, 5),)), ("delta_n_tilde", -1.0, ((5, 4),)),
+    ("G_nd", 1.0, ((7, 5),)), ("G_nd", -1.0, ((4, 6),)),
+    ("omega_d", 1.0, ((6, 7),)), ("omega_d", -1.0, ((7, 6),)),
+    ("gamma_d", -1.0, ((7, 7),)),
+    ("gamma_e", -1.0, ((8, 8), (9, 9))),
+    ("delta_e", 1.0, ((8, 9),)), ("delta_e", -1.0, ((9, 8),)),
+)
+
+
+def drift_matrices(f, delta_n_tilde: np.ndarray) -> np.ndarray:
+    """drift_matrix of every point of a chunk as a (k, 10, 10) stack, filled
+    one column of the flattened stack at a time (the same entries)."""
+    k = len(delta_n_tilde)
+    A = np.zeros((k, 100))
+    for name, sign, cells in _DRIFT_CELLS:
+        value = delta_n_tilde if name == "delta_n_tilde" else getattr(f, name)
+        value = -value if sign < 0 else value
+        for row, col in cells:
+            A[:, 10 * row + col] = value
+    return A.reshape(k, 10, 10)
+
+
+def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
+    """diffusion_matrix of every point of a chunk as a (k, 10, 10) stack,
+    and the ParameterError of each point whose occupation raised one, by
+    position (its matrix is zero).  An occupation is computed once per
+    distinct (carrier, T), with the scalar thermal_occupation."""
+    k = len(f.T)
+    occupations = np.zeros((4, k))
+    errors = {}
+    cache = {}
+    carriers = zip(f.omega_c1.tolist(), f.omega_c2.tolist(), f.omega_n.tolist(),
+                   f.omega_d.tolist(), f.T.tolist())
+    for i, (*omegas, T) in enumerate(carriers):
+        try:
+            for j, omega in enumerate(omegas):
+                z = cache.get((omega, T))
+                if z is None:  # errors are not cached: -0.0 and 0.0 share a key
+                    z = cache[omega, T] = thermal_occupation(omega, T)
+                occupations[j, i] = z
+        except ParameterError as exc:
+            errors[i] = exc
+    z_a1, z_a2, z_n, z_d = occupations
+    D = np.zeros((k, 10, 10))
+    D[:, 0, 0] = D[:, 1, 1] = f.kappa_a * (2.0 * z_a1 + 1.0)
+    D[:, 2, 2] = D[:, 3, 3] = f.kappa_a * (2.0 * z_a2 + 1.0)
+    D[:, 4, 4] = D[:, 5, 5] = f.kappa_n * (2.0 * z_n + 1.0)
+    D[:, 7, 7] = f.gamma_d * (2.0 * z_d + 1.0)
+    D[:, 8, 8] = D[:, 9, 9] = f.gamma_e
+    if errors:
+        D[list(errors)] = 0.0
+    return D, errors
 
 
 def spectral_abscissa(A: np.ndarray):

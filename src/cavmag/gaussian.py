@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,15 +20,20 @@ from scipy.linalg import get_lapack_funcs
 
 from .dynamics import (
     MODE_LABELS,
+    STABILITY_EPS_FACTOR,
+    MeanFields,
     StabilityVerdict,
     SteadyState,
     SteadyStateError,
+    diffusion_matrices,
     diffusion_matrix,
+    drift_matrices,
     drift_matrix,
     spectral_abscissa,
     steady_state,
+    steady_states,
 )
-from .model import ParameterError, SystemParams
+from .model import ParameterError, SystemParams, param_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -181,6 +187,76 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
         )
     labels = MODE_LABELS if n == 10 else tuple(f"m{i}" for i in range(n // 2))
     return CovarianceMatrix(entries=V, mode_labels=labels)
+
+
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a stack: the square root of the
+    flattened matrix dotted with itself, as a (1, n*n) @ (n*n, 1) product."""
+    x = X.reshape(len(X), 1, X.shape[1] * X.shape[2])
+    return np.sqrt((x @ x.swapaxes(1, 2))[:, 0, 0])
+
+
+def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
+    """lyapunov_solve of each drift and diffusion pair of two (s, n, n)
+    stacks: the covariances that solved as a stack, their positions, and
+    the error of each pair that did not, by position, with its text.
+
+    The prescaling, the finiteness checks, u^T q u, the back-transform, the
+    symmetrization and the residual check run on the stacks, gees and trsyl
+    once per matrix; every stacked product gives each matrix the bits of
+    its own.
+    """
+    s, n = len(A), A.shape[-1]
+    errors = {}
+    if not s:
+        return np.empty((0, n, n)), np.empty(0, dtype=np.intp), errors
+    scale = np.abs(A).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0  # a zero drift fails the spectrum check
+    finite = np.isfinite(scale) & np.isfinite(D).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite).tolist():
+        errors[i] = GaussianError("non-finite drift or diffusion matrix")
+    at = np.flatnonzero(finite)
+    scale = scale[at, None, None]
+    a, q = A[at] / scale, -D[at] / scale
+    lwork = _gees_lwork(n)
+    schur, ok = [], []
+    for j, i in enumerate(at.tolist()):
+        r, _, wr, _, u, _, info = _GEES(_no_sort, a[j], lwork=lwork, sort_t=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
+        if info > 0:
+            errors[i] = np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        elif not wr.max() < 0.0:
+            errors[i] = GaussianError(
+                "unstable system: drift spectrum reaches the imaginary axis")
+        else:
+            schur.append((j, r, u))
+            ok.append(i)
+    ok = np.array(ok, dtype=np.intp)
+    U = np.array([u for _, _, u in schur]).reshape(-1, n, n)
+    Ut = U.swapaxes(1, 2)
+    Y = np.empty_like(U)
+    F = Ut @ (q[[j for j, _, _ in schur]] @ U)
+    for j, ((_, r, _), f) in enumerate(zip(schur, F)):
+        y, y_scale, info = _TRSYL(r, r, f, tranb="T")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
+        if info == 1:
+            warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close "
+                          "to or exactly zero. The solution is obtained via "
+                          "perturbing the coefficients.", RuntimeWarning, stacklevel=2)
+        y *= y_scale
+        Y[j] = y
+    V = (U @ Y) @ Ut
+    V = 0.5 * (V + V.swapaxes(1, 2))
+    A, D = A[ok], D[ok]
+    residual = _frobenius(A @ V + V @ A.swapaxes(1, 2) + D)
+    bound = LYAPUNOV_RESIDUAL_RTOL * np.maximum(1.0, _frobenius(D))
+    good = np.isfinite(V).all(axis=(1, 2)) & ~(residual > bound)
+    for j in np.flatnonzero(~good).tolist():
+        errors[int(ok[j])] = GaussianError(
+            f"solver breakdown: Lyapunov residual {residual[j]:.3e} exceeds {bound[j]:.3e}")
+    return V[good], ok[good], errors
 
 
 def _quadratures(modes) -> list[int]:
@@ -396,50 +472,88 @@ def residual_contangle(V3: CovarianceMatrix) -> ResidualContangle:
     return _measures(V3.entries[None], _plan(((0, 1, 2),), 6), V3.mode_labels)[0][0]
 
 
+class CovarianceStack(NamedTuple):
+    """steady_covariances of a chunk as arrays."""
+
+    steady: MeanFields
+    abscissa: np.ndarray  # (k,) spectral abscissa of each drift, NaN without one
+    stable: np.ndarray  # (k,) the stability verdicts, False without one
+    covariances: np.ndarray  # (s, 10, 10): the stable points that solved, in order
+    solved: np.ndarray  # (s,) their positions
+    errors: dict  # position -> the NO_STEADY_STATE error of the point
+
+
+def _take(f, at) -> SimpleNamespace:
+    return SimpleNamespace(**{name: a[at] for name, a in vars(f).items()})
+
+
+def covariance_stack(f) -> CovarianceStack:
+    """The evaluation kernel on a chunk ``f`` of points (model.param_arrays).
+
+    The mean fields come from steady_states and the drifts from one stack;
+    all the verdicts come from one stacked eigen-solve (a stack that LAPACK
+    fails is solved one drift at a time, so the error lands on its point);
+    the stable points get their diffusions from one stack and their
+    covariances from _lyapunov_solves.  Each point's outcome is that of
+    steady_state, drift_matrix, its verdict, diffusion_matrix and
+    lyapunov_solve in turn; an error outside NO_STEADY_STATE is raised, the
+    first point's first.
+    """
+    k = len(f.omega_d)
+    mean = steady_states(f)
+    errors = {}
+    for i in sorted(mean.errors):
+        if not isinstance(mean.errors[i], NO_STEADY_STATE):
+            raise mean.errors[i]
+        errors[i] = mean.errors[i]
+    drifts = drift_matrices(f, mean.delta_n_tilde)
+    live = np.setdiff1d(np.arange(k), list(errors))
+    abscissa = np.full(k, np.nan)
+    try:
+        abscissa[live] = spectral_abscissa(drifts[live])
+    except np.linalg.LinAlgError:
+        for i in live.tolist():
+            try:
+                abscissa[i] = spectral_abscissa(drifts[i])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = exc
+    stable = abscissa < -STABILITY_EPS_FACTOR * f.omega_d
+    at = np.flatnonzero(stable)
+    D, failed = diffusion_matrices(_take(f, at))
+    keep = np.setdiff1d(np.arange(len(at)), list(failed))
+    errors.update((int(at[j]), exc) for j, exc in failed.items())
+    at = at[keep]
+    V, solved, failed = _lyapunov_solves(drifts[at], D[keep])
+    errors.update((int(at[j]), exc) for j, exc in failed.items())
+    return CovarianceStack(mean, abscissa, stable, V, at[solved], errors)
+
+
 def steady_covariances(ps) -> list:
     """Per point: (steady state, stability verdict, 10x10 covariance or None
-    if unstable), or the NO_STEADY_STATE error the point raised.
-
-    Each point gets steady_state and drift_matrix, then its verdict, then
-    diffusion_matrix and lyapunov_solve if it is stable.  All the verdicts
-    come from one stacked eigen-solve of the drifts; a stack that LAPACK
-    fails is solved one drift at a time, so the error lands on its point.
-    """
-    out = [None] * len(ps)
-    n = 2 * len(MODE_LABELS)
-    drifts, live = np.empty((len(ps), n, n)), []
-    for i, p in enumerate(ps):
-        try:
-            ss = steady_state(p)
-            drifts[len(live)] = drift_matrix(p, ss)
-            live.append((i, ss))
-        except NO_STEADY_STATE as exc:
-            out[i] = exc
-    drifts = drifts[:len(live)]
-    try:
-        abscissae = spectral_abscissa(drifts).tolist()
-    except np.linalg.LinAlgError:
-        abscissae = [None] * len(live)
-    for (i, ss), A, abscissa in zip(live, drifts, abscissae):
-        p = ps[i]
-        try:
-            if abscissa is None:
-                abscissa = spectral_abscissa(A)
-            verdict = StabilityVerdict.from_abscissa(abscissa, p.omega_d)
-            V = lyapunov_solve(A, diffusion_matrix(p)) if verdict.stable else None
-            out[i] = ss, verdict, V
-        except NO_STEADY_STATE as exc:
-            out[i] = exc
-    return out
+    if unstable), or the NO_STEADY_STATE error the point raised: the
+    covariance_stack of the list, one object per point."""
+    out = covariance_stack(param_arrays(ps))
+    covariances = dict(zip(out.solved.tolist(), out.covariances))
+    results = []
+    for i, (p, ss, abscissa) in enumerate(zip(ps, out.steady.states(), out.abscissa.tolist())):
+        if i in out.errors:
+            results.append(out.errors[i])
+            continue
+        verdict = StabilityVerdict.from_abscissa(abscissa, p.omega_d)
+        V = covariances.get(i)
+        results.append((ss, verdict, None if V is None else CovarianceMatrix(V, MODE_LABELS)))
+    return results
 
 
 def steady_covariance(p: SystemParams):
     """Steady state, stability verdict and (if stable) the 10x10 covariance
-    at one point: steady_covariances on a one-point list, its error raised."""
-    (out,) = steady_covariances([p])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    at one point: steady_state, drift_matrix, the drift's eigen-solve, then
+    diffusion_matrix and lyapunov_solve if it is stable."""
+    ss = steady_state(p)
+    A = drift_matrix(p, ss)
+    verdict = StabilityVerdict.from_abscissa(spectral_abscissa(A), p.omega_d)
+    V = lyapunov_solve(A, diffusion_matrix(p)) if verdict.stable else None
+    return ss, verdict, V
 
 
 def _measure_value_stack(entries: np.ndarray, measure_ids) -> list[dict[str, float]]:

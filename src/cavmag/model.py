@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 # CODATA 2018 values, recorded in output metadata for reproducibility.
 HBAR = 1.054571817e-34  # J s
@@ -48,6 +51,9 @@ _FREQ_PAIRS = (
     ("omega_e", "delta_e"),
     ("omega_n", "delta_n"),
 )
+
+# fields that SystemParams may derive from others (a sum can overflow)
+_DERIVED = tuple(name for pair in _FREQ_PAIRS for name in pair)
 
 
 class ParameterError(ValueError):
@@ -97,6 +103,9 @@ class SystemParams:
         for name in ("kappa_a", "kappa_n", "gamma_e", "gamma_d", "T"):
             if not getattr(self, name) >= 0:  # NaN fails this test too
                 raise ParameterError(f"{name} must be non-negative")
+        # NaN or inf would only fail later, in an eigen-solve or a thermal
+        # occupation, under another name
+        self._check_finite(vars(self))
         tol = 1e-9 * self.omega_d
         for freq_name, det_name in _FREQ_PAIRS:
             freq = getattr(self, freq_name)
@@ -123,6 +132,13 @@ class SystemParams:
             object.__setattr__(
                 self, "omega_n", self.omega_l + self.delta_n_tilde_override
             )
+        self._check_finite(_DERIVED)
+
+    def _check_finite(self, names) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
 
     def updated(self, **changes) -> "SystemParams":
         """Return a copy with ``changes`` applied and derived fields re-resolved.
@@ -154,6 +170,16 @@ class SystemParams:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
+def param_arrays(ps) -> SimpleNamespace:
+    """The fields of a list of points as (k,) float arrays, NaN where a field
+    is None: the input of the array kernels (``dynamics.steady_states``)."""
+    return SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps], dtype=float)
+                              for name in FIELDS})
 
 
 def updated_in_omega_d_units(base: SystemParams, values: dict) -> SystemParams:
@@ -220,6 +246,8 @@ def thermal_occupation(omega: float, T: float) -> float:
     if T == 0:
         return 0.0
     x = HBAR * omega / (KB * T)
+    if x == 0.0:  # T = inf, or hbar*omega/kB*T below the smallest float
+        raise ParameterError(f"thermal occupation diverges at omega={omega!r}, T={T!r}")
     if x > 700:  # expm1 overflows; the occupation is exp(-x) to this accuracy
         return math.exp(-x) if x < 745 else 0.0
     return 1.0 / math.expm1(x)

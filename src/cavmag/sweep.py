@@ -1,11 +1,12 @@
 """Grid evaluation of entanglement measures with figure-ready CSV output.
 
 Axis values are dimensionless (units of omega_d) except the temperature axis,
-which is kelvin.  Points are evaluated in consecutive chunks of 200, with one
-stacked stability eigen-solve per chunk and one stacked measure eigen-solve
-per block size, and rows are emitted in row-major order over the axes.
-With ``workers > 1`` the chunks run on a pool of forked processes; the rows
-are equal either way.
+which is kelvin.  Each axis value passes the parameter checks once; points
+are then evaluated in consecutive chunks of 200 as arrays of parameter
+fields (gaussian.covariance_stack), with one stacked measure eigen-solve per
+block size, and rows are emitted in row-major order over the axes.  With
+``workers > 1`` the chunks run on a pool of forked processes; the rows are
+equal either way.
 """
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _measure_value_stack,
-                       measure_values, steady_covariances)
-from .model import EPS0, HBAR, KB, SystemParams, updated_in_omega_d_units
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _measure_value_stack, covariance_stack
+from .model import EPS0, FIELDS, HBAR, KB, SystemParams, updated_in_omega_d_units
 
 CHUNK = 200  # grid points per stacked stability solve and per progress report
 
@@ -127,42 +129,91 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _axis_values(spec: GridSpec, param: str, value: float) -> dict[str, float]:
+    """One axis value by parameter name, delta_a expanded by the linkage."""
+    if param != "delta_a":
+        return {param: value}
+    # antisymmetric: delta_a = -delta_1 = delta_2
+    return {"delta_1": value if spec.linkage == "symmetric" else -value, "delta_2": value}
+
+
 def _point_values(spec: GridSpec, axis_values) -> dict[str, float]:
     """Axis values by parameter name, with delta_a expanded by the linkage."""
-    values = dict(zip((a.param for a in spec.axes), axis_values))
-    if "delta_a" in values:
-        delta_a = values.pop("delta_a")
-        # antisymmetric: delta_a = -delta_1 = delta_2
-        values["delta_1"] = delta_a if spec.linkage == "symmetric" else -delta_a
-        values["delta_2"] = delta_a
-    return values
+    return {name: v for axis, value in zip(spec.axes, axis_values)
+            for name, v in _axis_values(spec, axis.param, value).items()}
+
+
+def _field_row(p: SystemParams) -> np.ndarray:
+    return np.array([getattr(p, name) for name in FIELDS], dtype=float)
+
+
+class _AxisTable(NamedTuple):
+    """The parameter fields that one axis sets, per axis value."""
+
+    values: list  # the axis values, as grid_points gives them
+    fields: tuple  # the SystemParams fields that the axis changes
+    columns: np.ndarray  # (n_values, n_fields) their values
+    valid: np.ndarray  # (n_values,) whether the value passes the parameter checks
+
+
+def _axis_table(spec: GridSpec, axis: Axis) -> _AxisTable:
+    """Each value of the axis applied alone to the base, through the checks
+    and derivations of SystemParams.  Every check concerns one field or one
+    carrier and its detuning, and no field depends on two axes, so a point
+    passes exactly when all its axis values do, and its fields are the
+    base's with each axis's fields set from that axis's table."""
+    values = axis.values()
+    base = _field_row(spec.base)
+    rows, valid = [], []
+    for value in values:
+        try:
+            rows.append(_field_row(updated_in_omega_d_units(
+                spec.base, _axis_values(spec, axis.param, value))))
+            valid.append(True)
+        except NO_STEADY_STATE:
+            rows.append(base)
+            valid.append(False)
+    rows = np.array(rows)
+    # the fields whose bits differ from the base's at some value
+    changed = (rows.view(np.int64) != base.view(np.int64)).any(axis=0)
+    return _AxisTable(values, tuple(np.array(FIELDS)[changed].tolist()),
+                      rows[:, changed], np.array(valid))
 
 
 def _error_row(axis_values, exc) -> SweepRow:
     return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
 
 
-def _evaluate_chunk(spec: GridSpec, points) -> list[SweepRow]:
-    """Rows of consecutive grid points; a point that has no usable steady
-    state becomes an error row."""
+def _evaluate_chunk(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
+    """Rows of the consecutive grid points numbered by ``chunk`` (row-major);
+    a point that has no usable steady state becomes an error row.  A point
+    with an axis value that failed the parameter checks gets the error that
+    building its parameters raises; the others are evaluated together."""
+    index = np.arange(chunk.start, chunk.stop)
+    at_axis = [index] if len(tables) == 1 else list(np.divmod(index, len(tables[1].values)))
+    points = list(zip(*([t.values[i] for i in at.tolist()] for t, at in zip(tables, at_axis))))
+    valid = np.logical_and.reduce([t.valid[at] for t, at in zip(tables, at_axis)])
     rows = [None] * len(points)
-    params, at = [], []
-    for i, pt in enumerate(points):
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            params.append(updated_in_omega_d_units(spec.base, _point_values(spec, pt)))
-            at.append(i)
+            updated_in_omega_d_units(spec.base, _point_values(spec, points[i]))
         except NO_STEADY_STATE as exc:
-            rows[i] = _error_row(pt, exc)
-    stable, covariances = [], []
-    for i, out in zip(at, steady_covariances(params)):
-        if isinstance(out, Exception):
-            rows[i] = _error_row(points[i], out)
-        elif out[2] is None:
-            rows[i] = SweepRow(points[i], stable=False, measures=None)
+            rows[i] = _error_row(points[i], exc)
         else:
-            stable.append(i)
-            covariances.append(out[2])
-    for i, values in zip(stable, _chunk_measures(spec.measures, covariances)):
+            raise RuntimeError(f"grid point {points[i]} passes the parameter checks "
+                               "that one of its axis values failed")
+    ok = np.flatnonzero(valid)
+    fields = {name: np.full(len(ok), v) for name, v in zip(FIELDS, _field_row(spec.base))}
+    for t, at in zip(tables, at_axis):
+        fields.update(zip(t.fields, t.columns.T[:, at[ok]]))
+    out = covariance_stack(SimpleNamespace(**fields))
+    for j, exc in out.errors.items():
+        rows[ok[j]] = _error_row(points[ok[j]], exc)
+    for j in np.flatnonzero(~out.stable).tolist():
+        if rows[ok[j]] is None:
+            rows[ok[j]] = SweepRow(points[ok[j]], stable=False, measures=None)
+    for j, values in zip(out.solved.tolist(), _chunk_measures(spec.measures, out.covariances)):
+        i = ok[j]
         if isinstance(values, Exception):
             rows[i] = _error_row(points[i], values)
         else:
@@ -170,23 +221,22 @@ def _evaluate_chunk(spec: GridSpec, points) -> list[SweepRow]:
     return rows
 
 
-def _chunk_measures(measure_ids, covariances) -> list:
-    """measure_values of each covariance, or the NO_STEADY_STATE error it
-    raised.  The chunk's pair blocks take one stacked eigen-solve and its
-    one-vs-two blocks another; a stack that raises is evaluated one
-    covariance at a time, so the error lands on its own point."""
+def _chunk_measures(measure_ids, covariances: np.ndarray) -> list:
+    """measure_values of each covariance of a (s, 10, 10) stack, or the
+    NO_STEADY_STATE error it raised.  The pair blocks take one stacked
+    eigen-solve and the one-vs-two blocks another; a stack that raises is
+    evaluated one covariance at a time, so the error lands on its point."""
     if not measure_ids:
         return [{} for _ in covariances]
-    if covariances:
+    if len(covariances):
         try:
-            return _measure_value_stack(np.stack([V.entries for V in covariances]),
-                                        measure_ids)
+            return _measure_value_stack(covariances, measure_ids)
         except NO_STEADY_STATE:
             pass
     values = []
     for V in covariances:
         try:
-            values.append(measure_values(V, measure_ids))
+            values.append(_measure_value_stack(V[None], measure_ids)[0])
         except NO_STEADY_STATE as exc:
             values.append(exc)
     return values
@@ -210,10 +260,11 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
              workers: int = 1) -> SweepResult:
     """Evaluate the requested measures at every grid point, in row-major order.
 
-    Points go through in chunks of ``CHUNK``: each point's steady state and
-    drift, one stacked stability verdict for the chunk, the Lyapunov solve of
-    each stable point, then the measures of all the chunk's stable points
-    from one stacked eigen-solve per block size.  ``progress`` (if given) is
+    Each axis value passes the parameter checks once.  Points then go
+    through in chunks of ``CHUNK`` as arrays of parameter fields: the mean
+    fields and drifts of the chunk, one stacked stability verdict, the
+    Lyapunov solves of the stable points, then their measures from one
+    stacked eigen-solve per block size.  ``progress`` (if given) is
     called with the number of completed rows after each chunk, that is every
     200 rows and once after the last row.
 
@@ -226,8 +277,11 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     """
     if workers < 1:
         raise SweepSpecError(f"workers must be at least 1, got {workers}")
-    points = grid_points(spec)
-    chunks = [points[start:start + CHUNK] for start in range(0, len(points), CHUNK)]
+    tables = [_axis_table(spec, axis) for axis in spec.axes]
+    total = 1
+    for axis in spec.axes:
+        total *= axis.points
+    chunks = [range(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
     n = min(workers, len(chunks), _usable_cpus())
     pool = None
     if n > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -235,7 +289,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     mapper = map if pool is None else pool.map
     rows = []
     try:
-        for rows_of_chunk in mapper(partial(_evaluate_chunk, spec), chunks):
+        for rows_of_chunk in mapper(partial(_evaluate_chunk, spec, tables), chunks):
             rows += rows_of_chunk
             if progress is not None:
                 progress(len(rows))

@@ -83,6 +83,38 @@ class TestPoint:
         assert "singular" in capsys.readouterr().err
 
 
+class TestEvaluationErrorsAreOneLine:
+    """A parameter set that passes its checks but has no usable steady state
+    (here a negative cavity-2 carrier, whose thermal occupation is undefined)
+    ends in one line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["point", "tc"])
+    def test_negative_carrier(self, tmp_path, capsys, command):
+        code = run_cli(command, "--preset", "table2_de", "--set", "delta_2=-2000000",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("no steady state: omega must be positive, got -")
+        assert err.count("\n") == 1
+
+    def test_optimize_scores_such_points_zero(self, tmp_path, capsys):
+        code = run_cli("optimize", "--preset", "table2_ne",
+                       "--set", "system.omega_l_hz2pi=-1e12",
+                       "--set", "optimize.max_evaluations=40", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "optimization failed: no stable point found in the box\n"
+
+    @pytest.mark.parametrize("assignment, field", [
+        ("T=inf", "T"), ("J=nan", "J"), ("g_na=inf", "g_na")])
+    def test_non_finite_parameter_is_a_configuration_error(self, tmp_path, capsys,
+                                                           assignment, field):
+        code = run_cli("point", "--set", assignment, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: [system]: {field} must be finite")
+
+
 class TestSweep:
     def test_user_config_sweep(self, tmp_path, capsys):
         cfgfile = tmp_path / "sweep.ini"

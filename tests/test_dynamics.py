@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from cavmag import dynamics
 from cavmag.dynamics import (
     SteadyStateError,
+    diffusion_matrices,
     diffusion_matrix,
+    drift_matrices,
     drift_matrix,
     export_matrix,
     spectral_abscissa,
     stability,
     steady_state,
+    steady_states,
 )
 from cavmag.gaussian import lyapunov_solve, steady_covariances, symplectic_eigenvalues
-from cavmag.model import TWO_PI, SystemParams
+from cavmag.model import (TWO_PI, ParameterError, SystemParams, param_arrays,
+                          updated_in_omega_d_units)
+from cavmag.sweep import Axis, GridSpec, _point_values, grid_points
 
 from conftest import draw_params, sample_stable_params
 
@@ -340,3 +346,137 @@ def test_export_matrix_round_trips(tmp_path):
     dest = tmp_path / "drift.txt"
     export_matrix(A, dest)
     np.testing.assert_allclose(np.loadtxt(dest), A, rtol=1e-12)
+
+
+def _outcome(run, p):
+    """repr of the steady state (it shows the sign of zero and every bit), or
+    the type and text of the error."""
+    try:
+        return repr(run(p))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_states_match(ps):
+    """steady_states equals steady_state point by point, values by == and
+    repr, iterations, and error type and text; returns the error count."""
+    mean = steady_states(param_arrays(ps))
+    for p, got in zip(ps, mean.states()):
+        want = _outcome(steady_state, p)
+        if isinstance(got, Exception):
+            assert (type(got), str(got)) == want
+        else:
+            assert repr(got) == want and got == steady_state(p)
+            assert [type(v) for v in vars(got).values()] == \
+                [complex] * 4 + [float, float, int]
+    return len(mean.errors)
+
+
+def scmap_subsample():
+    """perfbench/scmap.ini subsampled from 121x81 to 25x17 points, built as
+    run_grid builds them."""
+    spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
+                    base=SystemParams(delta_n=0.0, delta_n_tilde_override=None),
+                    linkage="antisymmetric")
+    return [updated_in_omega_d_units(spec.base, _point_values(spec, pt))
+            for pt in grid_points(spec)]
+
+
+def strong_drive(seed=62, count=400):
+    rng = np.random.default_rng(seed)
+    return [draw_params(rng, SystemParams()).updated(
+                delta_n_tilde_override=None,
+                delta_n=rng.uniform(-1.0, 1.0) * WD,
+                Omega_n=rng.uniform(1e11, 5e14))
+            for _ in range(count)]
+
+
+# one point per way out of the scalar loop other than a value
+SINGULAR = [
+    SystemParams(kappa_a=0.0, kappa_n=0.0, gamma_e=0.0, delta_1=0.0, delta_2=0.0,
+                 delta_e=0.0, g_na=0.0, G_ae=0.0, J=0.0, delta_n_tilde_override=0.0),
+    SystemParams(gamma_e=0.0, delta_e=0.0),
+    SystemParams(kappa_n=0.0, delta_n_tilde_override=0.0),
+    SystemParams(kappa_n=0.0, delta_n=0.0, delta_n_tilde_override=None),
+    SystemParams(kappa_n=1e-300, delta_n=0.0, delta_n_tilde_override=None),
+    SystemParams(Omega_n=1e200),  # |<n>|^2 overflows: OverflowError
+    SystemParams(g_na=1e160),  # g_na**2 overflows
+    SystemParams(omega_d=1e80),  # omega_d**4 overflows
+    SystemParams(Omega_n=1e160, delta_n=0.0, delta_n_tilde_override=None),
+]
+
+
+class TestArrayMeanFieldMatchesScalar:
+    @pytest.fixture(params=["default", "all-array", "all-scalar"])
+    def min_live(self, request, monkeypatch):
+        """The array loop as configured, run to the last point, or not at all."""
+        value = {"default": dynamics._ARRAY_MIN_LIVE, "all-array": 0,
+                 "all-scalar": 10**9}[request.param]
+        monkeypatch.setattr(dynamics, "_ARRAY_MIN_LIVE", value)
+
+    def test_self_consistent_map(self, min_live):
+        assert assert_states_match(scmap_subsample()) == 0
+
+    def test_pinned_detuning(self, min_live):
+        rng = np.random.default_rng(61)
+        assert assert_states_match([draw_params(rng, SystemParams())
+                                    for _ in range(2000)]) == 0
+
+    def test_strong_drive_with_errors(self, min_live):
+        assert assert_states_match(strong_drive()) > 5
+
+    def test_every_singular_branch(self, min_live):
+        # amid ordinary points, so that the array loop runs
+        rng = np.random.default_rng(64)
+        ps = [draw_params(rng, SystemParams()) for _ in range(40)] + SINGULAR
+        ps += strong_drive(65, 40) + SINGULAR[::-1]
+        assert assert_states_match(ps) >= 2 * (len(SINGULAR) - 1)
+
+    def test_signed_zeros(self, min_live):
+        # axes that cross 0.0 exactly, J = 0 and -0.0 inputs: repr tells
+        # the sign of every zero apart
+        ps = []
+        for base in (SystemParams(), SystemParams(delta_n=0.0, delta_n_tilde_override=None),
+                     SystemParams(J=0.0), SystemParams(J=-0.0, delta_e=-0.0),
+                     SystemParams(delta_n=-0.0, delta_n_tilde_override=None, J=0.0)):
+            spec = GridSpec(axes=(Axis("delta_a", -1.0, 1.0, 5),
+                                  Axis("delta_n_tilde" if base.delta_n is None else "delta_e",
+                                       -1.0, 1.0, 5)),
+                            base=base, linkage="antisymmetric")
+            ps += [updated_in_omega_d_units(spec.base, _point_values(spec, pt))
+                   for pt in grid_points(spec)]
+        assert any(p.delta_1 == 0.0 for p in ps)
+        assert_states_match(ps)
+
+    def test_empty_chunk(self):
+        mean = steady_states(param_arrays([]))
+        assert mean.states() == [] and mean.errors == {}
+
+
+class TestDriftAndDiffusionStacks:
+    def test_drift_stack_equals_each_drift(self):
+        ps = scmap_subsample()[::7] + strong_drive()[::9]
+        ps += [SystemParams(J=0.0, G_ae=-0.0, delta_e=0.0)]
+        mean = steady_states(param_arrays(ps))
+        stack = drift_matrices(param_arrays(ps), mean.delta_n_tilde)
+        for p, ss, A in zip(ps, mean.states(), stack):
+            if isinstance(ss, Exception):
+                continue
+            want = drift_matrix(p, ss)
+            # the int64 view tells -0.0 from 0.0
+            assert (A.view(np.int64) == want.view(np.int64)).all()
+
+    def test_diffusion_stack_equals_each_diffusion(self):
+        ps = [SystemParams(T=T, delta_1=d * WD) for T in (0.0, 0.01, 0.3, 1e300)
+              for d in (-1.0, 0.0, 1.0)]
+        # a carrier below zero fails the occupation of that point alone
+        ps.insert(4, SystemParams(delta_2=-2e6 * WD))
+        D, errors = diffusion_matrices(param_arrays(ps))
+        assert list(errors) == [4]
+        for i, p in enumerate(ps):
+            if i in errors:
+                with pytest.raises(ParameterError) as want:
+                    diffusion_matrix(p)
+                assert str(errors[i]) == str(want.value)
+            else:
+                assert D[i].tolist() == diffusion_matrix(p).tolist()

@@ -557,3 +557,55 @@ class TestProperties:
         # uncertainty principle: V + i Omega / 2 is positive semidefinite
         omega = np.kron(np.eye(5), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.linalg.eigvalsh(V + 0.5j * omega).min() >= -1e-9 * np.linalg.norm(V)
+
+
+def _lyapunov_outcome(A, D):
+    try:
+        return lyapunov_solve(A, D).entries.tolist()
+    except NO_STEADY_STATE as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchedLyapunovMatchesPerPoint:
+    def assert_same(self, A, D):
+        """_lyapunov_solves equals lyapunov_solve matrix by matrix: the
+        entries with ==, or the error type and text; returns the errors."""
+        V, solved, errors = gaussian._lyapunov_solves(A, D)
+        assert sorted(solved.tolist() + list(errors)) == list(range(len(A)))
+        got = dict(zip(solved.tolist(), (v.tolist() for v in V)))
+        got.update((i, (type(exc), str(exc))) for i, exc in errors.items())
+        for i in range(len(A)):
+            assert got[i] == _lyapunov_outcome(A[i], D[i])
+        return errors
+
+    def stacks(self):
+        ps = sample_stable_params(seed=81, count=60)
+        A = np.array([drift_matrix(p, steady_state(p)) for p in ps])
+        D = np.array([diffusion_matrix(p) for p in ps])
+        return A, D
+
+    def test_stable_points(self):
+        A, D = self.stacks()
+        assert self.assert_same(A, D) == {}
+
+    def test_each_error_on_its_matrix(self):
+        A, D = self.stacks()
+        A[3] = -A[3]  # unstable
+        A[5, 2, 2] = np.inf  # non-finite drift
+        D[8, 0, 0] = np.nan  # non-finite diffusion
+        A[11] = 0.0  # zero drift: scale 1, spectrum on the axis
+        errors = self.assert_same(A, D)
+        assert sorted(errors) == [3, 5, 8, 11]
+
+    def test_residual_breakdown_text(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "LYAPUNOV_RESIDUAL_RTOL", 1e-30)
+        A, D = self.stacks()
+        errors = self.assert_same(A, D)
+        assert len(errors) == len(A)
+        assert all(str(exc).startswith("solver breakdown: Lyapunov residual ")
+                   for exc in errors.values())
+
+    def test_empty_stack(self):
+        V, solved, errors = gaussian._lyapunov_solves(np.empty((0, 10, 10)),
+                                                      np.empty((0, 10, 10)))
+        assert V.shape == (0, 10, 10) and solved.tolist() == [] and errors == {}

@@ -162,6 +162,29 @@ class TestSystemParams:
         for value in (0.0, 1e-300, 1e300):
             assert getattr(SystemParams(**{name: value}), name) == value
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_by_name(self, name, bad):
+        with pytest.raises(ParameterError) as exc:
+            SystemParams(**{name: bad})
+        # the rates and T keep the message that a negative value gets
+        if name in ("kappa_a", "kappa_n", "gamma_e", "gamma_d", "T") and not bad > 0:
+            assert str(exc.value) == f"{name} must be non-negative"
+        elif name == "omega_d" and not bad > 0:
+            assert str(exc.value) == "omega_d must be positive"
+        else:
+            assert str(exc.value) == f"{name} must be finite, got {bad!r}"
+
+    def test_derived_carrier_must_be_finite(self):
+        with pytest.raises(ParameterError, match="omega_c1 must be finite, got inf"):
+            SystemParams(omega_l=1.7e308, delta_1=1.7e308)
+
+    def test_infinite_temperature_has_no_occupation(self):
+        with pytest.raises(ParameterError, match="T must be finite, got inf"):
+            SystemParams().updated(T=math.inf)
+        with pytest.raises(ParameterError, match="diverges"):
+            thermal_occupation(TWO_PI * 1e7, math.inf)
+
     def test_detuning_required(self):
         with pytest.raises(ParameterError):
             SystemParams(delta_1=None)

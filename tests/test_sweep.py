@@ -136,9 +136,12 @@ class TestRunGrid:
         assert calls == expected
 
     def test_no_steady_state_becomes_an_error_row(self, monkeypatch):
-        def fail(p):
-            raise SteadyStateError("singular denominator")
-        monkeypatch.setattr(gaussian, "steady_state", fail)
+        real = gaussian.steady_states
+
+        def fail(f):
+            return real(f)._replace(errors={i: SteadyStateError("singular denominator")
+                                            for i in range(len(f.omega_d))})
+        monkeypatch.setattr(gaussian, "steady_states", fail)
         result = run_grid(small_spec())
         assert all(row.stable is None and row.measures is None
                    and row.error == "singular denominator"
@@ -158,9 +161,9 @@ class TestRunGrid:
         assert rows[0].error is None and rows[2].error is None
 
     def test_programming_error_propagates(self, monkeypatch):
-        def fail(p):
+        def fail(f):
             raise TypeError("bug")
-        monkeypatch.setattr(gaussian, "steady_state", fail)
+        monkeypatch.setattr(gaussian, "steady_states", fail)
         with pytest.raises(TypeError, match="bug"):
             run_grid(small_spec())
 
@@ -176,11 +179,11 @@ class TestRunGrid:
         assert result.metadata["axis_units"]["delta_a"] == "omega_d"
 
 
-def reference_steady_covariance(p):
+def reference_steady_covariance(p, drift=drift_matrix):
     """The scalar evaluation the chunk kernel replaced: the point's own
     stability eigen-solve, then its Lyapunov solve if it is stable."""
     ss = steady_state(p)
-    A = drift_matrix(p, ss)
+    A = drift(p, ss)
     verdict = stability(A, p.omega_d)
     if not verdict.stable:
         return ss, verdict, None
@@ -212,8 +215,9 @@ def assert_rows_identical(spec):
     got, want = run_grid(spec).rows, reference_rows(spec)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.axis_values, g.stable, g.measures, g.error) == (
-            w.axis_values, w.stable, w.measures, w.error)
+        # repr: a NaN axis value is not == to itself
+        assert (repr(g.axis_values), g.stable, g.measures, g.error) == (
+            repr(w.axis_values), w.stable, w.measures, w.error)
         if g.measures:
             assert [type(v) for v in g.measures.values()] == \
                 [type(v) for v in w.measures.values()]
@@ -257,10 +261,17 @@ class TestEngineMatchesPerPointReference:
         _, _, n_errors = assert_rows_identical(spec)
         assert n_errors == 5 + 1 + 1
 
-    def test_failed_eigen_solve_stays_on_its_point(self):
-        # a NaN coupling reaches only the drift, whose eigen-solve then fails
-        # the stacked call; the other points keep their covariances
-        ps = [SystemParams(), SystemParams(G_nd=float("nan")),
+    def test_failed_eigen_solve_stays_on_its_point(self, monkeypatch):
+        # a NaN entry in one drift of the stack fails the stacked eigen-solve;
+        # the other points keep their covariances
+        real = gaussian.drift_matrices
+
+        def one_nan(f, delta_n_tilde):
+            A = real(f, delta_n_tilde)
+            A[1, 7, 5] = np.nan
+            return A
+        monkeypatch.setattr(gaussian, "drift_matrices", one_nan)
+        ps = [SystemParams(), SystemParams(G_nd=0.5 * SystemParams().G_nd),
               SystemParams(J=1.2 * WD)]
         out = steady_covariances(ps)
         assert isinstance(out[1], np.linalg.LinAlgError)
@@ -278,6 +289,43 @@ class TestEngineMatchesPerPointReference:
         _, _, n_errors = assert_rows_identical(spec)
         assert n_errors == 3
         assert steady_covariances([]) == []
+
+    @pytest.mark.parametrize("axes", [
+        (Axis("T", -0.02, 0.02, 3), Axis("J", 0.2, 1.4, 4)),
+        # step inf: T = nan, inf, inf
+        (Axis("J", 0.2, 1.4, 3), Axis("T", 0.0, float("inf"), 3)),
+        (Axis("T", -0.1, 0.1, 3), Axis("delta_e", 0.0, float("inf"), 3)),
+    ], ids=["negative", "infinite", "both-axes"])
+    def test_axis_values_that_fail_the_parameter_checks(self, axes):
+        spec = GridSpec(axes=axes, base=SystemParams(), measures=("EN_ne",))
+        _, _, n_errors = assert_rows_identical(spec)
+        assert n_errors > 0
+        errors = {r.error for r in run_grid(spec).rows if r.error}
+        assert errors <= {"T must be non-negative", "T must be finite, got inf",
+                          "delta_e must be finite, got nan",
+                          "delta_e must be finite, got inf"}
+
+    def test_each_axis_value_is_checked_once(self, monkeypatch):
+        # a 30x20 grid builds 50 parameter sets, not 600; a point with a
+        # failing axis value rebuilds its own to take that error's text
+        calls = []
+        real = sweep.updated_in_omega_d_units
+
+        def counted(base, values):
+            calls.append(values)
+            return real(base, values)
+
+        monkeypatch.setattr(sweep, "updated_in_omega_d_units", counted)
+        spec = GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 30), Axis("J", 0.2, 1.6, 20)),
+                        base=SystemParams(), linkage="antisymmetric")
+        run_grid(spec)
+        assert len(calls) == 30 + 20
+        calls.clear()
+        spec = GridSpec(axes=(Axis("T", -0.1, 0.1, 5), Axis("J", 0.2, 1.6, 20)),
+                        base=SystemParams())
+        rows = run_grid(spec).rows
+        assert len(calls) == 5 + 20 + 2 * 20
+        assert sum(r.error is not None for r in rows) == 2 * 20
 
     def test_fig7_type_grid(self):
         # the fig7 preset's seven pair measures over its 726 points (four
@@ -318,17 +366,14 @@ class TestEngineMatchesPerPointReference:
         spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 30),), base=SystemParams(),
                         measures=("EN_a1a2", "EN_ne", "R_nde"))
         want = run_grid(spec).rows
-        real = sweep.steady_covariances
+        real = sweep.covariance_stack
 
-        def one_unpaired(ps):
-            out = real(ps)
-            ss, verdict, V = out[7]
-            entries = V.entries.copy()
-            entries[0, 3] += 50.0
-            out[7] = ss, verdict, gaussian.CovarianceMatrix(entries, V.mode_labels)
+        def one_unpaired(f):
+            out = real(f)
+            out.covariances[out.solved.tolist().index(7), 0, 3] += 50.0
             return out
 
-        monkeypatch.setattr(sweep, "steady_covariances", one_unpaired)
+        monkeypatch.setattr(sweep, "covariance_stack", one_unpaired)
         got = run_grid(spec).rows
         assert want[7].stable and got[7].stable is None and got[7].measures is None
         assert "pairing" in got[7].error
@@ -340,7 +385,6 @@ class TestEngineMatchesPerPointReference:
             raise AssertionError("measure call on a measure-less grid")
 
         monkeypatch.setattr(sweep, "_measure_value_stack", no_call)
-        monkeypatch.setattr(sweep, "measure_values", no_call)
         rows = run_grid(small_spec(measures=())).rows
         assert [r.measures for r in rows if r.stable] == [{}] * sum(r.stable for r in rows)
         assert any(r.stable for r in rows)
@@ -419,9 +463,9 @@ class TestProcessPool:
         assert pools == [2]
 
     def test_programming_error_propagates_from_a_worker(self, monkeypatch, pools):
-        def fail(p):
+        def fail(f):
             raise TypeError("bug")
-        monkeypatch.setattr(gaussian, "steady_state", fail)
+        monkeypatch.setattr(gaussian, "steady_states", fail)
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
         with pytest.raises(TypeError, match="bug"):
             run_grid(spec, workers=2)
@@ -485,12 +529,19 @@ class TestOnePointCallMatchesScalarReference:
         assert unstable > 15
 
     @pytest.mark.parametrize("params, error", [
-        (SystemParams(G_nd=float("nan")), np.linalg.LinAlgError),
+        (SystemParams(), np.linalg.LinAlgError),  # with a NaN drift entry
         (SystemParams(gamma_e=0.0, delta_e=0.0), SteadyStateError),
     ])
-    def test_same_error(self, params, error):
+    def test_same_error(self, params, error, monkeypatch):
+        drift = drift_matrix
+        if error is np.linalg.LinAlgError:
+            def drift(p, ss):
+                A = drift_matrix(p, ss)
+                A[7, 5] = np.nan  # fails the eigen-solve
+                return A
+            monkeypatch.setattr(gaussian, "drift_matrix", drift)
         with pytest.raises(error) as want:
-            reference_steady_covariance(params)
+            reference_steady_covariance(params, drift)
         with pytest.raises(error) as got:
             steady_covariance(params)
         assert type(got.value) is type(want.value)
