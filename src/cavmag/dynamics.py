@@ -5,6 +5,7 @@ cavity-2 (U, W), magnon (u, w), phonon (x, y), ensemble (u, w).
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -201,9 +202,9 @@ class MeanFields(NamedTuple):
 def _point(f, i: int) -> SimpleNamespace:
     """Point i of an array chunk with the attributes steady_state reads,
     as Python scalars, a NaN field being None."""
-    return SimpleNamespace(**{name: None if v != v else v
-                              for name, v in ((name, float(a[i]))
-                                              for name, a in vars(f).items())})
+    values = {name: float(a[i]) for name, a in vars(f).items()}
+    return SimpleNamespace(**{name: None if math.isnan(v) else v
+                              for name, v in values.items()})
 
 
 def steady_states(f) -> MeanFields:
