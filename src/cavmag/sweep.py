@@ -210,7 +210,7 @@ def _evaluate_chunk(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
     for j, exc in out.errors.items():
         rows[ok[j]] = _error_row(points[ok[j]], exc)
     for j in np.flatnonzero(~out.stable).tolist():
-        if rows[ok[j]] is None:
+        if j not in out.errors:
             rows[ok[j]] = SweepRow(points[ok[j]], stable=False, measures=None)
     for j, values in zip(out.solved.tolist(), _chunk_measures(spec.measures, out.covariances)):
         i = ok[j]
