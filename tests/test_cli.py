@@ -114,6 +114,14 @@ class TestEvaluationErrorsAreOneLine:
         assert code == 1
         assert err.startswith(f"config error: [system]: {field} must be finite")
 
+    def test_failing_sweep_override_is_a_configuration_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cold.ini"
+        cfgfile.write_text("[sweep:cold]\naxis1 = J\naxis1_min_wd = 0.2\n"
+                           "axis1_max_wd = 1.0\naxis1_points = 3\nset_T_K = -1\n")
+        code = run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == "config error: [sweep:cold]: T must be non-negative\n"
+
 
 class TestSweep:
     def test_user_config_sweep(self, tmp_path, capsys):
