@@ -179,9 +179,9 @@ def _quot(a, by_real, ratio, denom):
 
 
 class MeanFields(NamedTuple):
-    """steady_state of every point of a chunk as (k,) arrays, and the error
-    of each point that raised one, by position (its array entries are
-    meaningless)."""
+    """steady_state of every point of a chunk as (k,) arrays, and the
+    SteadyStateError of each point that raised one, by position (its array
+    entries are meaningless)."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -209,7 +209,8 @@ def _point(f, i: int) -> SimpleNamespace:
 
 def steady_states(f) -> MeanFields:
     """steady_state of every point of a chunk ``f`` (model.param_arrays), with
-    the same bits, iteration counts and errors.
+    the same bits, iteration counts and SteadyStateErrors; any other error
+    is raised, that of the first point that raises one.
 
     The closed form and the damped loop run on arrays of the live points; a
     point leaves at its own iteration.  A point that a cheap screen cannot
@@ -294,10 +295,10 @@ def steady_states(f) -> MeanFields:
     a1, a2, e, n = (np.ascontiguousarray(z.T).view(complex)[:, 0]
                     for z in (out[0], out[1], e, out[2]))
     errors = {}
-    for i, dnt, first in handoff:
+    for i, dnt, first in sorted(handoff):  # in point order, as steady_state would raise
         try:
             ss = _iterate(_point(f, i), float(dnt), first)
-        except Exception as exc:  # what steady_state raises at this point
+        except SteadyStateError as exc:
             errors[i] = exc
             continue
         a1[i], a2[i], e[i], n[i] = ss.a1, ss.a2, ss.e, ss.n

@@ -496,16 +496,11 @@ def covariance_stack(f) -> CovarianceStack:
     the stable points get their diffusions from one stack and their
     covariances from _lyapunov_solves.  Each point's outcome is that of
     steady_state, drift_matrix, its verdict, diffusion_matrix and
-    lyapunov_solve in turn; an error outside NO_STEADY_STATE is raised, the
-    first point's first.
+    lyapunov_solve in turn; an error outside NO_STEADY_STATE is raised.
     """
     k = len(f.omega_d)
     mean = steady_states(f)
-    errors = {}
-    for i in sorted(mean.errors):
-        if not isinstance(mean.errors[i], NO_STEADY_STATE):
-            raise mean.errors[i]
-        errors[i] = mean.errors[i]
+    errors = dict(mean.errors)
     drifts = drift_matrices(f, mean.delta_n_tilde)
     live = np.setdiff1d(np.arange(k), list(errors))
     abscissa = np.full(k, np.nan)

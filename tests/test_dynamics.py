@@ -359,7 +359,16 @@ def _outcome(run, p):
 
 def assert_states_match(ps):
     """steady_states equals steady_state point by point, values by == and
-    repr, iterations, and error type and text; returns the error count."""
+    repr, iterations, and error type and text; returns the error count.
+    An error outside SteadyStateError is raised for the chunk, that of the
+    first point that raises one."""
+    raised = [out for out in (_outcome(steady_state, p) for p in ps)
+              if isinstance(out, tuple) and out[0] is not SteadyStateError]
+    if raised:
+        with pytest.raises(Exception) as exc:
+            steady_states(param_arrays(ps))
+        assert (type(exc.value), str(exc.value)) == raised[0]
+        return None
     mean = steady_states(param_arrays(ps))
     for p, got in zip(ps, mean.states()):
         want = _outcome(steady_state, p)
@@ -391,18 +400,21 @@ def strong_drive(seed=62, count=400):
             for _ in range(count)]
 
 
-# one point per way out of the scalar loop other than a value
-SINGULAR = [
+# one point per singular denominator of the scalar loop, and two near ones
+SINGULAR_SS = [
     SystemParams(kappa_a=0.0, kappa_n=0.0, gamma_e=0.0, delta_1=0.0, delta_2=0.0,
                  delta_e=0.0, g_na=0.0, G_ae=0.0, J=0.0, delta_n_tilde_override=0.0),
     SystemParams(gamma_e=0.0, delta_e=0.0),
     SystemParams(kappa_n=0.0, delta_n_tilde_override=0.0),
     SystemParams(kappa_n=0.0, delta_n=0.0, delta_n_tilde_override=None),
     SystemParams(kappa_n=1e-300, delta_n=0.0, delta_n_tilde_override=None),
-    SystemParams(Omega_n=1e200),  # |<n>|^2 overflows: OverflowError
-    SystemParams(g_na=1e160),  # g_na**2 overflows
-    SystemParams(omega_d=1e80),  # omega_d**4 overflows
     SystemParams(Omega_n=1e160, delta_n=0.0, delta_n_tilde_override=None),
+]
+# points where the scalar loop raises OverflowError
+OVERFLOW = [
+    SystemParams(Omega_n=1e200, delta_n=0.0, delta_n_tilde_override=None),  # |<n>|**2
+    SystemParams(g_na=1e160),  # g_na**2
+    SystemParams(omega_d=1e80),  # omega_d**4
 ]
 
 
@@ -428,9 +440,17 @@ class TestArrayMeanFieldMatchesScalar:
     def test_every_singular_branch(self, min_live):
         # amid ordinary points, so that the array loop runs
         rng = np.random.default_rng(64)
-        ps = [draw_params(rng, SystemParams()) for _ in range(40)] + SINGULAR
-        ps += strong_drive(65, 40) + SINGULAR[::-1]
-        assert assert_states_match(ps) >= 2 * (len(SINGULAR) - 1)
+        ordinary = [draw_params(rng, SystemParams()) for _ in range(40)]
+        ps = ordinary + SINGULAR_SS + strong_drive(65, 40) + SINGULAR_SS[::-1]
+        assert assert_states_match(ps) >= 2 * 4  # the first four raise
+
+    @pytest.mark.parametrize("overflow", OVERFLOW, ids=["abs-n-squared", "g_na-squared",
+                                                       "omega_d-fourth"])
+    def test_overflow_is_raised_as_the_scalar_loop_raises_it(self, min_live, overflow):
+        rng = np.random.default_rng(66)
+        ps = [draw_params(rng, SystemParams()) for _ in range(40)]
+        ps[25:25] = [SINGULAR_SS[0], overflow, SystemParams(Omega_n=1e200)]
+        assert assert_states_match(ps) is None
 
     def test_signed_zeros(self, min_live):
         # axes that cross 0.0 exactly, J = 0 and -0.0 inputs: repr tells
