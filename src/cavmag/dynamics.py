@@ -389,7 +389,7 @@ def drift_matrices(f, delta_n_tilde: np.ndarray) -> np.ndarray:
 def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
     """diffusion_matrix of every point of a chunk as a (k, 10, 10) stack,
     and the ParameterError of each point whose occupation raised one, by
-    position (its matrix is zero).  An occupation is computed once per
+    position (its matrix is meaningless).  An occupation is computed once per
     distinct (carrier, T), with the scalar thermal_occupation."""
     k = len(f.T)
     occupations = np.zeros((4, k))
@@ -413,8 +413,6 @@ def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
     D[:, 4, 4] = D[:, 5, 5] = f.kappa_n * (2.0 * z_n + 1.0)
     D[:, 7, 7] = f.gamma_d * (2.0 * z_d + 1.0)
     D[:, 8, 8] = D[:, 9, 9] = f.gamma_e
-    if errors:
-        D[list(errors)] = 0.0
     return D, errors
 
 
