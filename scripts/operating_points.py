@@ -14,6 +14,7 @@ from cavmag.config import (
     build_tc,
     load_layers,
 )
+from cavmag.model import updated_in_omega_d_units
 from cavmag.optimize import OptimizeError, critical_temperature, maximize
 
 PRESETS = ("table2_a1n", "table2_a1d", "table2_ne", "table2_de")
@@ -32,11 +33,7 @@ def main() -> int:
         spec = build_optimize_spec(cfg, seed_override=args.seed)
         report = maximize(spec, base)
         bp = report.best_point
-        wd = base.omega_d
-        at_best = base.updated(
-            delta_1=bp["delta_1"] * wd, delta_2=bp["delta_2"] * wd,
-            delta_n_tilde_override=bp["delta_n_tilde"] * wd,
-            delta_e=bp["delta_e"] * wd, J=bp["J"] * wd)
+        at_best = updated_in_omega_d_units(base, bp)
         measure, t_max, tol = build_tc(cfg)
         try:
             t_c = f"{critical_temperature(at_best, measure, t_max, tol=tol) * 1e3:6.1f}mK"

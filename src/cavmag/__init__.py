@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .model import (  # noqa: F401
     CouplingDerivation,
     SystemParams,
-    ThermalOccupations,
     collective_coupling,
     rabi_from_field,
     rabi_from_power,
@@ -21,13 +20,11 @@ from .dynamics import (  # noqa: F401
     SteadyState,
     diffusion_matrix,
     drift_matrix,
-    export_matrix,
-    stability,
+    spectral_abscissa,
     steady_state,
 )
 from .gaussian import (  # noqa: F401
     MEASURE_IDS,
-    CovarianceMatrix,
     EntanglementReport,
     ResidualContangle,
     full_report,

@@ -78,49 +78,52 @@ def steady_state(p: SystemParams) -> SteadyState:
 def _iterate(p, dnt: float, first: int) -> SteadyState:
     """steady_state from iteration ``first`` on, at the detuning that
     iteration starts from (the one entry point of the scalar loop)."""
-    ka2 = p.kappa_a + 1j * p.delta_2
-    ge = p.gamma_e + 1j * p.delta_e
-    ka1_ge = (p.kappa_a + 1j * p.delta_1) * ge
-    g_na2 = p.g_na**2
-    G_ae2 = p.G_ae**2
-    J2_ge = p.J**2 * ge
-    Omega_l_ka2 = p.Omega_l * ka2
-    drive_l = g_na2 * p.Omega_l * ge
-    drive_n = p.g_na * p.Omega_n * p.J * ge
-    mi_J, i_gna, mi_Gae = -1j * p.J, 1j * p.g_na, -1j * p.G_ae
-    i_gna_Omega_n = i_gna * p.Omega_n
-    x_per_n2 = -(p.g_nd / p.omega_d)
-    kappa_n, Omega_n, delta_n, g_nd = p.kappa_n, p.Omega_n, p.delta_n, p.g_nd
-    tiny_S, tiny_beta = 1e-30 * p.omega_d**4, 1e-30 * p.omega_d**2
-    tiny_rate = 1e-30 * p.omega_d
-    ge_singular, kn_may_vanish = abs(ge) < tiny_rate, kappa_n < tiny_rate
-    tol = 1e-12 * p.omega_d
+    try:
+        ka2 = p.kappa_a + 1j * p.delta_2
+        ge = p.gamma_e + 1j * p.delta_e
+        ka1_ge = (p.kappa_a + 1j * p.delta_1) * ge
+        g_na2 = p.g_na**2
+        G_ae2 = p.G_ae**2
+        J2_ge = p.J**2 * ge
+        Omega_l_ka2 = p.Omega_l * ka2
+        drive_l = g_na2 * p.Omega_l * ge
+        drive_n = p.g_na * p.Omega_n * p.J * ge
+        mi_J, i_gna, mi_Gae = -1j * p.J, 1j * p.g_na, -1j * p.G_ae
+        i_gna_Omega_n = i_gna * p.Omega_n
+        x_per_n2 = -(p.g_nd / p.omega_d)
+        kappa_n, Omega_n, delta_n, g_nd = p.kappa_n, p.Omega_n, p.delta_n, p.g_nd
+        tiny_S, tiny_beta = 1e-30 * p.omega_d**4, 1e-30 * p.omega_d**2
+        tiny_rate = 1e-30 * p.omega_d
+        ge_singular, kn_may_vanish = abs(ge) < tiny_rate, kappa_n < tiny_rate
+        tol = 1e-12 * p.omega_d
 
-    pinned = p.delta_n_tilde_override is not None
-    for it in range(first, _SC_MAX_ITER + 1):
-        kn = kappa_n + 1j * dnt
-        beta = ka2 * kn + g_na2
-        S = ka1_ge * beta + G_ae2 * beta + J2_ge * kn
-        if abs(S) < tiny_S or abs(beta) < tiny_beta:
-            raise SteadyStateError(
-                f"singular denominator in steady-state solve (|S|={abs(S):.3e})"
-            )
-        if ge_singular or kn_may_vanish and abs(kn) < tiny_rate:
-            raise SteadyStateError(
-                "singular denominator in steady-state solve "
-                f"(|kappa_n + i delta_n_tilde|={abs(kn):.3e}, "
-                f"|gamma_e + i delta_e|={abs(ge):.3e})"
-            )
-        a1 = (Omega_l_ka2 * kn * ge + drive_l - drive_n) / S
-        a2 = (mi_J * kn * a1 - i_gna_Omega_n) / beta
-        n = (Omega_n - i_gna * a2) / kn
-        x = x_per_n2 * abs(n) ** 2
-        if pinned:
-            return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, 0)
-        target = delta_n + g_nd * x
-        if abs(target - dnt) < tol:
-            return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, it)
-        dnt = (1.0 - _SC_MIXING) * dnt + _SC_MIXING * target
+        pinned = p.delta_n_tilde_override is not None
+        for it in range(first, _SC_MAX_ITER + 1):
+            kn = kappa_n + 1j * dnt
+            beta = ka2 * kn + g_na2
+            S = ka1_ge * beta + G_ae2 * beta + J2_ge * kn
+            if abs(S) < tiny_S or abs(beta) < tiny_beta:
+                raise SteadyStateError(
+                    f"singular denominator in steady-state solve (|S|={abs(S):.3e})"
+                )
+            if ge_singular or kn_may_vanish and abs(kn) < tiny_rate:
+                raise SteadyStateError(
+                    "singular denominator in steady-state solve "
+                    f"(|kappa_n + i delta_n_tilde|={abs(kn):.3e}, "
+                    f"|gamma_e + i delta_e|={abs(ge):.3e})"
+                )
+            a1 = (Omega_l_ka2 * kn * ge + drive_l - drive_n) / S
+            a2 = (mi_J * kn * a1 - i_gna_Omega_n) / beta
+            n = (Omega_n - i_gna * a2) / kn
+            x = x_per_n2 * abs(n) ** 2
+            if pinned:
+                return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, 0)
+            target = delta_n + g_nd * x
+            if abs(target - dnt) < tol:
+                return SteadyState(a1, a2, mi_Gae * a1 / ge, n, x, dnt, it)
+            dnt = (1.0 - _SC_MIXING) * dnt + _SC_MIXING * target
+    except OverflowError as exc:  # a square or |<n>|^2 beyond the float range
+        raise SteadyStateError(f"overflow in steady-state solve: {exc}") from None
     raise SteadyStateError(
         f"non-convergent self-consistency after {_SC_MAX_ITER} iterations "
         f"(last delta_n_tilde = {dnt!r})"
@@ -197,12 +200,6 @@ class MeanFields(NamedTuple):
     iterations: np.ndarray
     errors: dict
 
-    def states(self) -> list:
-        """Per point: its SteadyState, with Python scalars, or its error."""
-        columns = zip(*(a.tolist() for a in self[:-1]))
-        return [self.errors.get(i) or SteadyState(*values)
-                for i, values in enumerate(columns)]
-
 
 def _point(f, i: int) -> SimpleNamespace:
     """Point i of an array chunk with the attributes steady_state reads,
@@ -213,9 +210,9 @@ def _point(f, i: int) -> SimpleNamespace:
 
 
 def steady_states(f) -> MeanFields:
-    """steady_state of every point of a chunk ``f`` (model.param_arrays), with
-    the same bits, iteration counts and SteadyStateErrors; any other error
-    is raised, that of the first point that raises one.
+    """steady_state of every point of a chunk ``f`` (gaussian.covariance_stack),
+    with the same bits, iteration counts and SteadyStateErrors; any other
+    error is raised, that of the first point that raises one.
 
     The closed form and the damped loop run on arrays of the live points; a
     point leaves at its own iteration.  A point that a cheap screen cannot
@@ -339,16 +336,17 @@ def diffusion_matrix(p: SystemParams) -> np.ndarray:
     The ensemble rows carry bare ``gamma_e`` (vacuum atomic noise), unlike the
     thermally weighted photon/magnon/phonon rows.
     """
-    z = p.occupations()
+    z_a1, z_a2, z_n, z_d = (thermal_occupation(omega, p.T) for omega in
+                            (p.omega_c1, p.omega_c2, p.omega_n, p.omega_d))
     diag = np.array([
-        p.kappa_a * (2.0 * z.Z_a1 + 1.0),
-        p.kappa_a * (2.0 * z.Z_a1 + 1.0),
-        p.kappa_a * (2.0 * z.Z_a2 + 1.0),
-        p.kappa_a * (2.0 * z.Z_a2 + 1.0),
-        p.kappa_n * (2.0 * z.Z_n + 1.0),
-        p.kappa_n * (2.0 * z.Z_n + 1.0),
+        p.kappa_a * (2.0 * z_a1 + 1.0),
+        p.kappa_a * (2.0 * z_a1 + 1.0),
+        p.kappa_a * (2.0 * z_a2 + 1.0),
+        p.kappa_a * (2.0 * z_a2 + 1.0),
+        p.kappa_n * (2.0 * z_n + 1.0),
+        p.kappa_n * (2.0 * z_n + 1.0),
         0.0,
-        p.gamma_d * (2.0 * z.Z_d + 1.0),
+        p.gamma_d * (2.0 * z_d + 1.0),
         p.gamma_e,
         p.gamma_e,
     ])
@@ -423,14 +421,3 @@ def spectral_abscissa(A: np.ndarray):
     abscissa = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
     return float(abscissa) if abscissa.ndim == 0 else abscissa
 
-
-def stability(A: np.ndarray, omega_d: float) -> StabilityVerdict:
-    """Spectral stability test of one drift: stable iff all its eigenvalues
-    decay, with marginal systems within 1e-9 * omega_d of the imaginary axis
-    declared unstable."""
-    return StabilityVerdict.from_abscissa(spectral_abscissa(A), omega_d)
-
-
-def export_matrix(matrix: np.ndarray, destination) -> None:
-    """Plain-text numeric dump of a drift, diffusion or covariance array."""
-    np.savetxt(destination, np.asarray(matrix, dtype=float), fmt="%+.12e")

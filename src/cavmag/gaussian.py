@@ -3,6 +3,10 @@
 Quadratures are normalized so the vacuum variance is 1/2 per quadrature; the
 separability threshold for the minimum symplectic eigenvalue of a partially
 transposed covariance is therefore 1/2.  Logarithms are natural.
+
+A covariance is a plain (2m, 2m) float array, and a mode is named by its
+position in it: for the 10x10 covariance of the network, its index in
+MODE_LABELS.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .dynamics import (
     steady_state,
     steady_states,
 )
-from .model import ParameterError, SystemParams, param_arrays
+from .model import ParameterError, SystemParams
 
 logger = logging.getLogger(__name__)
 
@@ -70,39 +74,10 @@ NO_STEADY_STATE = (SteadyStateError, GaussianError, ParameterError,
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """Real symmetric quadrature covariance with mode-label bookkeeping."""
-
-    entries: np.ndarray
-    mode_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n) or n != 2 * len(self.mode_labels):
-            raise GaussianError(
-                f"covariance shape {self.entries.shape} does not match "
-                f"{len(self.mode_labels)} mode labels"
-            )
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_labels)
-
-    def block_indices(self, label: str) -> tuple[int, int]:
-        try:
-            k = self.mode_labels.index(label)
-        except ValueError:
-            raise GaussianError(
-                f"unknown mode label {label!r}; have {self.mode_labels}"
-            ) from None
-        return 2 * k, 2 * k + 1
-
-
-@dataclass(frozen=True)
 class ResidualContangle:
     """Tripartite residual contangle: one value per one-vs-two partition."""
 
-    partitions: dict[str, float]  # keyed by the singled-out mode label
+    partitions: dict  # keyed by the singled-out mode: its label or position
     r_min: float
     clamped: tuple[str, ...] = ()  # partitions whose raw value was negative
 
@@ -140,7 +115,35 @@ def _gees_lwork(n: int) -> int:
     return int(_GEES(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
 
 
-def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
+def _schur(a: np.ndarray):
+    """Real Schur form a = u r u^T of a drift, (r, u); a Schur form LAPACK
+    cannot find and a spectrum that reaches the imaginary axis are errors."""
+    r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=_gees_lwork(len(a)), sort_t=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    if not wr.max() < 0.0:
+        raise GaussianError(
+            "unstable system: drift spectrum reaches the imaginary axis"
+        )
+    return r, u
+
+
+def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """y of r y + y r^T = f for a Schur form r (LAPACK trsyl)."""
+    y, y_scale, info = _TRSYL(r, r, f, tranb="T")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
+    if info == 1:
+        warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close "
+                      "to or exactly zero. The solution is obtained via "
+                      "perturbing the coefficients.", RuntimeWarning, stacklevel=3)
+    y *= y_scale
+    return y
+
+
+def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Steady covariance V of A V + V A^T + D = 0 for a stable drift A.
 
     Every eigenvalue of A must lie strictly in the left half-plane.  The
@@ -160,23 +163,8 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     if not (math.isfinite(scale) and np.isfinite(D).all()):
         raise GaussianError("non-finite drift or diffusion matrix")
     a, q = A / scale, -D / scale
-    r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=_gees_lwork(n), sort_t=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
-    if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    if not wr.max() < 0.0:
-        raise GaussianError(
-            "unstable system: drift spectrum reaches the imaginary axis"
-        )
-    y, y_scale, info = _TRSYL(r, r, u.T.dot(q.dot(u)), tranb="T")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
-    if info == 1:
-        warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close "
-                      "to or exactly zero. The solution is obtained via "
-                      "perturbing the coefficients.", RuntimeWarning, stacklevel=2)
-    y *= y_scale
+    r, u = _schur(a)
+    y = _sylvester(r, u.T.dot(q.dot(u)))
     V = u.dot(y).dot(u.T)
     V = 0.5 * (V + V.T)
     residual = np.linalg.norm(A @ V + V @ A.T + D)
@@ -185,8 +173,7 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
         raise GaussianError(
             f"solver breakdown: Lyapunov residual {residual:.3e} exceeds {bound:.3e}"
         )
-    labels = MODE_LABELS if n == 10 else tuple(f"m{i}" for i in range(n // 2))
-    return CovarianceMatrix(entries=V, mode_labels=labels)
+    return V
 
 
 def _frobenius(X: np.ndarray) -> np.ndarray:
@@ -218,35 +205,20 @@ def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     at = np.flatnonzero(finite)
     scale = scale[at, None, None]
     a, q = A[at] / scale, -D[at] / scale
-    lwork = _gees_lwork(n)
     schur, ok = [], []
     for j, i in enumerate(at.tolist()):
-        r, _, wr, _, u, _, info = _GEES(_no_sort, a[j], lwork=lwork, sort_t=0)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
-        if info > 0:
-            errors[i] = np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-        elif not wr.max() < 0.0:
-            errors[i] = GaussianError(
-                "unstable system: drift spectrum reaches the imaginary axis")
+        try:
+            r, u = _schur(a[j])
+        except (np.linalg.LinAlgError, GaussianError) as exc:
+            errors[i] = exc
         else:
             schur.append((j, r, u))
             ok.append(i)
     ok = np.array(ok, dtype=np.intp)
     U = np.array([u for _, _, u in schur]).reshape(-1, n, n)
     Ut = U.swapaxes(1, 2)
-    Y = np.empty_like(U)
     F = Ut @ (q[[j for j, _, _ in schur]] @ U)
-    for j, ((_, r, _), f) in enumerate(zip(schur, F)):
-        y, y_scale, info = _TRSYL(r, r, f, tranb="T")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
-        if info == 1:
-            warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close "
-                          "to or exactly zero. The solution is obtained via "
-                          "perturbing the coefficients.", RuntimeWarning, stacklevel=2)
-        y *= y_scale
-        Y[j] = y
+    Y = np.array([_sylvester(r, f) for (_, r, _), f in zip(schur, F)]).reshape(-1, n, n)
     V = (U @ Y) @ Ut
     V = 0.5 * (V + V.swapaxes(1, 2))
     A, D = A[ok], D[ok]
@@ -263,18 +235,26 @@ def _quadratures(modes) -> list[int]:
     return [q for k in modes for q in (2 * k, 2 * k + 1)]
 
 
-def reduce(V: CovarianceMatrix, modes) -> CovarianceMatrix:
-    """Covariance of a subset of modes, kept in V's mode order."""
+def _n_modes(V: np.ndarray) -> int:
+    """m of a (2m, 2m) covariance; any other shape is a GaussianError."""
+    n = len(V) if V.ndim == 2 else 0
+    if not n or n % 2 or V.shape != (n, n):
+        raise GaussianError(f"covariance shape {V.shape} is not (2m, 2m)")
+    return n // 2
+
+
+def reduce(V: np.ndarray, modes) -> np.ndarray:
+    """Covariance of a subset of modes, given by their positions in V, kept
+    in V's mode order."""
     modes = list(modes)
     if len(set(modes)) != len(modes):
         raise GaussianError(f"mode subset {modes!r} contains duplicates")
-    keep = [label for label in V.mode_labels if label in modes]
-    missing = set(modes) - set(keep)
-    if missing:
-        raise GaussianError(f"unknown mode label(s) {sorted(missing)!r}")
-    idx = _quadratures(V.mode_labels.index(label) for label in keep)
-    return CovarianceMatrix(entries=V.entries[np.ix_(idx, idx)],
-                            mode_labels=tuple(keep))
+    m = _n_modes(V)
+    outside = [k for k in modes if k not in range(m)]
+    if outside:
+        raise GaussianError(f"mode position(s) {outside!r} outside 0..{m - 1}")
+    idx = _quadratures(sorted(modes))
+    return V[np.ix_(idx, idx)]
 
 
 def _flip_signs(n_modes: int, k: int) -> np.ndarray:
@@ -382,7 +362,7 @@ def _plan(blocks: tuple, n: int) -> _Plan:
 
 def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
     """Residual contangle of a triple from its split and pair negativities."""
-    partitions: dict[str, float] = {}
+    partitions = {}
     clamped = []
     for mode, l, m, split, pair_l, pair_m in parts:
         k = labels[mode]
@@ -402,10 +382,10 @@ def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
     )
 
 
-def _measures(entries: np.ndarray, plan: _Plan, labels) -> list[list]:
-    """Per covariance of a (k, n, n) stack with these mode labels, per
-    requested block of the plan: the pair's log-negativity or the triple's
-    ResidualContangle.
+def _measures(covariances: np.ndarray, plan: _Plan, labels) -> list[list]:
+    """Per covariance of a (k, n, n) stack, per requested block of the plan:
+    the pair's log-negativity or the triple's ResidualContangle, whose
+    partitions are keyed by labels[position of the singled mode].
 
     All the pairs of all k covariances take one stacked eigen-solve, and all
     their splits another; each pair negativity is computed once per
@@ -413,7 +393,7 @@ def _measures(entries: np.ndarray, plan: _Plan, labels) -> list[list]:
     each matrix the bits of a solve on that matrix alone, but an error
     anywhere in a stack raises for the whole stack.
     """
-    flat = entries.reshape(len(entries), -1)
+    flat = covariances.reshape(len(covariances), -1)
     e_pair = e_split = []
     if len(plan.pair_index):
         W = flat.take(plan.pair_index, axis=1) * _PAIR_SIGNS
@@ -423,7 +403,7 @@ def _measures(entries: np.ndarray, plan: _Plan, labels) -> list[list]:
         e_split = _log_negativities(W.reshape(-1, 6, 6))
     n_pairs, n_splits = len(plan.pair_index), len(plan.split_index)
     out = []
-    for i in range(len(entries)):
+    for i in range(len(covariances)):
         ep = e_pair[i * n_pairs:(i + 1) * n_pairs]
         es = e_split[i * n_splits:(i + 1) * n_splits]
         contangles = [_contangle(labels, parts, es, ep) for parts in plan.contangles]
@@ -432,48 +412,53 @@ def _measures(entries: np.ndarray, plan: _Plan, labels) -> list[list]:
     return out
 
 
-def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
+def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     """The m symplectic eigenvalues of an m-mode covariance, ascending.
 
     The 2m magnitudes of the spectrum of i*Omega*V are sorted and paired
     neighbour with neighbour; a relative pair mismatch beyond PAIRING_RTOL is
     a diagnostics error, and so is a minimum that is not positive.
     """
-    return _symplectic_spectra(V.entries[None])[0]
+    _n_modes(V)  # the shape check
+    return _symplectic_spectra(V[None])[0]
 
 
-def log_negativity(V2: CovarianceMatrix) -> float:
+def log_negativity(V2: np.ndarray) -> float:
     """max(0, -ln 2*f) with f the minimum symplectic eigenvalue of the
-    partial transpose.  Symmetric in which of the two modes is transposed."""
-    if V2.n_modes != 2:
+    partial transpose of a 2-mode covariance.  Symmetric in which of the two
+    modes is transposed."""
+    if _n_modes(V2) != 2:
         raise GaussianError("log_negativity expects a 2-mode covariance")
-    return _log_negativities((V2.entries * _PAIR_SIGNS)[None])[0]
+    return _log_negativities((V2 * _PAIR_SIGNS)[None])[0]
 
 
-def one_vs_two_negativity(V3: CovarianceMatrix, singled_mode: str) -> float:
-    """Negativity of one mode against the remaining two of a 3-mode state."""
-    if V3.n_modes != 3:
+def one_vs_two_negativity(V3: np.ndarray, singled_mode: int) -> float:
+    """Negativity of one mode, by its position, against the remaining two of
+    a 3-mode state."""
+    if _n_modes(V3) != 3:
         raise GaussianError("one_vs_two_negativity expects a 3-mode covariance")
-    _, w = V3.block_indices(singled_mode)
-    return _log_negativities((V3.entries * _SPLIT_SIGNS[w // 2])[None])[0]
+    if singled_mode not in range(3):
+        raise GaussianError(f"mode position {singled_mode!r} outside 0..2")
+    return _log_negativities((V3 * _SPLIT_SIGNS[singled_mode])[None])[0]
 
 
-def residual_contangle(V3: CovarianceMatrix) -> ResidualContangle:
+def residual_contangle(V3: np.ndarray) -> ResidualContangle:
     """Residual contangle per one-vs-two partition, clamped at zero.
 
     For each singled mode k the raw value is E(k|lm)^2 - E(k|l)^2 - E(k|m)^2
     with squared logarithmic negativities, each pair negativity computed once.
     Negative excursions are clamped to 0 and logged; they range from rounding
     noise up to ~1e-3, since this squared-negativity residual is not exactly
-    monogamous for mixed states.
+    monogamous for mixed states.  The partitions are keyed by the position
+    of the singled mode.
     """
-    if V3.n_modes != 3:
+    if _n_modes(V3) != 3:
         raise GaussianError("residual_contangle expects a 3-mode covariance")
-    return _measures(V3.entries[None], _plan(((0, 1, 2),), 6), V3.mode_labels)[0][0]
+    return _measures(V3[None], _plan(((0, 1, 2),), 6), range(3))[0][0]
 
 
 class CovarianceStack(NamedTuple):
-    """steady_covariances of a chunk as arrays."""
+    """The steady covariances of a chunk, and what led to them."""
 
     steady: MeanFields
     abscissa: np.ndarray  # (k,) spectral abscissa of each drift, NaN without one
@@ -488,7 +473,8 @@ def _take(f, at) -> SimpleNamespace:
 
 
 def covariance_stack(f) -> CovarianceStack:
-    """The evaluation kernel on a chunk ``f`` of points (model.param_arrays).
+    """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
+    per SystemParams field, NaN where a field is None.
 
     The mean fields come from steady_states and the drifts from one stack;
     all the verdicts come from one stacked eigen-solve (a stack that LAPACK
@@ -523,23 +509,6 @@ def covariance_stack(f) -> CovarianceStack:
     return CovarianceStack(mean, abscissa, stable, V, at[solved], errors)
 
 
-def steady_covariances(ps) -> list:
-    """Per point: (steady state, stability verdict, 10x10 covariance or None
-    if unstable), or the NO_STEADY_STATE error the point raised: the
-    covariance_stack of the list, one object per point."""
-    out = covariance_stack(param_arrays(ps))
-    covariances = dict(zip(out.solved.tolist(), out.covariances))
-    results = []
-    for i, (p, ss, abscissa) in enumerate(zip(ps, out.steady.states(), out.abscissa.tolist())):
-        if i in out.errors:
-            results.append(out.errors[i])
-            continue
-        verdict = StabilityVerdict.from_abscissa(abscissa, p.omega_d)
-        V = covariances.get(i)
-        results.append((ss, verdict, None if V is None else CovarianceMatrix(V, MODE_LABELS)))
-    return results
-
-
 def steady_covariance(p: SystemParams):
     """Steady state, stability verdict and (if stable) the 10x10 covariance
     at one point: steady_state, drift_matrix, the drift's eigen-solve, then
@@ -551,7 +520,7 @@ def steady_covariance(p: SystemParams):
     return ss, verdict, V
 
 
-def _measure_value_stack(entries: np.ndarray, measure_ids) -> list[dict[str, float]]:
+def _measure_value_stack(covariances: np.ndarray, measure_ids) -> list[dict[str, float]]:
     """measure_values of every 10x10 covariance in a (k, 10, 10) stack, from
     one stacked eigen-solve per block size; an error raises for the stack."""
     ids = tuple(measure_ids)
@@ -561,15 +530,14 @@ def _measure_value_stack(entries: np.ndarray, measure_ids) -> list[dict[str, flo
         raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
     return [{mid: value.r_min if mid in TRIPARTITE_MEASURES else value
              for mid, value in zip(ids, values)}
-            for values in _measures(entries, plan, MODE_LABELS)]
+            for values in _measures(covariances, plan, MODE_LABELS)]
 
 
-def measure_values(V: CovarianceMatrix, measure_ids) -> dict[str, float]:
-    """Requested entanglement measures evaluated on a full covariance."""
-    if V.mode_labels != MODE_LABELS:
-        raise GaussianError(
-            f"measures need mode labels {MODE_LABELS}; have {V.mode_labels}")
-    return _measure_value_stack(V.entries[None], measure_ids)[0]
+def measure_values(V: np.ndarray, measure_ids) -> dict[str, float]:
+    """Requested entanglement measures evaluated on a 10x10 covariance."""
+    if V.shape != (2 * len(MODE_LABELS),) * 2:
+        raise GaussianError(f"measures need a 10x10 covariance; have shape {V.shape}")
+    return _measure_value_stack(V[None], measure_ids)[0]
 
 
 def full_report(p: SystemParams) -> EntanglementReport:
@@ -580,7 +548,7 @@ def full_report(p: SystemParams) -> EntanglementReport:
     ss, verdict, V = steady_covariance(p)
     if V is None:
         return EntanglementReport(stable=False, verdict=verdict, steady=ss)
-    (values,) = _measures(V.entries[None], _plan(_ALL_BLOCKS, 2 * len(MODE_LABELS)),
+    (values,) = _measures(V[None], _plan(_ALL_BLOCKS, 2 * len(MODE_LABELS)),
                           MODE_LABELS)
     return EntanglementReport(
         stable=True, verdict=verdict, steady=ss,

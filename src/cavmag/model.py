@@ -10,9 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-
-import numpy as np
 
 # CODATA 2018 values, recorded in output metadata for reproducibility.
 HBAR = 1.054571817e-34  # J s
@@ -160,26 +157,11 @@ class SystemParams:
                 changes["omega_n"] = None
         return type(self)(**{**vars(self), **changes})
 
-    def occupations(self) -> "ThermalOccupations":
-        return ThermalOccupations(
-            Z_a1=thermal_occupation(self.omega_c1, self.T),
-            Z_a2=thermal_occupation(self.omega_c2, self.T),
-            Z_n=thermal_occupation(self.omega_n, self.T),
-            Z_d=thermal_occupation(self.omega_d, self.T),
-        )
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
 FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
-
-
-def param_arrays(ps) -> SimpleNamespace:
-    """The fields of a list of points as (k,) float arrays, NaN where a field
-    is None: the input of the array kernels (``dynamics.steady_states``)."""
-    return SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps], dtype=float)
-                              for name in FIELDS})
 
 
 def updated_in_omega_d_units(base: SystemParams, values: dict) -> SystemParams:
@@ -196,16 +178,6 @@ def updated_in_omega_d_units(base: SystemParams, values: dict) -> SystemParams:
         else:
             changes[name] = value * wd
     return base.updated(**changes)
-
-
-@dataclass(frozen=True)
-class ThermalOccupations:
-    """Mean thermal occupations of the two cavities, the magnon and the phonon."""
-
-    Z_a1: float
-    Z_a2: float
-    Z_n: float
-    Z_d: float
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ equal either way.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,11 @@ class Axis:
         if self.points < 2:
             raise SweepSpecError(
                 f"axis {self.param!r} needs at least 2 points, got {self.points}"
+            )
+        # an infinite or NaN bound, or a span beyond the float range
+        if not math.isfinite(self.hi - self.lo):
+            raise SweepSpecError(
+                f"axis {self.param!r} needs a finite range, got [{self.lo}, {self.hi}]"
             )
         if not self.lo < self.hi:
             raise SweepSpecError(

@@ -5,12 +5,23 @@ deliberately independent of the library's solve path.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cavmag import SystemParams
-from cavmag.dynamics import diffusion_matrix, drift_matrix, stability, steady_state
+from cavmag.dynamics import (
+    MODE_LABELS,
+    StabilityVerdict,
+    SteadyState,
+    diffusion_matrix,
+    drift_matrix,
+    spectral_abscissa,
+    steady_state,
+)
+from cavmag.model import FIELDS
 
 # Parameter box explored by the bundled sweeps, in omega_d units.
 SAMPLING_BOX = {
@@ -51,9 +62,33 @@ def sample_stable_params(seed: int, count: int,
             raise RuntimeError("stable-point sampler is starving")
         p = draw_params(rng, base)
         A = drift_matrix(p, steady_state(p))
-        if stability(A, p.omega_d).stable:
+        if verdict_of(A, p.omega_d).stable:
             out.append(p)
     return out
+
+
+def positions(*labels) -> list[int]:
+    """The positions of these modes in the network covariance."""
+    return [MODE_LABELS.index(m) for m in labels]
+
+
+def verdict_of(A: np.ndarray, omega_d: float) -> StabilityVerdict:
+    """The stability verdict on one drift, from its own eigen-solve."""
+    return StabilityVerdict.from_abscissa(spectral_abscissa(A), omega_d)
+
+
+def param_arrays(ps) -> SimpleNamespace:
+    """The fields of a list of points as (k,) float arrays, NaN where a field
+    is None: a chunk as the array kernels take it."""
+    return SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps], dtype=float)
+                              for name in FIELDS})
+
+
+def mean_states(mean) -> list:
+    """Per point of a dynamics.MeanFields: its SteadyState, with Python
+    scalars, or its error."""
+    columns = zip(*(a.tolist() for a in mean[:-1]))
+    return [mean.errors.get(i) or SteadyState(*values) for i, values in enumerate(columns)]
 
 
 def integrate_lyapunov(A: np.ndarray, D: np.ndarray, omega_d: float,

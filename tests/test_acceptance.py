@@ -21,10 +21,17 @@ import pytest
 
 from cavmag.cli import main as cli_main
 from cavmag.config import build_grid_specs, build_optimize_spec, build_system, load_layers
-from cavmag.dynamics import diffusion_matrix, drift_matrix, stability, steady_state
+from cavmag.dynamics import (
+    StabilityVerdict,
+    diffusion_matrix,
+    drift_matrix,
+    spectral_abscissa,
+    steady_state,
+)
 from cavmag.gaussian import (
     log_negativity,
     lyapunov_solve,
+    one_vs_two_negativity,
     reduce,
     steady_covariance,
     symplectic_eigenvalues,
@@ -35,11 +42,11 @@ from cavmag.sweep import run_grid
 
 from conftest import (
     integrate_lyapunov,
+    positions,
     report_line,
     sample_stable_params,
     two_mode_squeezed,
 )
-from test_gaussian import cov
 
 WD = SystemParams().omega_d
 
@@ -109,7 +116,7 @@ def test_criterion_1_lyapunov_oracle_equivalence():
     for p in sample_stable_params(seed=101, count=50):
         A = drift_matrix(p, steady_state(p))
         D = diffusion_matrix(p)
-        V = lyapunov_solve(A, D).entries
+        V = lyapunov_solve(A, D)
         V_oracle = integrate_lyapunov(A, D, p.omega_d)
         rel = np.linalg.norm(V - V_oracle) / np.linalg.norm(V_oracle)
         residual = (np.linalg.norm(A @ V + V @ A.T + D)
@@ -127,7 +134,7 @@ def test_criterion_2_analytic_negativity_oracle():
     """Two-mode squeezed covariance: negativity equals 2r to 1e-9."""
     worst = 0.0
     for r in (0.1, 0.5, 1.0, 2.0):
-        e = log_negativity(cov(two_mode_squeezed(r), ["a1", "a2"]))
+        e = log_negativity(two_mode_squeezed(r))
         worst = max(worst, abs(e - 2.0 * r))
     report_line("criterion 2", worst <= 1e-9,
                 f"max |E - 2r| = {worst:.2e} over r in (0.1, 0.5, 1, 2)")
@@ -141,11 +148,10 @@ def _criterion_3_data():
     for p in points:
         _, _, V = steady_covariance(p)
         min_eig = min(min_eig, symplectic_eigenvalues(V)[0])
-        for triple in (("a1", "n", "d"), ("n", "d", "e")):
+        for triple in (positions("a1", "n", "d"), positions("n", "d", "e")):
             V3 = reduce(V, triple)
-            for k in triple:
-                others = [m for m in triple if m != k]
-                from cavmag.gaussian import one_vs_two_negativity
+            for k in range(3):
+                others = [m for m in range(3) if m != k]
                 raw = (one_vs_two_negativity(V3, k) ** 2
                        - log_negativity(reduce(V3, [k, others[0]])) ** 2
                        - log_negativity(reduce(V3, [k, others[1]])) ** 2)
@@ -185,9 +191,9 @@ def test_criterion_3b_monogamy_bound():
 
 def test_criterion_4_decoupling_exactness():
     """J = 0 kills all cross-cavity pairs; G_nd = 0 kills all phonon pairs."""
-    cross = [("a1", "a2"), ("a1", "n"), ("a1", "d"),
-             ("a2", "e"), ("n", "e"), ("d", "e")]
-    phonon = [("a1", "d"), ("a2", "d"), ("n", "d"), ("d", "e")]
+    cross = [positions(*pair) for pair in (("a1", "a2"), ("a1", "n"), ("a1", "d"),
+                                           ("a2", "e"), ("n", "e"), ("d", "e"))]
+    phonon = [positions(*pair) for pair in (("a1", "d"), ("a2", "d"), ("n", "d"), ("d", "e"))]
     worst = 0.0
     rng = np.random.default_rng(104)
     for _ in range(5):
@@ -280,8 +286,8 @@ def test_criterion_8_critical_temperature_bands():
     """Critical temperatures at the four operating points, +/-30% bands."""
     # record the stored a1n point's verdict rather than silently fixing it
     unstable = params_at("EN_a1n")
-    verdict = stability(drift_matrix(unstable, steady_state(unstable)),
-                        unstable.omega_d)
+    verdict = StabilityVerdict.from_abscissa(
+        spectral_abscissa(drift_matrix(unstable, steady_state(unstable))), unstable.omega_d)
     assert not verdict.stable
 
     results = {}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -113,6 +114,23 @@ class TestEvaluationErrorsAreOneLine:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"config error: [system]: {field} must be finite")
+
+    def test_overflowing_mean_field_is_no_steady_state(self, tmp_path, capsys):
+        code = run_cli("point", "--set", "Omega_n=1e190", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("no steady state: overflow in steady-state solve: ")
+        assert err.count("\n") == 1
+
+    def test_infinite_axis_bound_is_a_configuration_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "hot.ini"
+        cfgfile.write_text("[sweep]\naxis1 = T\naxis1_min_K = 0\n"
+                           "axis1_max_K = inf\naxis1_points = 3\n")
+        code = run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "config error: [sweep]: axis 'T' needs a finite range, got [0.0, inf]\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_failing_sweep_override_is_a_configuration_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cold.ini"
@@ -356,6 +374,53 @@ class TestPresets:
         wd = 2 * 3.141592653589793 * 1e7
         assert record["steady_state"]["delta_n_tilde_radps"] == pytest.approx(
             0.9 * wd, rel=1e-12)
+
+
+# sha256 of the standard output and the output files of the one-point
+# commands, recorded before the covariance became a plain array: the
+# measures, the verdict, the optimizer and the tc search in every bit
+ONE_POINT_DIGESTS = {
+    "point --preset default": {
+        "stdout": "488cc5fa44667c6f3c330c6447f1d626086f75b33aa0e470efb7065ea69dc39f",
+        "point.json": "144680d6a45d79c47b8203596bc57fa6a99c595be8fcc97879d7ae8a75923843",
+    },
+    "point --preset table2_a1n": {
+        "stdout": "999ba36ba865a46ef09c005ce7b884dcee1f11bfd34d0bcf4f141ff90e1ae2a8",
+        "point.json": "e2daf22da0f644ab712ced983dbd17ecdbe38e5f53b3f1406d8ae1ccf31cd9af",
+    },
+    "point --preset table2_a1d": {
+        "stdout": "57ed1f028f00efd5ce42d41b6ee231add2007e0bfb7aae363fd07ba0e9a62fc5",
+        "point.json": "f79cd848cffaa9fe59277aaa1d902872cae3703b6fb1bbfbde0be3e29e63dc17",
+    },
+    "point --preset table2_ne": {
+        "stdout": "337a3d7905fa0abb1665c835a40a8abd23b7ef5148513f429bd590fb8efdc855",
+        "point.json": "da794acdabb5a54e09c419cc094a45ff996f0e4dcbb1786862b82f1a776204ec",
+    },
+    "point --preset table2_de": {
+        "stdout": "c7ead8eea9943cf6e50e507d6e1a1e13853e88ce32cdd1374e371d37cd0e4f4f",
+        "point.json": "b96e04b2d7c3525af8ea6f05fba8c83bc0ba829db9b125b9459b71cc233818e4",
+    },
+    "optimize --preset table2_ne": {
+        "stdout": "16318292a5e91466a4cc0d244d619a58280aa5bb8e006fc664cc15fd861e76dd",
+        "optimize_report.json": "6de3077ce10c3c90b6f12a8d16533566488f56f85a1abf7a245aa4a5b3dbbae0",
+        "optimize_trace.csv": "34a773bc569757389dd1b3aad685548b00ca6f716179c1193b8d8637407ed7b4",
+    },
+    "tc --preset table2_de": {
+        "stdout": "8222f546c2dbd48cd8355169440cb3cc3d71b6fb754df15956b95c8d8f33bba2",
+        "tc.json": "f39eb68c7f4568b3945d6afe71f2a9f819ac0cf4821027fd19344a7814c6ac90",
+    },
+}
+
+
+def test_one_point_outputs_are_pinned(tmp_path, capsys):
+    for i, (command, digests) in enumerate(ONE_POINT_DIGESTS.items()):
+        out = tmp_path / str(i)
+        run_cli(*command.split(), "--out", str(out))
+        outputs = {"stdout": capsys.readouterr().out.encode()}
+        outputs.update((name, (out / name).read_bytes()) for name in digests
+                       if name != "stdout")
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in outputs.items()} == digests, command
 
 
 class TestReproduceSweepsDigests:

@@ -8,18 +8,16 @@ from cavmag.dynamics import (
     diffusion_matrix,
     drift_matrices,
     drift_matrix,
-    export_matrix,
     spectral_abscissa,
-    stability,
     steady_state,
     steady_states,
 )
-from cavmag.gaussian import lyapunov_solve, steady_covariances, symplectic_eigenvalues
-from cavmag.model import (TWO_PI, ParameterError, SystemParams, param_arrays,
-                          updated_in_omega_d_units)
+from cavmag.gaussian import covariance_stack, lyapunov_solve, symplectic_eigenvalues
+from cavmag.model import ParameterError, SystemParams, updated_in_omega_d_units
 from cavmag.sweep import Axis, GridSpec, _point_values, grid_points
 
-from conftest import draw_params, sample_stable_params
+from conftest import (draw_params, mean_states, param_arrays, sample_stable_params,
+                      verdict_of)
 
 WD = SystemParams().omega_d
 
@@ -293,30 +291,30 @@ class TestDiffusionMatrix:
 
 class TestStability:
     def test_identity_decay_is_stable(self):
-        verdict = stability(-np.eye(10), omega_d=1.0)
+        verdict = verdict_of(-np.eye(10), omega_d=1.0)
         assert verdict.stable
         assert verdict.spectral_abscissa == pytest.approx(-1.0)
 
     def test_positive_diagonal_entry_is_unstable(self):
         p = SystemParams()
         A = np.diag([-p.kappa_a] * 9 + [+p.kappa_a])
-        verdict = stability(A, p.omega_d)
+        verdict = verdict_of(A, p.omega_d)
         assert not verdict.stable
         assert verdict.spectral_abscissa == pytest.approx(p.kappa_a)
 
     def test_reference_detunings_are_stable(self):
         p = SystemParams(delta_1=-WD, delta_2=+WD, delta_e=-WD,
                          delta_n_tilde_override=0.9 * WD, J=0.8 * WD)
-        verdict = stability(drift_matrix(p, steady_state(p)), p.omega_d)
+        verdict = verdict_of(drift_matrix(p, steady_state(p)), p.omega_d)
         assert verdict.stable
         assert verdict.margin > 0
 
     def test_marginal_system_declared_unstable(self):
         A = np.diag([-1.0] * 9 + [-1e-12])
-        assert not stability(A, omega_d=1.0).stable
+        assert not verdict_of(A, omega_d=1.0).stable
 
     def test_stack_matches_one_drift_at_a_time(self):
-        # steady_covariances takes every verdict from one stacked eigen-solve
+        # covariance_stack takes every verdict from one stacked eigen-solve
         rng = np.random.default_rng(63)
         ps = [draw_params(rng, SystemParams()) for _ in range(60)]
         ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
@@ -324,28 +322,19 @@ class TestStability:
         drifts = np.array([drift_matrix(p, steady_state(p)) for p in ps])
         assert list(spectral_abscissa(drifts)) == [spectral_abscissa(A)
                                                    for A in drifts]
-        stacked = [verdict for _, verdict, _ in steady_covariances(ps)]
-        for p, A, verdict in zip(ps, drifts, stacked):
-            one = stability(A, p.omega_d)
-            assert type(one.stable) is bool
-            assert [type(v) for v in vars(verdict).values()] == [bool, float, float]
-            assert (verdict.stable, verdict.spectral_abscissa, verdict.margin) == (
-                one.stable, one.spectral_abscissa, one.margin)
-        assert 0 < sum(v.stable for v in stacked) < len(ps)
+        out = covariance_stack(param_arrays(ps))
+        assert out.errors == {}
+        for p, A, abscissa, stable in zip(ps, drifts, out.abscissa.tolist(), out.stable):
+            one = verdict_of(A, p.omega_d)
+            assert [type(v) for v in vars(one).values()] == [bool, float, float]
+            assert (stable, abscissa) == (one.stable, one.spectral_abscissa)
+        assert 0 < out.stable.sum() < len(ps)
 
     def test_stable_points_yield_physical_covariances(self):
         for p in sample_stable_params(seed=13, count=5):
             A = drift_matrix(p, steady_state(p))
             V = lyapunov_solve(A, diffusion_matrix(p))
             assert symplectic_eigenvalues(V)[0] >= 0.5 - 1e-6
-
-
-def test_export_matrix_round_trips(tmp_path):
-    p = SystemParams()
-    A = drift_matrix(p, steady_state(p))
-    dest = tmp_path / "drift.txt"
-    export_matrix(A, dest)
-    np.testing.assert_allclose(np.loadtxt(dest), A, rtol=1e-12)
 
 
 def _outcome(run, p):
@@ -370,7 +359,7 @@ def assert_states_match(ps):
         assert (type(exc.value), str(exc.value)) == raised[0]
         return None
     mean = steady_states(param_arrays(ps))
-    for p, got in zip(ps, mean.states()):
+    for p, got in zip(ps, mean_states(mean)):
         want = _outcome(steady_state, p)
         if isinstance(got, Exception):
             assert (type(got), str(got)) == want
@@ -410,7 +399,7 @@ SINGULAR_SS = [
     SystemParams(kappa_n=1e-300, delta_n=0.0, delta_n_tilde_override=None),
     SystemParams(Omega_n=1e160, delta_n=0.0, delta_n_tilde_override=None),
 ]
-# points where the scalar loop raises OverflowError
+# points where the scalar loop overflows
 OVERFLOW = [
     SystemParams(Omega_n=1e200, delta_n=0.0, delta_n_tilde_override=None),  # |<n>|**2
     SystemParams(g_na=1e160),  # g_na**2
@@ -450,7 +439,11 @@ class TestArrayMeanFieldMatchesScalar:
         rng = np.random.default_rng(66)
         ps = [draw_params(rng, SystemParams()) for _ in range(40)]
         ps[25:25] = [SINGULAR_SS[0], overflow, SystemParams(Omega_n=1e200)]
-        assert assert_states_match(ps) is None
+        assert assert_states_match(ps) == 3
+        errors = steady_states(param_arrays(ps)).errors
+        assert sorted(errors) == [25, 26, 27]
+        assert all(str(errors[i]).startswith("overflow in steady-state solve: ")
+                   for i in (26, 27))
 
     def test_signed_zeros(self, min_live):
         # axes that cross 0.0 exactly, J = 0 and -0.0 inputs: repr tells
@@ -470,7 +463,7 @@ class TestArrayMeanFieldMatchesScalar:
 
     def test_empty_chunk(self):
         mean = steady_states(param_arrays([]))
-        assert mean.states() == [] and mean.errors == {}
+        assert mean_states(mean) == [] and mean.errors == {}
 
 
 class TestDriftAndDiffusionStacks:
@@ -479,7 +472,7 @@ class TestDriftAndDiffusionStacks:
         ps += [SystemParams(J=0.0, G_ae=-0.0, delta_e=0.0)]
         mean = steady_states(param_arrays(ps))
         stack = drift_matrices(param_arrays(ps), mean.delta_n_tilde)
-        for p, ss, A in zip(ps, mean.states(), stack):
+        for p, ss, A in zip(ps, mean_states(mean), stack):
             if isinstance(ss, Exception):
                 continue
             want = drift_matrix(p, ss)

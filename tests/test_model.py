@@ -206,9 +206,9 @@ class TestSystemParams:
         assert q.omega_c1 == pytest.approx(TWO_PI * 12e9 + p.delta_1)
 
     def test_occupations_match_formula(self):
-        z = SystemParams().occupations()
-        assert z.Z_d == pytest.approx(Z_10MHZ_10MK, rel=1e-6)
-        assert z.Z_a1 == pytest.approx(Z_10GHZ_10MK, rel=1e-3)
+        p = SystemParams()
+        assert thermal_occupation(p.omega_d, p.T) == pytest.approx(Z_10MHZ_10MK, rel=1e-6)
+        assert thermal_occupation(p.omega_c1, p.T) == pytest.approx(Z_10GHZ_10MK, rel=1e-3)
 
 
 def replace_reference(p: SystemParams, **changes) -> SystemParams:
