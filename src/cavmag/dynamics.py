@@ -144,11 +144,14 @@ _ROTATE = np.array([[-1.0], [1.0]])
 _SWAP = np.array([[1.0], [-1.0]])
 _HUGE = sys.float_info.max / 2  # below it hypot(re, im) cannot overflow
 # Fewer live points than this finish on the scalar loop: a few points cost
-# more as arrays than as scalars, and a non-convergent one would otherwise
-# take 10^4 array iterations.  Measured on 200-point chunks, per point: the
-# scmap.ini map 14.7 us at 24, 15.7 at 8, 15.4 at 64, 43.0 all scalar; the
-# strong-drive test set 419 us at 24, 5126 all array, 407 all scalar.
-_ARRAY_MIN_LIVE = 24
+# more as arrays than as scalars, and non-convergent ones would otherwise
+# take 10^4 array iterations.  It must exceed the non-convergent points of a
+# chunk: 2000 seed-62 strong-drive points have 29 and 41 per 1000-point chunk.
+# Measured on 1000-point chunks, per point: the scmap.ini map 5.6 us at 64,
+# 5.5 at 24, 5.8 all array, 34.9 all scalar; the strong-drive set 358 us at
+# 64, 754 at 24, 704 all array, 393 all scalar (on 200-point chunks: 400 us
+# at 24, 410 at 64).
+_ARRAY_MIN_LIVE = 64
 
 
 def _cx(x):

@@ -131,7 +131,9 @@ def _schur(a: np.ndarray):
 
 
 def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """y of r y + y r^T = f for a Schur form r (LAPACK trsyl)."""
+    """y of r y + y r^T = f for a Schur form r (LAPACK trsyl).  trsyl scales
+    y down to keep it from overflowing; a y it had to scale is no solution
+    in the caller's units, so that is a solver breakdown."""
     y, y_scale, info = _TRSYL(r, r, f, tranb="T")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
@@ -139,8 +141,26 @@ def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
         warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close "
                       "to or exactly zero. The solution is obtained via "
                       "perturbing the coefficients.", RuntimeWarning, stacklevel=3)
-    y *= y_scale
+    if y_scale != 1.0:
+        raise GaussianError(
+            f"solver breakdown: trsyl scaled the solution by {y_scale:.3e} "
+            "to avoid overflow")
     return y
+
+
+def _passes(finite, residual, bound):
+    """Whether solves pass the residual check, for one solve or a stack: a
+    finite covariance and a residual within a finite bound.  A bound that is
+    not finite (the norm of a huge diffusion overflows) checks nothing."""
+    return finite & (residual <= bound) & (bound < math.inf)
+
+
+def _breakdown(residual: float, bound: float) -> GaussianError:
+    if not bound < math.inf:
+        return GaussianError(f"solver breakdown: Lyapunov residual bound {bound:.3e} "
+                             "is not finite")
+    return GaussianError(
+        f"solver breakdown: Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
 
 
 def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -153,7 +173,8 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     spectrum for the stability check, then trsyl on r and u^T q u.  It is
     done on matrices prescaled by the largest drift entry and the result
     symmetrized; the residual is verified against 1e-8 * max(1, ||D||_F) in
-    the caller's units.
+    the caller's units.  A solution that trsyl had to scale down and a bound
+    that is not finite are solver breakdowns.
     """
     n = A.shape[0]
     if A.shape != (n, n) or D.shape != (n, n):
@@ -169,10 +190,8 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     V = 0.5 * (V + V.T)
     residual = np.linalg.norm(A @ V + V @ A.T + D)
     bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
-    if not np.isfinite(V).all() or residual > bound:
-        raise GaussianError(
-            f"solver breakdown: Lyapunov residual {residual:.3e} exceeds {bound:.3e}"
-        )
+    if not _passes(np.isfinite(V).all(), residual, bound):
+        raise _breakdown(residual, bound)
     return V
 
 
@@ -205,29 +224,35 @@ def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     at = np.flatnonzero(finite)
     scale = scale[at, None, None]
     a, q = A[at] / scale, -D[at] / scale
-    schur, ok = [], []
+    schur = []
     for j, i in enumerate(at.tolist()):
         try:
             r, u = _schur(a[j])
         except (np.linalg.LinAlgError, GaussianError) as exc:
             errors[i] = exc
         else:
-            schur.append((j, r, u))
-            ok.append(i)
-    ok = np.array(ok, dtype=np.intp)
-    U = np.array([u for _, _, u in schur]).reshape(-1, n, n)
-    Ut = U.swapaxes(1, 2)
-    F = Ut @ (q[[j for j, _, _ in schur]] @ U)
-    Y = np.array([_sylvester(r, f) for (_, r, _), f in zip(schur, F)]).reshape(-1, n, n)
-    V = (U @ Y) @ Ut
+            schur.append((j, i, r, u))
+    U = np.array([u for *_, u in schur]).reshape(-1, n, n)
+    F = U.swapaxes(1, 2) @ (q[[j for j, *_ in schur]] @ U)
+    solved, Y = [], []
+    for m, ((_, i, r, _), f) in enumerate(zip(schur, F)):
+        try:
+            Y.append(_sylvester(r, f))
+        except GaussianError as exc:
+            errors[i] = exc
+        else:
+            solved.append(m)
+    U = U[solved]
+    ok = np.array([schur[m][1] for m in solved], dtype=np.intp)
+    Y = np.array(Y).reshape(-1, n, n)
+    V = (U @ Y) @ U.swapaxes(1, 2)
     V = 0.5 * (V + V.swapaxes(1, 2))
     A, D = A[ok], D[ok]
     residual = _frobenius(A @ V + V @ A.swapaxes(1, 2) + D)
     bound = LYAPUNOV_RESIDUAL_RTOL * np.maximum(1.0, _frobenius(D))
-    good = np.isfinite(V).all(axis=(1, 2)) & ~(residual > bound)
+    good = _passes(np.isfinite(V).all(axis=(1, 2)), residual, bound)
     for j in np.flatnonzero(~good).tolist():
-        errors[int(ok[j])] = GaussianError(
-            f"solver breakdown: Lyapunov residual {residual[j]:.3e} exceeds {bound[j]:.3e}")
+        errors[int(ok[j])] = _breakdown(residual[j], bound[j])
     return V[good], ok[good], errors
 
 

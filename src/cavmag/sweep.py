@@ -2,11 +2,11 @@
 
 Axis values are dimensionless (units of omega_d) except the temperature axis,
 which is kelvin.  Each axis value passes the parameter checks once; points
-are then evaluated in consecutive chunks of 200 as arrays of parameter
-fields (gaussian.covariance_stack), with one stacked measure eigen-solve per
-block size, and rows are emitted in row-major order over the axes.  With
-``workers > 1`` the chunks run on a pool of forked processes; the rows are
-equal either way.
+are then evaluated in consecutive chunks of CHUNK (1000) as arrays of
+parameter fields (gaussian.covariance_stack), with one stacked measure
+eigen-solve per block size, and rows are emitted in row-major order over the
+axes.  With ``workers > 1`` the chunks run on a pool of forked processes;
+the rows are equal either way, and for every chunk size.
 """
 from __future__ import annotations
 
@@ -27,7 +27,12 @@ from . import __version__
 from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _measure_value_stack, covariance_stack
 from .model import EPS0, FIELDS, HBAR, KB, SystemParams, updated_in_omega_d_units
 
-CHUNK = 200  # grid points per stacked stability solve and per progress report
+# Grid points per chunk: per stacked stability solve and per progress report.
+# The array mean field costs a fixed ~5 ms per chunk, which a larger chunk
+# shares over more points (serial perfbench/scmap.ini map on 2 cores: 705-770
+# ms at 200, 542-554 at 500, 503-514 at 1000).  It is fixed, not set from the
+# worker count, so that rows and progress calls are the same for any count.
+CHUNK = 1000
 
 SWEEP_PARAMS = ("delta_1", "delta_2", "delta_e", "delta_n_tilde", "J", "T", "delta_a")
 LINKAGES = ("independent", "symmetric", "antisymmetric")
@@ -272,7 +277,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     Lyapunov solves of the stable points, then their measures from one
     stacked eigen-solve per block size.  ``progress`` (if given) is
     called with the number of completed rows after each chunk, that is every
-    200 rows and once after the last row.
+    ``CHUNK`` rows and once after the last row.
 
     ``workers > 1`` evaluates the chunks on a pool of forked processes, at
     most one per chunk and per CPU this process may use; results come back

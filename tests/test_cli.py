@@ -122,6 +122,16 @@ class TestEvaluationErrorsAreOneLine:
         assert err.startswith("no steady state: overflow in steady-state solve: ")
         assert err.count("\n") == 1
 
+    def test_overflowing_diffusion_is_no_steady_state(self, tmp_path, capsys):
+        # at T = 1e300 K trsyl scales the covariance down by 4.7e-301 and
+        # the norm of the diffusion overflows
+        code = run_cli("point", "--set", "T=1e300", "--out", str(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("no steady state: solver breakdown: ")
+        assert err.count("\n") == 1
+        assert "EN_ne" not in out
+
     def test_infinite_axis_bound_is_a_configuration_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "hot.ini"
         cfgfile.write_text("[sweep]\naxis1 = T\naxis1_min_K = 0\n"

@@ -146,6 +146,29 @@ class TestLyapunovMatchesScipy:
         with pytest.raises(GaussianError, match="non-finite"):
             lyapunov_solve(A, D)
 
+    def test_solution_that_trsyl_scales_down_is_a_breakdown(self):
+        # at T = 1e300 K trsyl scales the covariance by 4.7e-301 to keep it
+        # from overflowing, and the residual bound is inf
+        p = SystemParams(T=1e300)
+        A, D = drift_matrix(p, steady_state(p)), diffusion_matrix(p)
+        with pytest.raises(GaussianError, match="^solver breakdown: trsyl scaled "):
+            lyapunov_solve(A, D)
+
+    def test_infinite_residual_bound_is_a_breakdown(self):
+        # ||D||_F overflows while trsyl needs no scaling
+        with pytest.raises(GaussianError, match="^solver breakdown: Lyapunov residual "
+                                                "bound inf is not finite"):
+            lyapunov_solve(np.diag([-1.0, -2.0]), 1e160 * np.eye(2))
+
+    def test_residual_check_fails_what_it_cannot_check(self):
+        nan, inf = float("nan"), float("inf")
+        assert gaussian._passes(True, 1.0, 1.0)
+        for finite, residual, bound in [(False, 0.0, 1.0), (True, nan, 1.0),
+                                        (True, 0.0, inf), (True, 0.0, nan)]:
+            assert not gaussian._passes(finite, residual, bound)
+        assert gaussian._passes(np.array([True, True, False]), np.array([0.0, nan, 0.0]),
+                                np.array([1.0, 1.0, 1.0])).tolist() == [True, False, False]
+
     def test_eigenvalue_pair_near_zero_sum_warns(self):
         # trsyl perturbs the -1e-20 + -1e-20 pair (its info 1); the
         # perturbed solution then fails the residual check
@@ -611,6 +634,16 @@ class TestBatchedLyapunovMatchesPerPoint:
         A[11] = 0.0  # zero drift: scale 1, spectrum on the axis
         errors = self.assert_same(A, D)
         assert sorted(errors) == [3, 5, 8, 11]
+
+    def test_overflow_breakdowns_on_their_matrices(self):
+        A, D = self.stacks()
+        hot = SystemParams(T=1e300)
+        A[4], D[4] = drift_matrix(hot, steady_state(hot)), diffusion_matrix(hot)
+        D[7] *= 1e160  # ||D||_F overflows, trsyl needs no scaling
+        errors = self.assert_same(A, D)
+        assert sorted(errors) == [4, 7]
+        assert str(errors[4]).startswith("solver breakdown: trsyl scaled ")
+        assert str(errors[7]).startswith("solver breakdown: Lyapunov residual bound inf")
 
     def test_residual_breakdown_text(self, monkeypatch):
         monkeypatch.setattr(gaussian, "LYAPUNOV_RESIDUAL_RTOL", 1e-30)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cavmag import config, gaussian, sweep
+from cavmag import config, dynamics, gaussian, sweep
 from cavmag.dynamics import (
     SteadyStateError,
     diffusion_matrix,
@@ -30,9 +30,18 @@ from cavmag.sweep import (
     run_grid,
 )
 
-from conftest import param_arrays, sample_stable_params, verdict_of
+from conftest import draw_params, param_arrays, sample_stable_params, verdict_of
 
 WD = SystemParams().omega_d
+CHUNK = sweep.CHUNK  # run_grid's chunk size, before a test sets another
+
+
+@pytest.fixture
+def chunk_200(monkeypatch):
+    """Chunks of 200 points, the size these tests count with: their grids
+    cross chunk boundaries and start pools as they did at that size
+    (forked workers inherit it)."""
+    monkeypatch.setattr(sweep, "CHUNK", 200)
 
 
 def small_spec(**kw):
@@ -134,6 +143,7 @@ class TestRunGrid:
         assert all(row.stable is False for row in result.rows)
         assert all(row.measures is None for row in result.rows)
 
+    @pytest.mark.usefixtures("chunk_200")
     @pytest.mark.parametrize("points, expected", [(450, [200, 400, 450]),
                                                   (200, [200]), (199, [199]),
                                                   (201, [200, 201])])
@@ -335,6 +345,7 @@ class TestEngineMatchesPerPointReference:
         assert len(calls) == 5 + 20 + 2 * 20
         assert sum(r.error is not None for r in rows) == 2 * 20
 
+    @pytest.mark.usefixtures("chunk_200")
     def test_fig7_type_grid(self):
         # the fig7 preset's seven pair measures over its 726 points (four
         # chunks, each with one stacked pair eigen-solve for all its stable
@@ -348,6 +359,7 @@ class TestEngineMatchesPerPointReference:
         stable, unstable, _ = assert_rows_identical(spec)
         assert stable > 100 and unstable > 100
 
+    @pytest.mark.usefixtures("chunk_200")
     def test_one_stacked_solve_per_block_size_per_chunk(self, monkeypatch):
         spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 2 * sweep.CHUNK),),
                         base=SystemParams(), measures=("EN_ne", "R_nde"))
@@ -397,6 +409,7 @@ class TestEngineMatchesPerPointReference:
         assert [r.measures for r in rows if r.stable] == [{}] * sum(r.stable for r in rows)
         assert any(r.stable for r in rows)
 
+    @pytest.mark.usefixtures("chunk_200")
     @pytest.mark.parametrize("points", [199, 200, 201, 450])
     def test_chunk_boundaries(self, points):
         spec = GridSpec(axes=(Axis("delta_n_tilde", -0.5, 1.5, points),),
@@ -429,6 +442,7 @@ def assert_pool_rows_equal(spec, pools):
     return serial
 
 
+@pytest.mark.usefixtures("chunk_200")
 class TestProcessPool:
     def test_pinned_grid_with_measures_and_unstable_rows(self, pools):
         spec = GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 25),
@@ -507,6 +521,70 @@ class TestProcessPool:
             run_grid(small_spec(), workers=workers)
 
 
+def strong_drive_grid():
+    """A self-consistent grid around the third seed-62 strong-drive point of
+    tests/test_dynamics.py: its small-J edge does not converge, and the
+    array loop hands its last live points to the scalar loop."""
+    rng = np.random.default_rng(62)
+    for _ in range(3):
+        base = draw_params(rng, SystemParams()).updated(
+            delta_n_tilde_override=None, delta_n=rng.uniform(-1.0, 1.0) * WD,
+            Omega_n=rng.uniform(1e11, 5e14))
+    return GridSpec(axes=(Axis("delta_e", -2.0, 2.0, 21), Axis("J", 1.0, 1.6, 10)),
+                    base=base, measures=("EN_ne",))
+
+
+class TestRowsDoNotDependOnTheChunkSize:
+    """Rows are equal with == for chunks of 7 points, of 200 and of
+    run_grid's own size, each with 1 and with 2 workers."""
+
+    def assert_same_rows(self, spec, monkeypatch, pools):
+        runs = []
+        for chunk in (7, 200, CHUNK):
+            monkeypatch.setattr(sweep, "CHUNK", chunk)
+            runs += [run_grid(spec, workers=workers).rows for workers in (1, 2)]
+        assert all(rows == runs[0] for rows in runs[1:])
+        assert pools and set(pools) == {2}  # 7-point chunks always start one
+        return runs[0]
+
+    def test_self_consistent_stability_map(self, monkeypatch, pools):
+        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points
+        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
+        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
+                        base=base, linkage="antisymmetric")
+        rows = self.assert_same_rows(spec, monkeypatch, pools)
+        assert sum(r.stable is False for r in rows) > 20
+        assert sum(r.stable is True for r in rows) > 20
+
+    def test_strong_drive_with_errors_and_scalar_hand_offs(self, monkeypatch, pools):
+        spec = strong_drive_grid()
+        handed_off = []
+        real = dynamics._iterate
+
+        def counted(p, dnt, first):
+            handed_off.append(first)
+            return real(p, dnt, first)
+
+        monkeypatch.setattr(dynamics, "_iterate", counted)
+        rows = self.assert_same_rows(spec, monkeypatch, pools)
+        errors = [r.error for r in rows if r.error is not None]
+        assert len(errors) >= 3
+        assert all(e.startswith("non-convergent self-consistency") for e in errors)
+        assert sum(r.stable is False for r in rows) > 20
+        assert sum(r.stable is True for r in rows) > 150
+        # serial runs only: forked workers count in their own copy
+        assert any(first > 1 for first in handed_off)
+
+    def test_pinned_grid_with_measures(self, monkeypatch, pools):
+        spec = GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 21),
+                              Axis("delta_n_tilde", -0.8, 1.6, 11)),
+                        base=SystemParams(), linkage="antisymmetric",
+                        measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd"))
+        rows = self.assert_same_rows(spec, monkeypatch, pools)
+        assert sum(r.stable is True for r in rows) > 20
+        assert sum(r.stable is False for r in rows) > 20
+
+
 def assert_same_evaluation(got, want):
     """Steady state, verdict fields with their Python types, and covariance
     entries equal with ==."""
@@ -555,6 +633,16 @@ class TestOnePointCallMatchesScalarReference:
         assert str(got.value) == str(want.value)
 
 
+def test_overflowing_diffusion_is_an_error_row():
+    # trsyl scales the covariance down at 5e299 and 1e300 K
+    rows = run_grid(GridSpec(axes=(Axis("T", 0.0, 1e300, 3),), base=SystemParams(),
+                             measures=("EN_ne",))).rows
+    assert rows[0].stable and rows[0].measures["EN_ne"] > 0.0
+    assert [r.stable for r in rows[1:]] == [None, None]
+    assert all(r.error.startswith("solver breakdown: trsyl scaled ") for r in rows[1:])
+
+
+@pytest.mark.usefixtures("chunk_200")
 @pytest.mark.parametrize("name", FIELDS)
 def test_every_field_value_ends_in_a_value_or_a_named_error(name):
     """Each field of the default point set to NaN, +-inf, 0, -1 or 1e300:
