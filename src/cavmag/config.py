@@ -337,6 +337,8 @@ def build_tc(cfg) -> tuple[str, float, float]:
             raise ConfigError(f"unrecognized key {key!r} in [tc]")
     measure = items.get("measure", "")
     t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
+    if not math.isfinite(t_max):
+        raise ConfigError(f"key 'T_max_K' in [tc] must be finite, got {t_max!r}")
     tol = _float(items.get("tol_K", "1e-3"), "tc", "tol_K")
     if not 0.0 < tol < math.inf:
         raise ConfigError(

@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
 from .model import SystemParams, updated_in_omega_d_units
@@ -55,6 +54,9 @@ class OptimizeSpec:
                 raise OptimizeError(
                     f"unknown box parameter {name!r}; choose from {OPT_PARAMS}"
                 )
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise OptimizeError(
+                    f"box for {name!r} must have finite bounds, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise OptimizeError(f"box for {name!r} has lo > hi")
         if self.restarts < 1:
@@ -95,7 +97,13 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     ended within its serial budget is taken as it ran; any other is replayed
     here from its run's points.  So the report, or the error, is the serial
     one.  One process, one restart or no ``fork`` start method: all run here.
+
+    ``scipy.optimize`` is imported here, not with the module, so that runs
+    that never optimize do not load it; it is imported before the pool
+    forks, so the workers inherit it.
     """
+    from scipy.optimize import minimize
+
     if workers is not None and workers < 1:
         raise OptimizeError(f"workers must be at least 1, got {workers}")
     names = [n for n in OPT_PARAMS if n in spec.box]
@@ -264,8 +272,9 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
     """
     if measure not in MEASURE_IDS:
         raise OptimizeError(f"unknown measure id {measure!r}")
-    if T_max <= T_FLOOR:
-        raise OptimizeError(f"T_max must exceed the {T_FLOOR} K floor")
+    if not T_FLOOR < T_max < math.inf:  # NaN fails too
+        raise OptimizeError(
+            f"T_max must be finite and exceed the {T_FLOOR} K floor, got {T_max!r}")
     if not 0.0 < tol < math.inf:  # at tol <= 0 the bisection never ends
         raise OptimizeError(f"tol must be a positive finite temperature, got {tol!r}")
 

@@ -306,6 +306,16 @@ box_delta_n_tilde_max_wd = -0.64
         assert code == 2
         assert "no stable point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["box_J_max_wd=nan", "box_J_max_wd=inf",
+                                          "box_J_min_wd=nan"])
+    def test_non_finite_box_bound_exits_1(self, tmp_path, capsys, override):
+        code = run_cli("optimize", "--preset", "table2_ne",
+                       "--set", "optimize.max_evaluations=200",
+                       "--set", f"optimize.{override}", "--out", str(tmp_path))
+        assert code == 1
+        assert "box for 'J' must have finite bounds" in capsys.readouterr().err
+        assert not (tmp_path / "optimize_report.json").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         code = run_cli("optimize", "--preset", "table2_ne", "--seed", "123",
                        "--set", "optimize.max_evaluations=40",
@@ -348,6 +358,14 @@ class TestTc:
                        "--out", str(tmp_path))
         assert code == 1
         assert "tol_K" in capsys.readouterr().err
+        assert not (tmp_path / "tc.json").exists()
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_is_a_configuration_error(self, tmp_path, capsys, t_max):
+        code = run_cli("tc", "--preset", "table2_ne", "--set", f"tc.T_max_K={t_max}",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert "T_max_K" in capsys.readouterr().err
         assert not (tmp_path / "tc.json").exists()
 
     def test_not_entangled_exits_2(self, tmp_path, capsys):

@@ -115,10 +115,13 @@ def test_unrecognized_coupling_key_named():
         build_coupling(cfg)
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
-def test_tc_tolerance_must_be_positive_and_finite(tol):
+@pytest.mark.parametrize("key, value", [
+    *(("tol_K", v) for v in ["0", "-1e-3", "nan", "inf"]),
+    *(("T_max_K", v) for v in ["nan", "inf", "-inf"]),
+])
+def test_tc_tolerance_and_t_max_checked(key, value):
     cfg = load_layers(preset="table2_de")
-    assert build_tc(cfg)[2] == 1e-3
-    cfg["tc"]["tol_K"] = tol
-    with pytest.raises(ConfigError, match="'tol_K' in \\[tc\\] must be a positive finite"):
+    assert build_tc(cfg)[1:] == (0.5, 1e-3)
+    cfg["tc"][key] = value
+    with pytest.raises(ConfigError, match=f"'{key}' in \\[tc\\] must be"):
         build_tc(cfg)

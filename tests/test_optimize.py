@@ -1,5 +1,10 @@
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,14 @@ class TestOptimizeSpec:
     def test_inverted_box_rejected(self):
         with pytest.raises(OptimizeError, match="lo > hi"):
             OptimizeSpec(measure="EN_ne", box={"J": (1.0, 0.2)})
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("side", ["min", "max"])
+    def test_non_finite_bound_rejected(self, bound, side):
+        # (0.2, nan) passes lo > hi but fails lo < hi, which pinned J silently
+        box = {"J": (bound, 1.0) if side == "min" else (0.2, bound)}
+        with pytest.raises(OptimizeError, match="box for 'J' must have finite bounds"):
+            OptimizeSpec(measure="EN_ne", box=box)
 
     def test_restart_floor(self):
         with pytest.raises(OptimizeError, match="restarts"):
@@ -296,16 +309,21 @@ class TestCriticalTemperature:
         t_fine = critical_temperature(ne_base(), "EN_ne", 0.5, tol=1e-3)
         assert abs(t_coarse - t_fine) <= 1e-3 + 1e-12
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
-    def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg", ["tol", "T_max"])
+    def test_tolerance_and_t_max_checked_before_any_evaluation(self, monkeypatch,
+                                                                arg, value):
         # at tol <= 0 the bisection reaches adjacent floats and never ends;
-        # the check comes before any evaluation
+        # a NaN T_max used to reach the parameter checks as "no steady state"
         def no_evaluation(*args):
-            raise AssertionError("evaluated before the tolerance check")
+            raise AssertionError("evaluated before the argument checks")
 
         monkeypatch.setattr(optimize, "evaluate_measure", no_evaluation)
-        with pytest.raises(OptimizeError, match="tol must be a positive finite"):
-            critical_temperature(ne_base(), "EN_ne", 0.5, tol=tol)
+        message = {"tol": "tol must be a positive finite",
+                   "T_max": "T_max must be finite and exceed"}[arg]
+        kwargs = {"T_max": 0.5, "tol": 1e-3, arg: value}
+        with pytest.raises(OptimizeError, match=message):
+            critical_temperature(ne_base(), "EN_ne", **kwargs)
 
     def test_still_entangled_at_t_max_raises(self):
         with pytest.raises(OptimizeError, match="still above"):
@@ -324,3 +342,58 @@ class TestCriticalTemperature:
             assert len(exc.samples) == 9
         except OptimizeError:
             pytest.skip("profile monotone at this point; guard not exercised")
+
+
+def run_fresh(script: str, *args: str) -> None:
+    """Runs a script in a new interpreter: other tests import scipy.optimize
+    into this one."""
+    src = str(Path(optimize.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestScipyOptimizeImport:
+    def test_runs_that_do_not_optimize_do_not_import_it(self, tmp_path):
+        run_fresh("""
+            import sys
+            import cavmag, cavmag.cli
+            from cavmag.model import SystemParams
+            from cavmag.sweep import Axis, GridSpec, run_grid
+
+            assert cavmag.cli.main(["point", "--out", sys.argv[1]]) == 0
+            spec = GridSpec(axes=(Axis("delta_a", -1.5, 0.5, 3),
+                                  Axis("delta_n_tilde", 0.7, 1.1, 2)),
+                            base=SystemParams(), linkage="antisymmetric",
+                            measures=("EN_de", "EN_ne"))
+            assert len(run_grid(spec).rows) == 6
+            assert "scipy.optimize" not in sys.modules
+        """, str(tmp_path))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the restart pool needs the fork start method")
+    def test_maximize_imports_it_before_the_pool_forks(self):
+        run_fresh("""
+            import sys
+            from cavmag import optimize
+            from cavmag.model import SystemParams
+
+            built = []
+
+            class CheckedPool(optimize.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    assert "scipy.optimize" in sys.modules
+                    built.append(args[0])
+                    super().__init__(*args, **kwargs)
+
+            optimize.ProcessPoolExecutor = CheckedPool
+            assert "scipy.optimize" not in sys.modules
+            spec = optimize.OptimizeSpec(
+                measure="EN_ne",
+                box={"delta_1": (0.4, 1.1), "delta_2": (-0.9, -0.1)},
+                restarts=2, max_evaluations=120, seed=5)
+            optimize.maximize(spec, SystemParams(), workers=2)
+            assert built == [2]
+        """)
