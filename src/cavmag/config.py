@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .model import (TWO_PI, CouplingDerivation, ParameterError, SystemParams,
                     updated_in_omega_d_units)
-from .optimize import OPT_PARAMS, OptimizeSpec
+from .optimize import OPT_PARAMS, T_FLOOR, OptimizeSpec
 from .sweep import Axis, GridSpec
 
 DEFAULT_PRESET = "default"
@@ -337,8 +337,9 @@ def build_tc(cfg) -> tuple[str, float, float]:
             raise ConfigError(f"unrecognized key {key!r} in [tc]")
     measure = items.get("measure", "")
     t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
-    if not math.isfinite(t_max):
-        raise ConfigError(f"key 'T_max_K' in [tc] must be finite, got {t_max!r}")
+    if not T_FLOOR < t_max < math.inf:
+        raise ConfigError(
+            f"key 'T_max_K' in [tc] must be finite and above {T_FLOOR} K, got {t_max!r}")
     tol = _float(items.get("tol_K", "1e-3"), "tc", "tol_K")
     if not 0.0 < tol < math.inf:
         raise ConfigError(

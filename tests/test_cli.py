@@ -360,8 +360,8 @@ class TestTc:
         assert "tol_K" in capsys.readouterr().err
         assert not (tmp_path / "tc.json").exists()
 
-    @pytest.mark.parametrize("t_max", ["nan", "inf"])
-    def test_non_finite_t_max_is_a_configuration_error(self, tmp_path, capsys, t_max):
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
+    def test_t_max_outside_its_range_is_a_configuration_error(self, tmp_path, capsys, t_max):
         code = run_cli("tc", "--preset", "table2_ne", "--set", f"tc.T_max_K={t_max}",
                        "--out", str(tmp_path))
         assert code == 1

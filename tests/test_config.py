@@ -117,11 +117,13 @@ def test_unrecognized_coupling_key_named():
 
 @pytest.mark.parametrize("key, value", [
     *(("tol_K", v) for v in ["0", "-1e-3", "nan", "inf"]),
-    *(("T_max_K", v) for v in ["nan", "inf", "-inf"]),
+    *(("T_max_K", v) for v in ["nan", "inf", "-inf", "0", "-1", "1e-3"]),
 ])
 def test_tc_tolerance_and_t_max_checked(key, value):
     cfg = load_layers(preset="table2_de")
     assert build_tc(cfg)[1:] == (0.5, 1e-3)
     cfg["tc"][key] = value
-    with pytest.raises(ConfigError, match=f"'{key}' in \\[tc\\] must be"):
+    message = {"tol_K": "'tol_K' in \\[tc\\] must be a positive finite",
+               "T_max_K": "'T_max_K' in \\[tc\\] must be finite and above"}[key]
+    with pytest.raises(ConfigError, match=message):
         build_tc(cfg)

@@ -369,8 +369,11 @@ class TestScipyOptimizeImport:
                             base=SystemParams(), linkage="antisymmetric",
                             measures=("EN_de", "EN_ne"))
             assert len(run_grid(spec).rows) == 6
+            # a pooled stability map of several chunks
+            assert cavmag.cli.main(["stability-map", "--config", sys.argv[2],
+                                    "--workers", "2", "--out", sys.argv[1]]) == 0
             assert "scipy.optimize" not in sys.modules
-        """, str(tmp_path))
+        """, str(tmp_path), str(Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini"))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the restart pool needs the fork start method")
