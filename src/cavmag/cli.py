@@ -7,8 +7,9 @@ state (unstable point, infeasible box, vanished entanglement).
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -24,9 +25,9 @@ from .config import (
     load_layers,
 )
 from .gaussian import BIPARTITE_MEASURES, NO_STEADY_STATE, TRIPARTITE_MEASURES, full_report
-from .model import EPS0, HBAR, KB, validate_regime
-from .optimize import NonMonotoneProfile, OptimizeError, critical_temperature, maximize
-from .sweep import emit_csv, run_grid
+from .model import validate_regime
+from .optimize import OptimizeError, critical_temperature, maximize
+from .sweep import emit_csv, run_grid, sidecar_head, write_json
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,16 +58,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-presets", action="store_true",
                         help="list bundled presets and exit")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("point", parents=[common],
-                   help="evaluate every measure at one parameter point")
-    sub.add_parser("sweep", parents=[common],
-                   help="run the configured parameter sweeps to CSV")
-    sub.add_parser("optimize", parents=[common],
-                   help="maximize a measure over the configured box")
-    sub.add_parser("tc", parents=[common],
-                   help="critical temperature of the configured measure")
-    sub.add_parser("stability-map", parents=[common],
-                   help="sweep the stability flag only")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -74,25 +67,26 @@ def _resolve(args):
     cfg = load_layers(preset=args.preset, config_path=args.config)
     for assignment in args.sets:
         apply_set(cfg, assignment)
-    params = build_system(cfg)
-    coupling = build_coupling(cfg)
-    return cfg, params, coupling
+    # every command checks [coupling], though only point uses it
+    return cfg, build_system(cfg), build_coupling(cfg)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_sidecar(out: Path, command: str, cfg, args) -> None:
-    record = {
-        "tool": "cavmag",
-        "version": __version__,
+    write_json(out / f"{command}.meta.json", {
+        **sidecar_head(),
         "command": command,
-        "constants": {"hbar_J_s": HBAR, "k_B_J_per_K": KB, "eps0_F_per_m": EPS0},
         "config": cfg,
         "overrides": list(args.sets),
         "preset": args.preset,
         "seed": args.seed,
         "workers": args.workers,
-    }
-    (out / f"{command}.meta.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def _cplx(z) -> dict:
@@ -101,8 +95,7 @@ def _cplx(z) -> dict:
 
 def cmd_point(args) -> int:
     cfg, params, coupling = _resolve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = full_report(params)
     warnings = validate_regime(params, report.steady, coupling)
     ss = report.steady
@@ -117,22 +110,19 @@ def cmd_point(args) -> int:
     print(f"stability: {'stable' if verdict.stable else 'UNSTABLE'} "
           f"(spectral abscissa {verdict.spectral_abscissa:+.4e} rad/s, "
           f"margin {verdict.margin:+.4e} rad/s)")
-    print("bipartite log-negativities:")
-    for mid, pair in BIPARTITE_MEASURES.items():
-        value = report.bipartite.get(pair)
-        print(f"  {mid:8s} = " + ("n/a" if value is None else f"{value:.6f}"))
-    print("tripartite residual contangles (minimum over partitions):")
-    for mid, triple in TRIPARTITE_MEASURES.items():
-        rc = report.tripartite.get(triple)
-        print(f"  {mid:8s} = " + ("n/a" if rc is None else f"{rc.r_min:.6f}"))
-    if warnings:
-        print("regime warnings:")
-        for w in warnings:
-            print(f"  - {w}")
-    else:
-        print("regime warnings: none")
+    for title, measure_ids in (
+            ("bipartite log-negativities:", BIPARTITE_MEASURES),
+            ("tripartite residual contangles (minimum over partitions):",
+             TRIPARTITE_MEASURES)):
+        print(title)
+        for mid in measure_ids:
+            value = report.measure(mid)
+            print(f"  {mid:8s} = " + ("n/a" if value is None else f"{value:.6f}"))
+    print("regime warnings:" + ("" if warnings else " none"))
+    for w in warnings:
+        print(f"  - {w}")
 
-    record = {
+    write_json(out / "point.json", {
         "stable": report.stable,
         "spectral_abscissa_radps": verdict.spectral_abscissa,
         "margin_radps": verdict.margin,
@@ -142,8 +132,7 @@ def cmd_point(args) -> int:
             "x": ss.x_mean,
             "delta_n_tilde_radps": ss.delta_n_tilde,
         },
-        "bipartite": {mid: report.bipartite.get(pair)
-                      for mid, pair in BIPARTITE_MEASURES.items()},
+        "bipartite": {mid: report.measure(mid) for mid in BIPARTITE_MEASURES},
         "tripartite": {
             mid: (None if report.tripartite.get(tr) is None else {
                 "partitions": report.tripartite[tr].partitions,
@@ -152,28 +141,24 @@ def cmd_point(args) -> int:
             for mid, tr in TRIPARTITE_MEASURES.items()
         },
         "warnings": warnings,
-    }
-    (out / "point.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    })
     _write_sidecar(out, "point", cfg, args)
     return 0 if report.stable else 2
 
 
-def _run_sweeps(args, only_stability: bool) -> int:
+def _run_sweeps(args) -> int:
+    """``sweep``, or with ``stability-map`` the same grids without measures."""
     cfg, params, _ = _resolve(args)
     specs = build_grid_specs(cfg, params)
     if not specs:
         raise ConfigError("the configuration defines no [sweep] section")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     for name, spec in specs:
-        if only_stability and spec.measures:
-            spec = type(spec)(axes=spec.axes, base=spec.base,
-                              linkage=spec.linkage, measures=())
+        if args.command == "stability-map":
+            spec = replace(spec, measures=())
         progress = None
         if args.verbose:
-            total = 1
-            for a in spec.axes:
-                total *= a.points
+            total = math.prod(a.points for a in spec.axes)
             progress = lambda done, total=total, name=name: print(
                 f"[{name}] {done}/{total} rows", file=sys.stderr)
         result = run_grid(spec, progress=progress, workers=args.workers)
@@ -183,23 +168,14 @@ def _run_sweeps(args, only_stability: bool) -> int:
         n_err = sum(1 for r in result.rows if r.error is not None)
         print(f"wrote {destination} ({len(result.rows)} rows, "
               f"{n_unstable} unstable, {n_err} errors)")
-    _write_sidecar(out, "stability-map" if only_stability else "sweep", cfg, args)
+    _write_sidecar(out, args.command, cfg, args)
     return 0
-
-
-def cmd_sweep(args) -> int:
-    return _run_sweeps(args, only_stability=False)
-
-
-def cmd_stability_map(args) -> int:
-    return _run_sweeps(args, only_stability=True)
 
 
 def cmd_optimize(args) -> int:
     cfg, params, _ = _resolve(args)
     spec = build_optimize_spec(cfg, seed_override=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     try:
         report = maximize(spec, params, workers=args.workers)
     except OptimizeError as exc:
@@ -209,20 +185,17 @@ def cmd_optimize(args) -> int:
           f"after {report.evaluations} evaluations")
     for name, value in report.best_point.items():
         print(f"  {name} = {value:+.4f} omega_d")
-    record = {
+    write_json(out / "optimize_report.json", {
         "measure": spec.measure,
         "seed": spec.seed,
         "best_value": report.best_value,
         "best_point_wd": report.best_point,
         "evaluations": report.evaluations,
         "restarts": report.restarts,
-    }
-    (out / "optimize_report.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n")
-    trace_lines = ["restart,best_value,nfev"]
-    for i, r in enumerate(report.restarts):
-        trace_lines.append(f"{i},{format(r['best_value'], '.9g')},{r['nfev']}")
-    (out / "optimize_trace.csv").write_text("\n".join(trace_lines) + "\n")
+    })
+    (out / "optimize_trace.csv").write_text("restart,best_value,nfev\n" + "".join(
+        f"{i},{format(r['best_value'], '.9g')},{r['nfev']}\n"
+        for i, r in enumerate(report.restarts)))
     _write_sidecar(out, "optimize", cfg, args)
     return 0
 
@@ -230,33 +203,30 @@ def cmd_optimize(args) -> int:
 def cmd_tc(args) -> int:
     cfg, params, _ = _resolve(args)
     measure, t_max, tol = build_tc(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     try:
         t_c = critical_temperature(params, measure, t_max, tol=tol)
-    except NonMonotoneProfile as exc:
-        print(f"tc failed: {exc}", file=sys.stderr)
-        for T, v in exc.samples:
-            print(f"  T={T:.4f} K  {measure}={v:.6e}", file=sys.stderr)
-        return 2
     except OptimizeError as exc:
         print(f"tc failed: {exc}", file=sys.stderr)
+        # a NonMonotoneProfile carries the samples that show it
+        for T, v in getattr(exc, "samples", ()):
+            print(f"  T={T:.4f} K  {measure}={v:.6e}", file=sys.stderr)
         return 2
     print(f"critical temperature for {measure}: {t_c * 1e3:.1f} mK "
           f"(threshold 1e-4, tolerance {tol * 1e3:.1f} mK)")
-    (out / "tc.json").write_text(json.dumps(
-        {"measure": measure, "T_c_K": t_c, "T_max_K": t_max, "tol_K": tol},
-        sort_keys=True, indent=2) + "\n")
+    write_json(out / "tc.json",
+               {"measure": measure, "T_c_K": t_c, "T_max_K": t_max, "tol_K": tol})
     _write_sidecar(out, "tc", cfg, args)
     return 0
 
 
+# subcommand -> (handler, help)
 _COMMANDS = {
-    "point": cmd_point,
-    "sweep": cmd_sweep,
-    "optimize": cmd_optimize,
-    "tc": cmd_tc,
-    "stability-map": cmd_stability_map,
+    "point": (cmd_point, "evaluate every measure at one parameter point"),
+    "sweep": (_run_sweeps, "run the configured parameter sweeps to CSV"),
+    "optimize": (cmd_optimize, "maximize a measure over the configured box"),
+    "tc": (cmd_tc, "critical temperature of the configured measure"),
+    "stability-map": (_run_sweeps, "sweep the stability flag only"),
 }
 
 
@@ -273,7 +243,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -9,11 +9,12 @@ right.  Sweep/optimize boxes and ``--set`` rate values are in omega_d units.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
 
-from .model import (TWO_PI, CouplingDerivation, ParameterError, SystemParams,
+from .model import (FIELDS, TWO_PI, CouplingDerivation, ParameterError, SystemParams,
                     updated_in_omega_d_units)
 from .optimize import OPT_PARAMS, T_FLOOR, OptimizeSpec
 from .sweep import Axis, GridSpec
@@ -25,48 +26,28 @@ class ConfigError(ValueError):
     pass
 
 
-# [system]: logical parameter -> file key carrying the unit suffix
-_SYSTEM_KEYS = {
-    "omega_d": "omega_d_hz2pi",
-    "omega_l": "omega_l_hz2pi",
-    "omega_c1": "omega_c1_hz2pi",
-    "omega_c2": "omega_c2_hz2pi",
-    "omega_e": "omega_e_hz2pi",
-    "omega_n": "omega_n_hz2pi",
-    "delta_1": "delta_1_hz2pi",
-    "delta_2": "delta_2_hz2pi",
-    "delta_e": "delta_e_hz2pi",
-    "delta_n": "delta_n_hz2pi",
-    "delta_n_tilde_override": "delta_n_tilde_hz2pi",
-    "kappa_a": "kappa_a_hz2pi",
-    "kappa_n": "kappa_n_hz2pi",
-    "gamma_e": "gamma_e_hz2pi",
-    "gamma_d": "gamma_d_hz2pi",
-    "g_na": "g_na_hz2pi",
-    "g_nd": "g_nd_hz2pi",
-    "G_nd": "G_nd_hz2pi",
-    "G_ae": "G_ae_hz2pi",
-    "J": "J_hz2pi",
-    "Omega_l": "Omega_l_hz2pi",
-    "Omega_n": "Omega_n_hz2pi",
-    "T": "T_K",
-}
-_SYSTEM_BY_FILE_KEY = {v: k for k, v in _SYSTEM_KEYS.items()}
+# [system]: file key carrying the unit suffix -> SystemParams field
+_SYSTEM_FIELDS = {{"delta_n_tilde_override": "delta_n_tilde_hz2pi",
+                   "T": "T_K"}.get(name, f"{name}_hz2pi"): name for name in FIELDS}
+# the fields that `none` may leave unset: the carriers and detunings (each
+# derived from the other) and the pinned effective magnon detuning
+_OPTIONAL = {f.name for f in dataclasses.fields(SystemParams) if "None" in str(f.type)}
 
-_COUPLING_KEYS = {
-    "nu": "nu_Cm",
-    "V_cav": "V_cav_m3",
+# [coupling]: file key -> CouplingDerivation field
+_COUPLING_FIELDS = {
+    "nu_Cm": "nu",
+    "V_cav_m3": "V_cav",
     "N_atoms": "N_atoms",
-    "Gamma_gyro": "Gamma_gyro_hz2pi_per_T",
-    "rho_spin": "rho_spin_perm3",
-    "V_sphere": "V_sphere_m3",
-    "B0": "B0_T",
-    "P_drive": "P_drive_W",
+    "Gamma_gyro_hz2pi_per_T": "Gamma_gyro",
+    "rho_spin_perm3": "rho_spin",
+    "V_sphere_m3": "V_sphere",
+    "B0_T": "B0",
+    "P_drive_W": "P_drive",
     "spin_number": "spin_number",
 }
-_COUPLING_BY_FILE_KEY = {v: k for k, v in _COUPLING_KEYS.items()}
-_ANGULAR = {k for k in set(_SYSTEM_BY_FILE_KEY) if k.endswith("_hz2pi")}
-_ANGULAR.add("Gamma_gyro_hz2pi_per_T")
+
+# besides these, any number of [sweep:<name>] sections
+_SECTIONS = ("system", "coupling", "sweep", "optimize", "tc")
 
 # parameters settable in omega_d units via --set or sweep set_* keys
 RATE_SHORTHAND = (
@@ -145,8 +126,7 @@ def apply_set(cfg: dict[str, dict[str, str]], assignment: str) -> None:
             f"--set key {name!r} is not a known shorthand; use one of "
             f"{RATE_SHORTHAND + ('T',)} or a section.key form"
         )
-    file_key = _SYSTEM_KEYS["delta_n_tilde_override" if name == "delta_n_tilde"
-                            else name]
+    file_key = f"{name}_hz2pi"
     if value.lower() == "none":
         cfg.setdefault("system", {})[file_key] = "none"
         return
@@ -168,21 +148,36 @@ def _float(raw: str | None, section: str, key: str) -> float:
         ) from None
 
 
+def _items(cfg, section: str, known, hint: str = "") -> dict[str, str]:
+    """The keys of ``[section]`` (none if it is absent), each one in ``known``."""
+    items = cfg.get(section) or {}
+    for key in items:
+        if key not in known:
+            raise ConfigError(f"unrecognized key {key!r} in [{section}]{hint}")
+    return items
+
+
 def build_system(cfg) -> SystemParams:
-    section = cfg.get("system", {})
-    kwargs = {}
-    for file_key, raw in section.items():
-        if file_key not in _SYSTEM_BY_FILE_KEY:
+    # every command starts here, once the layers and --set overrides are merged
+    for section in cfg:
+        if section not in _SECTIONS and not section.startswith("sweep:"):
             raise ConfigError(
-                f"unrecognized key {file_key!r} in [system]; every key needs "
-                "a unit suffix (e.g. kappa_a_hz2pi, T_K)"
-            )
-        logical = _SYSTEM_BY_FILE_KEY[file_key]
+                f"unknown section [{section}]; use [system], [coupling], [sweep], "
+                "[sweep:<name>], [optimize] or [tc]")
+    kwargs = {}
+    items = _items(cfg, "system", _SYSTEM_FIELDS,
+                   "; every key needs a unit suffix (e.g. kappa_a_hz2pi, T_K)")
+    for file_key, raw in items.items():
+        name = _SYSTEM_FIELDS[file_key]
         if raw.strip().lower() == "none":
-            kwargs[logical] = None
+            if name not in _OPTIONAL:
+                raise ConfigError(
+                    f"key {file_key!r} in [system] cannot be none; only the carriers, "
+                    "the detunings and delta_n_tilde_hz2pi may be left unset")
+            kwargs[name] = None
             continue
         value = _float(raw, "system", file_key)
-        kwargs[logical] = value * TWO_PI if file_key in _ANGULAR else value
+        kwargs[name] = value * TWO_PI if "_hz2pi" in file_key else value
     try:
         return SystemParams(**kwargs)
     except ParameterError as exc:
@@ -190,50 +185,51 @@ def build_system(cfg) -> SystemParams:
 
 
 def build_coupling(cfg) -> CouplingDerivation | None:
-    section = cfg.get("coupling")
+    section = _items(cfg, "coupling", {*_COUPLING_FIELDS, "sphere_diameter_m"})
     if not section:
         return None
+    if "sphere_diameter_m" in section and "V_sphere_m3" in section:
+        raise ConfigError(
+            "[coupling] gives both sphere_diameter_m and V_sphere_m3; use one")
     kwargs = {}
     for file_key, raw in section.items():
-        if file_key == "sphere_diameter_m":
-            if "V_sphere_m3" in section:
-                raise ConfigError(
-                    "[coupling] gives both sphere_diameter_m and V_sphere_m3; "
-                    "use one"
-                )
-            d = _float(raw, "coupling", file_key)
-            kwargs["V_sphere"] = math.pi / 6.0 * d**3
-            continue
-        if file_key not in _COUPLING_BY_FILE_KEY:
-            raise ConfigError(f"unrecognized key {file_key!r} in [coupling]")
         value = _float(raw, "coupling", file_key)
-        if file_key in _ANGULAR:
-            value *= TWO_PI
-        kwargs[_COUPLING_BY_FILE_KEY[file_key]] = value
+        if file_key == "sphere_diameter_m":
+            kwargs["V_sphere"] = math.pi / 6.0 * value**3
+        else:
+            kwargs[_COUPLING_FIELDS[file_key]] = (
+                value * TWO_PI if "_hz2pi" in file_key else value)
     try:
         return CouplingDerivation(**kwargs)
     except ParameterError as exc:
         raise ConfigError(f"[coupling]: {exc}") from exc
 
 
-def _axis(section_name: str, items: dict[str, str], k: int) -> Axis | None:
+def _axis_keys(items: dict[str, str], k: int) -> tuple[str, ...]:
+    """The keys of axis ``k`` (bounds in K for a T axis, in omega_d units
+    otherwise), or none when the section does not name the axis."""
     param = items.get(f"axis{k}")
     if param is None:
-        return None
+        return ()
     unit = "K" if param == "T" else "wd"
-    lo = _float(items.get(f"axis{k}_min_{unit}"), section_name, f"axis{k}_min_{unit}")
-    hi = _float(items.get(f"axis{k}_max_{unit}"), section_name, f"axis{k}_max_{unit}")
-    raw_pts = items.get(f"axis{k}_points")
+    return f"axis{k}", f"axis{k}_min_{unit}", f"axis{k}_max_{unit}", f"axis{k}_points"
+
+
+def _axis(section_name: str, items: dict[str, str], keys) -> Axis:
+    param_key, lo_key, hi_key, points_key = keys
+    lo = _float(items.get(lo_key), section_name, lo_key)
+    hi = _float(items.get(hi_key), section_name, hi_key)
+    raw_pts = items.get(points_key)
     if raw_pts is None:
-        raise ConfigError(f"missing key 'axis{k}_points' in [{section_name}]")
+        raise ConfigError(f"missing key {points_key!r} in [{section_name}]")
     try:
         points = int(raw_pts)
     except ValueError:
         raise ConfigError(
-            f"key 'axis{k}_points' in [{section_name}]: not an integer"
+            f"key {points_key!r} in [{section_name}]: not an integer"
         ) from None
     try:
-        return Axis(param=param, lo=lo, hi=hi, points=points)
+        return Axis(param=items[param_key], lo=lo, hi=hi, points=points)
     except ValueError as exc:
         raise ConfigError(f"[{section_name}]: {exc}") from exc
 
@@ -262,25 +258,25 @@ def _apply_point_overrides(base: SystemParams, section_name: str,
     return updated_in_omega_d_units(base, changes) if changes else base
 
 
-_SWEEP_KEY_OK = ("axis1", "axis2", "linkage", "measures")
-
-
 def build_grid_specs(cfg, base: SystemParams) -> list[tuple[str, GridSpec]]:
     """GridSpecs for every [sweep] / [sweep:name] section, in file order."""
-    specs = []
+    specs: dict[str, GridSpec] = {}
     for section_name, items in cfg.items():
         if section_name != "sweep" and not section_name.startswith("sweep:"):
             continue
+        # the sweep writes <name>.csv into the output directory
         name = section_name.partition(":")[2] or "sweep"
-        for key in items:
-            known = (key in _SWEEP_KEY_OK or key.startswith("set_")
-                     or any(key.startswith(f"axis{k}_") for k in (1, 2)))
-            if not known:
-                raise ConfigError(f"unrecognized key {key!r} in [{section_name}]")
-        axes = [a for a in (_axis(section_name, items, 1),
-                            _axis(section_name, items, 2)) if a is not None]
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"[{section_name}]: sweep name {name!r} is not a file name")
+        if name in specs:
+            raise ConfigError(
+                f"[{section_name}]: another section already writes {name}.csv")
+        axis_keys = [keys for keys in (_axis_keys(items, 1), _axis_keys(items, 2)) if keys]
+        axes = [_axis(section_name, items, keys) for keys in axis_keys]
         if not axes:
             raise ConfigError(f"[{section_name}] defines no axes")
+        _items(cfg, section_name, {"linkage", "measures", *sum(axis_keys, ()),
+                                   *(key for key in items if key.startswith("set_"))})
         measures_raw = items.get("measures", "")
         measures = tuple(m.strip() for m in measures_raw.split(",") if m.strip())
         try:
@@ -288,7 +284,7 @@ def build_grid_specs(cfg, base: SystemParams) -> list[tuple[str, GridSpec]]:
         except ParameterError as exc:
             raise ConfigError(f"[{section_name}]: {exc}") from exc
         try:
-            spec = GridSpec(
+            specs[name] = GridSpec(
                 axes=tuple(axes),
                 base=point_base,
                 linkage=items.get("linkage", "independent"),
@@ -296,25 +292,20 @@ def build_grid_specs(cfg, base: SystemParams) -> list[tuple[str, GridSpec]]:
             )
         except ValueError as exc:
             raise ConfigError(f"[{section_name}]: {exc}") from exc
-        specs.append((name, spec))
-    return specs
+    return list(specs.items())
 
 
 def build_optimize_spec(cfg, seed_override: int | None = None) -> OptimizeSpec:
-    items = cfg.get("optimize")
+    box_keys = {param: (f"box_{param}_min_wd", f"box_{param}_max_wd")
+                for param in OPT_PARAMS}
+    items = _items(cfg, "optimize", {"measure", "restarts", "max_evaluations", "seed",
+                                     *sum(box_keys.values(), ())})
     if not items:
         raise ConfigError("no [optimize] section in the configuration")
-    box: dict[str, tuple[float, float]] = {}
-    for param in OPT_PARAMS:
-        lo_key, hi_key = f"box_{param}_min_wd", f"box_{param}_max_wd"
-        if lo_key in items or hi_key in items:
-            box[param] = (_float(items.get(lo_key), "optimize", lo_key),
-                          _float(items.get(hi_key), "optimize", hi_key))
-    known = {"measure", "restarts", "max_evaluations", "seed"}
-    known |= {f"box_{p}_{side}_wd" for p in OPT_PARAMS for side in ("min", "max")}
-    for key in items:
-        if key not in known:
-            raise ConfigError(f"unrecognized key {key!r} in [optimize]")
+    box = {param: (_float(items.get(lo_key), "optimize", lo_key),
+                   _float(items.get(hi_key), "optimize", hi_key))
+           for param, (lo_key, hi_key) in box_keys.items()
+           if lo_key in items or hi_key in items}
     try:
         return OptimizeSpec(
             measure=items.get("measure", ""),
@@ -329,12 +320,9 @@ def build_optimize_spec(cfg, seed_override: int | None = None) -> OptimizeSpec:
 
 
 def build_tc(cfg) -> tuple[str, float, float]:
-    items = cfg.get("tc")
+    items = _items(cfg, "tc", ("measure", "T_max_K", "tol_K"))
     if not items:
         raise ConfigError("no [tc] section in the configuration")
-    for key in items:
-        if key not in ("measure", "T_max_K", "tol_K"):
-            raise ConfigError(f"unrecognized key {key!r} in [tc]")
     measure = items.get("measure", "")
     t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
     if not T_FLOOR < t_max < math.inf:

@@ -63,6 +63,8 @@ class OptimizeSpec:
             raise OptimizeError("restarts must be >= 1")
         if self.max_evaluations < 1:
             raise OptimizeError("max_evaluations must be >= 1")
+        if self.seed < 0:
+            raise OptimizeError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

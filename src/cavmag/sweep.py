@@ -289,9 +289,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     if workers < 1:
         raise SweepSpecError(f"workers must be at least 1, got {workers}")
     tables = [_axis_table(spec, axis) for axis in spec.axes]
-    total = 1
-    for axis in spec.axes:
-        total *= axis.points
+    total = math.prod(axis.points for axis in spec.axes)
     chunks = [range(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
     n = min(workers, len(chunks), _usable_cpus())
     pool = None
@@ -308,9 +306,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     metadata = {
-        "tool": "cavmag",
-        "version": __version__,
-        "constants": {"hbar_J_s": HBAR, "k_B_J_per_K": KB, "eps0_F_per_m": EPS0},
+        **sidecar_head(),
         "base_params": spec.base.as_dict(),
         "grid": {
             "axes": [
@@ -325,6 +321,17 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
         },
     }
     return SweepResult(columns=spec.columns, rows=rows, metadata=metadata)
+
+
+def sidecar_head() -> dict:
+    """The tool, its version and the physical constants, atop every sidecar."""
+    return {"tool": "cavmag", "version": __version__,
+            "constants": {"hbar_J_s": HBAR, "k_B_J_per_K": KB, "eps0_F_per_m": EPS0}}
+
+
+def write_json(path: Path, record: dict) -> None:
+    """``record`` as indented JSON with sorted keys, as every output file is."""
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _cell(value) -> str:
@@ -349,8 +356,7 @@ def emit_csv(result: SweepResult, destination) -> None:
             cells.append(_cell(None if row.measures is None else row.measures.get(mid)))
         lines.append(",".join(cells))
     destination.write_text("\n".join(lines) + "\n")
-    sidecar = destination.with_name(destination.name + ".meta.json")
-    sidecar.write_text(json.dumps(result.metadata, sort_keys=True, indent=2) + "\n")
+    write_json(destination.with_name(destination.name + ".meta.json"), result.metadata)
 
 
 def read_csv(path) -> SweepResult:

@@ -151,6 +151,70 @@ class TestEvaluationErrorsAreOneLine:
         assert capsys.readouterr().err == "config error: [sweep:cold]: T must be non-negative\n"
 
 
+_TINY_SWEEP = "axis1 = J\naxis1_min_wd = 0.2\naxis1_max_wd = 1.0\naxis1_points = 3\n"
+
+
+class TestInputsEndInOneConfigErrorLine:
+    """Inputs that used to be ignored, to overwrite an output or to end in a
+    traceback: each exits 1 with one ``config error:`` line."""
+
+    @staticmethod
+    def run(tmp_path, capsys, *argv, ini=None):
+        if ini is not None:
+            (tmp_path / "in.ini").write_text(ini)
+            argv += ("--config", str(tmp_path / "in.ini"))
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, ini", [
+        pytest.param(("--set", "sytem.T_K=5"), None, id="set"),
+        pytest.param((), "[sytem]\nT_K = 5\n", id="config-file"),
+    ])
+    def test_unknown_section(self, tmp_path, capsys, argv, ini):
+        assert self.run(tmp_path, capsys, "point", *argv, ini=ini) == (
+            1, "config error: unknown section [sytem]; use [system], [coupling], "
+               "[sweep], [sweep:<name>], [optimize] or [tc]\n")
+
+    @pytest.mark.parametrize("ini, message", [
+        pytest.param("[sweep]\n" + _TINY_SWEEP + "axis1_pionts = 9\n",
+                     "unrecognized key 'axis1_pionts' in [sweep]", id="typo"),
+        pytest.param("[sweep]\n" + _TINY_SWEEP
+                      + "axis2_min_wd = 0\naxis2_max_wd = 1\naxis2_points = 3\n",
+                      "unrecognized key 'axis2_min_wd' in [sweep]", id="axis2-without-axis2"),
+        pytest.param("[sweep]\n" + _TINY_SWEEP + "[sweep:sweep]\n" + _TINY_SWEEP,
+                     "[sweep:sweep]: another section already writes sweep.csv",
+                     id="same-name"),
+        pytest.param("[sweep:a/b]\n" + _TINY_SWEEP,
+                     "[sweep:a/b]: sweep name 'a/b' is not a file name", id="slash"),
+        pytest.param("[sweep:a\\b]\n" + _TINY_SWEEP,
+                     "[sweep:a\\b]: sweep name 'a\\\\b' is not a file name", id="backslash"),
+        pytest.param("[sweep:..]\n" + _TINY_SWEEP,
+                     "[sweep:..]: sweep name '..' is not a file name", id="dotdot"),
+        pytest.param("[sweep:.]\n" + _TINY_SWEEP,
+                     "[sweep:.]: sweep name '.' is not a file name", id="dot"),
+    ])
+    def test_sweep_keys_and_names(self, tmp_path, capsys, ini, message):
+        assert self.run(tmp_path, capsys, "sweep", ini=ini) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("assignment, key", [
+        ("J=none", "J_hz2pi"), ("T=none", "T_K"), ("kappa_a=none", "kappa_a_hz2pi"),
+        ("system.omega_d_hz2pi=none", "omega_d_hz2pi"),
+    ])
+    def test_none_for_a_required_system_key(self, tmp_path, capsys, assignment, key):
+        assert self.run(tmp_path, capsys, "point", "--set", assignment) == (
+            1, f"config error: key {key!r} in [system] cannot be none; only the "
+               "carriers, the detunings and delta_n_tilde_hz2pi may be left unset\n")
+
+    @pytest.mark.parametrize("argv, seed", [
+        (("--seed", "-1"), -1),
+        (("--set", "optimize.seed=-3"), -3),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv, seed):
+        assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne", *argv) == (
+            1, f"config error: [optimize]: seed must be >= 0, got {seed}\n")
+
+
 class TestSweep:
     def test_user_config_sweep(self, tmp_path, capsys):
         cfgfile = tmp_path / "sweep.ini"
@@ -406,36 +470,45 @@ class TestPresets:
 
 # sha256 of the standard output and the output files of the one-point
 # commands, recorded before the covariance became a plain array: the
-# measures, the verdict, the optimizer and the tc search in every bit
+# measures, the verdict, the optimizer and the tc search in every bit.  The
+# <command>.meta.json sidecars were recorded before the configuration front
+# end was cut down, and pin the config echo and the sidecar head.
 ONE_POINT_DIGESTS = {
     "point --preset default": {
         "stdout": "488cc5fa44667c6f3c330c6447f1d626086f75b33aa0e470efb7065ea69dc39f",
         "point.json": "144680d6a45d79c47b8203596bc57fa6a99c595be8fcc97879d7ae8a75923843",
+        "point.meta.json": "6ee4e6e0266a9ee3a9d17ca83496fe48a2af6b6e382211ad6dedcd5e61083933",
     },
     "point --preset table2_a1n": {
         "stdout": "999ba36ba865a46ef09c005ce7b884dcee1f11bfd34d0bcf4f141ff90e1ae2a8",
         "point.json": "e2daf22da0f644ab712ced983dbd17ecdbe38e5f53b3f1406d8ae1ccf31cd9af",
+        "point.meta.json": "e26aa6ac4e6904ecddbf1c9733d4a365f13a88576815bf78ec336de9ff8ceb54",
     },
     "point --preset table2_a1d": {
         "stdout": "57ed1f028f00efd5ce42d41b6ee231add2007e0bfb7aae363fd07ba0e9a62fc5",
         "point.json": "f79cd848cffaa9fe59277aaa1d902872cae3703b6fb1bbfbde0be3e29e63dc17",
+        "point.meta.json": "b4b3b30a33fc498306490c1e557deada955ef5c1ba716cbf09e9e3afb6997749",
     },
     "point --preset table2_ne": {
         "stdout": "337a3d7905fa0abb1665c835a40a8abd23b7ef5148513f429bd590fb8efdc855",
         "point.json": "da794acdabb5a54e09c419cc094a45ff996f0e4dcbb1786862b82f1a776204ec",
+        "point.meta.json": "9ff9f68ca287d364ce1ee6266db0780cf8723eeedd4bd6c1af6169775ac458d0",
     },
     "point --preset table2_de": {
         "stdout": "c7ead8eea9943cf6e50e507d6e1a1e13853e88ce32cdd1374e371d37cd0e4f4f",
         "point.json": "b96e04b2d7c3525af8ea6f05fba8c83bc0ba829db9b125b9459b71cc233818e4",
+        "point.meta.json": "5f906de5945bffd8f157f5f1724883baf2d47a1dc32780290930bf5ffefe5381",
     },
     "optimize --preset table2_ne": {
         "stdout": "16318292a5e91466a4cc0d244d619a58280aa5bb8e006fc664cc15fd861e76dd",
         "optimize_report.json": "6de3077ce10c3c90b6f12a8d16533566488f56f85a1abf7a245aa4a5b3dbbae0",
         "optimize_trace.csv": "34a773bc569757389dd1b3aad685548b00ca6f716179c1193b8d8637407ed7b4",
+        "optimize.meta.json": "f5c3866680822012f9a21fb3b8b4f42759071441293f48b332bebbff28bda854",
     },
     "tc --preset table2_de": {
         "stdout": "8222f546c2dbd48cd8355169440cb3cc3d71b6fb754df15956b95c8d8f33bba2",
         "tc.json": "f39eb68c7f4568b3945d6afe71f2a9f819ac0cf4821027fd19344a7814c6ac90",
+        "tc.meta.json": "61c7c019364fae561e77060c8427b3f1031e056bbaeb2d5ec8c13d83676a3b66",
     },
 }
 
@@ -449,6 +522,30 @@ def test_one_point_outputs_are_pinned(tmp_path, capsys):
                        if name != "stdout")
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in outputs.items()} == digests, command
+
+
+# sha256 of the metadata sidecars of the sweep commands (their standard
+# output names the output directory), recorded with the one-point sidecars
+SWEEP_SIDECAR_DIGESTS = {
+    "sweep --preset fig8": {
+        "sweep.meta.json": "40dfdc3d9b0dad7f22378c55e2fd65d9ec58dd23c357951119207bbf4305f34e",
+        "a1nd.csv.meta.json": "823a61aba718cfde8bdddc7cb748270580cf9174a8fc62663c305a785020242b",
+        "nde.csv.meta.json": "99df169280fa54fea4433c5b7ff00a304fb70d3a96703673a0ca063c28a6b3fc",
+    },
+    "stability-map --preset fig8": {
+        "stability-map.meta.json": "ea578df247395caa3134c9567af5e168dc7e91f4bf58e3b25ccca8b7c05c7209",
+        "a1nd.csv.meta.json": "0878015ce66ec0e72f917c66589d9e829af999028bd0d4f00002e4670b801358",
+        "nde.csv.meta.json": "e23e483f6d387063ebca83635490686424fbdccbabdff13a99ff85ebc21c3862",
+    },
+}
+
+
+def test_sweep_sidecars_are_pinned(tmp_path):
+    for i, (command, digests) in enumerate(SWEEP_SIDECAR_DIGESTS.items()):
+        out = tmp_path / str(i)
+        assert run_cli(*command.split(), "--out", str(out)) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests, command
 
 
 class TestReproduceSweepsDigests:

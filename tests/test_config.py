@@ -38,6 +38,15 @@ def test_none_unsets_an_optional_key():
     assert p.delta_n == pytest.approx(TWO_PI * 9e6)
 
 
+def test_none_unsets_a_carrier_but_no_required_key():
+    cfg = load_layers()
+    cfg["system"]["omega_c1_hz2pi"] = "none"
+    assert build_system(cfg).omega_c1 == pytest.approx(TWO_PI * (1e10 + 1e7))
+    cfg["system"]["gamma_d_hz2pi"] = "None"
+    with pytest.raises(ConfigError, match="key 'gamma_d_hz2pi' in \\[system\\] cannot be none"):
+        build_system(cfg)
+
+
 def test_shorthand_set_uses_omega_d_units():
     cfg = load_layers()
     apply_set(cfg, "delta_1=-1.25")
@@ -91,6 +100,13 @@ def test_sweep_point_override_names_validated():
         _sweep_with(set_omega_d_wd="2")
     with pytest.raises(ConfigError, match="must end in '_wd'"):
         _sweep_with(set_J="0.5")
+
+
+def test_sweep_axis_keys_follow_the_axis_unit():
+    # the axis's own keys are read before unknown keys are reported, so a
+    # T axis given omega_d bounds names the kelvin key it lacks
+    with pytest.raises(ConfigError, match="missing required key 'axis1_min_K' in \\[sweep\\]"):
+        _sweep_with(axis1="T")
 
 
 def test_sphere_diameter_alternative():

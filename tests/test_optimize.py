@@ -61,6 +61,11 @@ class TestOptimizeSpec:
         with pytest.raises(OptimizeError, match="restarts"):
             OptimizeSpec(measure="EN_ne", box={"J": (0.2, 1.0)}, restarts=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would fail later with a ValueError
+        with pytest.raises(OptimizeError, match="seed must be >= 0, got -1"):
+            OptimizeSpec(measure="EN_ne", box={"J": (0.2, 1.0)}, seed=-1)
+
 
 class TestMaximize:
     def test_collapsed_box_echoes_the_point(self):
