@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from cavmag.config import (
+    ConfigError,
     build_optimize_spec,
     build_system,
     build_tc,
@@ -25,16 +26,20 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
 
+    try:
+        cfgs = [load_layers(preset=preset) for preset in PRESETS]
+        configs = [(build_system(cfg), build_optimize_spec(cfg, seed_override=args.seed),
+                    build_tc(cfg)) for cfg in cfgs]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
     print(f"{'preset':12s} {'measure':8s} {'best':>8s} "
           f"{'d1':>6s} {'d2':>6s} {'dnt':>6s} {'de':>6s} {'J':>5s} {'T_c':>8s}")
-    for preset in PRESETS:
-        cfg = load_layers(preset=preset)
-        base = build_system(cfg)
-        spec = build_optimize_spec(cfg, seed_override=args.seed)
+    for preset, (base, spec, (measure, t_max, tol)) in zip(PRESETS, configs):
         report = maximize(spec, base)
         bp = report.best_point
         at_best = updated_in_omega_d_units(base, bp)
-        measure, t_max, tol = build_tc(cfg)
         try:
             t_c = f"{critical_temperature(at_best, measure, t_max, tol=tol) * 1e3:6.1f}mK"
         except OptimizeError as exc:

@@ -10,9 +10,10 @@ The full set is ~40 sweeps at figure resolution, run one after another; with
 
 --digest PATH writes a JSON manifest with the sha256 of every <name>.csv and
 <name>.csv.meta.json the run wrote, keyed by its path under --out.
---compare PATH checks those digests against an earlier manifest and exits 1
-if a file differs, is missing or is new, so two runs (two checkouts, or two
-worker counts) can be shown byte-identical:
+--compare PATH checks those digests against the entries of an earlier
+manifest for the presets run and exits 1 if a file differs, is missing or is
+new, so two runs (two checkouts, or two worker counts) can be shown
+byte-identical:
 
     python scripts/reproduce_sweeps.py --only fig7 --workers 1 --digest a.json
     python scripts/reproduce_sweeps.py --only fig7 --workers 2 --compare a.json
@@ -72,8 +73,11 @@ def main() -> int:
                     help="exit 1 unless the digests equal those in PATH")
     args = ap.parse_args()
 
-    want = json.loads(Path(args.compare).read_text()) if args.compare else None
     presets = args.only if args.only else FIGURE_PRESETS
+    if args.compare:
+        recorded = json.loads(Path(args.compare).read_text())
+        want = {name: digest for name, digest in recorded.items()
+                if name.split("/")[0] in presets}
     failures = []
     for preset in presets:
         out = Path(args.out) / preset

@@ -35,7 +35,7 @@ from .gaussian import (  # noqa: F401
     residual_contangle,
     symplectic_eigenvalues,
 )
-from .sweep import Axis, GridSpec, SweepResult, emit_csv, read_csv, run_grid  # noqa: F401
+from .sweep import Axis, GridSpec, SweepResult, emit_csv, run_grid  # noqa: F401
 from .optimize import (  # noqa: F401
     OptimizeSpec,
     OptimumReport,

@@ -49,7 +49,8 @@ class StabilityVerdict:
     @classmethod
     def from_abscissa(cls, abscissa: float, omega_d: float) -> "StabilityVerdict":
         """Verdict on a drift with the given spectral abscissa; marginal
-        systems within 1e-9 * omega_d of the imaginary axis are unstable."""
+        systems within 1e-9 * omega_d of the imaginary axis are unstable.
+        Given (k,) arrays, its fields are the (k,) arrays of the verdicts."""
         threshold = -STABILITY_EPS_FACTOR * omega_d
         return cls(abscissa < threshold, abscissa, threshold - abscissa)
 
@@ -311,26 +312,46 @@ def steady_states(f) -> MeanFields:
     return MeanFields(a1, a2, e, n, x_out, dnt_out, iterations, errors)
 
 
-def drift_matrix(p: SystemParams, ss: SteadyState) -> np.ndarray:
+def drift_matrix(p, ss) -> np.ndarray:
     """10x10 drift matrix of the linearized quadrature dynamics at the steady
     state.  Row pairs (1-based): a1 1-2, a2 3-4, magnon 5-6, phonon 7-8,
-    ensemble 9-10."""
+    ensemble 9-10.
+
+    Also takes a chunk (gaussian.covariance_stack) with its MeanFields, and
+    then returns the (k, 10, 10) stack of the drifts of its points.
+    """
     d1, d2, de = p.delta_1, p.delta_2, p.delta_e
     dnt = ss.delta_n_tilde
     ka, kn, ge, gd = p.kappa_a, p.kappa_n, p.gamma_e, p.gamma_d
     gna, Gnd, Gae, J, wd = p.g_na, p.G_nd, p.G_ae, p.J, p.omega_d
-    return np.array((
-        -ka,   d1,   0.0,  J,    0.0,  0.0,  0.0,  0.0,  0.0,  Gae,
-        -d1,  -ka,  -J,    0.0,  0.0,  0.0,  0.0,  0.0, -Gae,  0.0,
-        0.0,   J,   -ka,   d2,   0.0,  gna,  0.0,  0.0,  0.0,  0.0,
-        -J,    0.0, -d2,  -ka,  -gna,  0.0,  0.0,  0.0,  0.0,  0.0,
-        0.0,   0.0,  0.0,  gna, -kn,   dnt, -Gnd,  0.0,  0.0,  0.0,
-        0.0,   0.0, -gna,  0.0, -dnt, -kn,   0.0,  0.0,  0.0,  0.0,
-        0.0,   0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  wd,   0.0,  0.0,
-        0.0,   0.0,  0.0,  0.0,  0.0,  Gnd, -wd,  -gd,   0.0,  0.0,
-        0.0,   Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -ge,   de,
-        -Gae,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0, -de,  -ge,
-    )).reshape(10, 10)
+    zero = 0.0 * wd  # +0.0 in the shape of a field
+    A = np.array((
+       -ka,    d1,    zero,  J,     zero,  zero,  zero,  zero,  zero,  Gae,
+       -d1,   -ka,   -J,     zero,  zero,  zero,  zero,  zero, -Gae,   zero,
+        zero,  J,    -ka,    d2,    zero,  gna,   zero,  zero,  zero,  zero,
+       -J,     zero, -d2,   -ka,   -gna,   zero,  zero,  zero,  zero,  zero,
+        zero,  zero,  zero,  gna,  -kn,    dnt,  -Gnd,   zero,  zero,  zero,
+        zero,  zero, -gna,   zero, -dnt,  -kn,    zero,  zero,  zero,  zero,
+        zero,  zero,  zero,  zero,  zero,  zero,  zero,  wd,    zero,  zero,
+        zero,  zero,  zero,  zero,  zero,  Gnd,  -wd,   -gd,    zero,  zero,
+        zero,  Gae,   zero,  zero,  zero,  zero,  zero,  zero, -ge,    de,
+       -Gae,   zero,  zero,  zero,  zero,  zero,  zero,  zero, -de,   -ge,
+    ))
+    return A.T.reshape(A.shape[1:] + (10, 10))
+
+
+def _diffusion(p, z_a1, z_a2, z_n, z_d) -> np.ndarray:
+    """diffusion_matrix of a point, or the (k, 10, 10) stack of a chunk, given
+    the occupations of cavity 1, cavity 2, the magnon and the phonon."""
+    a1 = p.kappa_a * (2.0 * z_a1 + 1.0)
+    a2 = p.kappa_a * (2.0 * z_a2 + 1.0)
+    n = p.kappa_n * (2.0 * z_n + 1.0)
+    d = p.gamma_d * (2.0 * z_d + 1.0)
+    ge = p.gamma_e
+    diag = np.array((a1, a1, a2, a2, n, n, 0.0 * p.omega_d, d, ge, ge))
+    D = np.zeros(diag.shape[1:] + (100,))
+    D.T[::11] = diag  # flat entry 11 * i is entry (i, i)
+    return D.reshape(diag.shape[1:] + (10, 10))
 
 
 def diffusion_matrix(p: SystemParams) -> np.ndarray:
@@ -339,52 +360,8 @@ def diffusion_matrix(p: SystemParams) -> np.ndarray:
     The ensemble rows carry bare ``gamma_e`` (vacuum atomic noise), unlike the
     thermally weighted photon/magnon/phonon rows.
     """
-    z_a1, z_a2, z_n, z_d = (thermal_occupation(omega, p.T) for omega in
-                            (p.omega_c1, p.omega_c2, p.omega_n, p.omega_d))
-    diag = np.array([
-        p.kappa_a * (2.0 * z_a1 + 1.0),
-        p.kappa_a * (2.0 * z_a1 + 1.0),
-        p.kappa_a * (2.0 * z_a2 + 1.0),
-        p.kappa_a * (2.0 * z_a2 + 1.0),
-        p.kappa_n * (2.0 * z_n + 1.0),
-        p.kappa_n * (2.0 * z_n + 1.0),
-        0.0,
-        p.gamma_d * (2.0 * z_d + 1.0),
-        p.gamma_e,
-        p.gamma_e,
-    ])
-    return np.diag(diag)
-
-
-# drift_matrix by field: its sign and its cells (row, column), 0-based
-_DRIFT_CELLS = (
-    ("kappa_a", -1.0, ((0, 0), (1, 1), (2, 2), (3, 3))),
-    ("delta_1", 1.0, ((0, 1),)), ("delta_1", -1.0, ((1, 0),)),
-    ("J", 1.0, ((0, 3), (2, 1))), ("J", -1.0, ((1, 2), (3, 0))),
-    ("G_ae", 1.0, ((0, 9), (8, 1))), ("G_ae", -1.0, ((1, 8), (9, 0))),
-    ("delta_2", 1.0, ((2, 3),)), ("delta_2", -1.0, ((3, 2),)),
-    ("g_na", 1.0, ((2, 5), (4, 3))), ("g_na", -1.0, ((3, 4), (5, 2))),
-    ("kappa_n", -1.0, ((4, 4), (5, 5))),
-    ("delta_n_tilde", 1.0, ((4, 5),)), ("delta_n_tilde", -1.0, ((5, 4),)),
-    ("G_nd", 1.0, ((7, 5),)), ("G_nd", -1.0, ((4, 6),)),
-    ("omega_d", 1.0, ((6, 7),)), ("omega_d", -1.0, ((7, 6),)),
-    ("gamma_d", -1.0, ((7, 7),)),
-    ("gamma_e", -1.0, ((8, 8), (9, 9))),
-    ("delta_e", 1.0, ((8, 9),)), ("delta_e", -1.0, ((9, 8),)),
-)
-
-
-def drift_matrices(f, delta_n_tilde: np.ndarray) -> np.ndarray:
-    """drift_matrix of every point of a chunk as a (k, 10, 10) stack, filled
-    one column of the flattened stack at a time (the same entries)."""
-    k = len(delta_n_tilde)
-    A = np.zeros((k, 100))
-    for name, sign, cells in _DRIFT_CELLS:
-        value = delta_n_tilde if name == "delta_n_tilde" else getattr(f, name)
-        value = -value if sign < 0 else value
-        for row, col in cells:
-            A[:, 10 * row + col] = value
-    return A.reshape(k, 10, 10)
+    return _diffusion(p, *(thermal_occupation(omega, p.T) for omega in
+                           (p.omega_c1, p.omega_c2, p.omega_n, p.omega_d)))
 
 
 def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
@@ -392,8 +369,7 @@ def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
     and the ParameterError of each point whose occupation raised one, by
     position (its matrix is meaningless).  An occupation is computed once per
     distinct (carrier, T), with the scalar thermal_occupation."""
-    k = len(f.T)
-    occupations = np.zeros((4, k))
+    occupations = np.zeros((4, len(f.T)))
     errors = {}
     cache = {}
     carriers = zip(f.omega_c1.tolist(), f.omega_c2.tolist(), f.omega_n.tolist(),
@@ -407,14 +383,7 @@ def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
                 occupations[j, i] = z
         except ParameterError as exc:
             errors[i] = exc
-    z_a1, z_a2, z_n, z_d = occupations
-    D = np.zeros((k, 10, 10))
-    D[:, 0, 0] = D[:, 1, 1] = f.kappa_a * (2.0 * z_a1 + 1.0)
-    D[:, 2, 2] = D[:, 3, 3] = f.kappa_a * (2.0 * z_a2 + 1.0)
-    D[:, 4, 4] = D[:, 5, 5] = f.kappa_n * (2.0 * z_n + 1.0)
-    D[:, 7, 7] = f.gamma_d * (2.0 * z_d + 1.0)
-    D[:, 8, 8] = D[:, 9, 9] = f.gamma_e
-    return D, errors
+    return _diffusion(f, *occupations), errors
 
 
 def spectral_abscissa(A: np.ndarray):

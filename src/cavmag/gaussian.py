@@ -24,14 +24,12 @@ from scipy.linalg import get_lapack_funcs
 
 from .dynamics import (
     MODE_LABELS,
-    STABILITY_EPS_FACTOR,
     MeanFields,
     StabilityVerdict,
     SteadyState,
     SteadyStateError,
     diffusion_matrices,
     diffusion_matrix,
-    drift_matrices,
     drift_matrix,
     spectral_abscissa,
     steady_state,
@@ -512,7 +510,7 @@ def covariance_stack(f) -> CovarianceStack:
     k = len(f.omega_d)
     mean = steady_states(f)
     errors = dict(mean.errors)
-    drifts = drift_matrices(f, mean.delta_n_tilde)
+    drifts = drift_matrix(f, mean)
     live = np.setdiff1d(np.arange(k), list(errors))
     abscissa = np.full(k, np.nan)
     try:
@@ -523,7 +521,7 @@ def covariance_stack(f) -> CovarianceStack:
                 abscissa[i] = spectral_abscissa(drifts[i])
             except np.linalg.LinAlgError as exc:
                 errors[i] = exc
-    stable = abscissa < -STABILITY_EPS_FACTOR * f.omega_d
+    stable = StabilityVerdict.from_abscissa(abscissa, f.omega_d).stable
     at = np.flatnonzero(stable)
     D, failed = diffusion_matrices(_take(f, at))
     keep = np.setdiff1d(np.arange(len(at)), list(failed))

@@ -358,36 +358,3 @@ def emit_csv(result: SweepResult, destination) -> None:
     destination.write_text("\n".join(lines) + "\n")
     write_json(destination.with_name(destination.name + ".meta.json"), result.metadata)
 
-
-def read_csv(path) -> SweepResult:
-    """Parse a file produced by emit_csv back into a SweepResult.
-
-    The metadata sidecar is loaded when present.  Round-tripping a parsed
-    result through emit_csv reproduces the file byte for byte.
-    """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    columns = tuple(lines[0].split(","))
-    if "stable" not in columns:
-        raise SweepSpecError(f"{path} is not a sweep table (no 'stable' column)")
-    n_axes = columns.index("stable")
-    measure_ids = columns[n_axes + 1:]
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        axis_values = tuple(float(c) for c in cells[:n_axes])
-        stable_cell = cells[n_axes]
-        stable = None if stable_cell == "" else stable_cell == "1"
-        measures = None
-        if stable:
-            measures = {
-                mid: float(cell)
-                for mid, cell in zip(measure_ids, cells[n_axes + 1:])
-                if cell != ""
-            }
-        rows.append(SweepRow(axis_values, stable, measures))
-    metadata = {}
-    sidecar = path.with_name(path.name + ".meta.json")
-    if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-    return SweepResult(columns=columns, rows=rows, metadata=metadata)

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -585,3 +587,22 @@ class TestReproduceSweepsDigests:
             "missing  fig8/extra.csv",
             "differs  fig8/nde.csv",
         ]
+
+    def test_compare_reads_only_the_presets_run(self, reproduce, tmp_path, capsys):
+        manifest = Path(__file__).resolve().parents[1] / "scripts" / "fig_digests.json"
+        assert reproduce("--out", str(tmp_path), "--only", "fig8",
+                         "--compare", str(manifest)) == 0
+        assert "4 files identical" in capsys.readouterr().out
+
+
+def test_operating_points_config_error_is_one_line():
+    # every preset's configuration is built before the table header, so a
+    # bad seed prints nothing on stdout and runs no maximize
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "operating_points.py"),
+                           "--seed", "-1"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "config error: [optimize]: seed must be >= 0, got -1\n")

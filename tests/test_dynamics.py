@@ -6,7 +6,6 @@ from cavmag.dynamics import (
     SteadyStateError,
     diffusion_matrices,
     diffusion_matrix,
-    drift_matrices,
     drift_matrix,
     spectral_abscissa,
     steady_state,
@@ -204,20 +203,27 @@ def hand_transcribed_drift(p, dnt):
 class TestDriftMatrix:
     def test_duplicate_transcription_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(8):
-            p = SystemParams().updated(
-                delta_1=rng.uniform(-3, 3) * WD,
-                delta_2=rng.uniform(-3, 3) * WD,
-                delta_e=rng.uniform(-3, 3) * WD,
-                delta_n_tilde_override=rng.uniform(-2, 2) * WD,
-                J=rng.uniform(0, 2) * WD,
-                g_na=rng.uniform(0, 1) * WD,
-                G_nd=rng.uniform(0, 1) * WD,
-                G_ae=rng.uniform(0, 1) * WD,
-            )
+        ps = [SystemParams().updated(
+            delta_1=rng.uniform(-3, 3) * WD,
+            delta_2=rng.uniform(-3, 3) * WD,
+            delta_e=rng.uniform(-3, 3) * WD,
+            delta_n_tilde_override=rng.uniform(-2, 2) * WD,
+            J=rng.uniform(0, 2) * WD,
+            g_na=rng.uniform(0, 1) * WD,
+            G_nd=rng.uniform(0, 1) * WD,
+            G_ae=rng.uniform(0, 1) * WD,
+        ) for _ in range(8)]
+        for p in ps:
             ss = steady_state(p)
             A = drift_matrix(p, ss)
             np.testing.assert_array_equal(A, hand_transcribed_drift(p, ss.delta_n_tilde))
+        # the same points as one chunk; the int64 view tells -0.0 from 0.0
+        chunk = param_arrays(ps)
+        stack = drift_matrix(chunk, steady_states(chunk))
+        assert stack.shape == (8, 10, 10)
+        for p, A in zip(ps, stack):
+            want = hand_transcribed_drift(p, p.delta_n_tilde_override)
+            assert (A.view(np.int64) == want.view(np.int64)).all()
 
     def test_decoupled_limit_is_block_diagonal(self):
         p = SystemParams(J=0.0, G_ae=0.0, g_na=0.0, G_nd=0.0)
@@ -267,6 +273,12 @@ class TestDiffusionMatrix:
         expected = np.diag([p.kappa_a] * 4 + [p.kappa_n] * 2
                            + [0.0, p.gamma_d, p.gamma_e, p.gamma_e])
         np.testing.assert_array_equal(D, expected)
+        ps = [p, p.updated(kappa_a=2.0 * p.kappa_a, gamma_e=0.5 * p.gamma_e)]
+        stack, errors = diffusion_matrices(param_arrays(ps))
+        assert stack.shape == (2, 10, 10) and errors == {}
+        for q, got in zip(ps, stack):
+            np.testing.assert_array_equal(got, np.diag(
+                [q.kappa_a] * 4 + [q.kappa_n] * 2 + [0.0, q.gamma_d, q.gamma_e, q.gamma_e]))
 
     def test_position_row_is_zero_at_any_temperature(self):
         for T in (0.0, 0.010, 1.0):
@@ -471,7 +483,7 @@ class TestDriftAndDiffusionStacks:
         ps = scmap_subsample()[::7] + strong_drive()[::9]
         ps += [SystemParams(J=0.0, G_ae=-0.0, delta_e=0.0)]
         mean = steady_states(param_arrays(ps))
-        stack = drift_matrices(param_arrays(ps), mean.delta_n_tilde)
+        stack = drift_matrix(param_arrays(ps), mean)
         for p, ss, A in zip(ps, mean_states(mean), stack):
             if isinstance(ss, Exception):
                 continue
