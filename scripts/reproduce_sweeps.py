@@ -78,6 +78,11 @@ def main() -> int:
         recorded = json.loads(Path(args.compare).read_text())
         want = {name: digest for name, digest in recorded.items()
                 if name.split("/")[0] in presets}
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # as cavmag reports it, once rather than per preset
+        print(f"config error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     failures = []
     for preset in presets:
         out = Path(args.out) / preset

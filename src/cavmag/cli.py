@@ -73,7 +73,10 @@ def _resolve(args):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
     return out
 
 

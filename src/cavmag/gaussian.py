@@ -20,7 +20,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .dynamics import (
     MODE_LABELS,
@@ -99,8 +98,15 @@ class EntanglementReport:
         raise GaussianError(f"unknown measure id {measure_id!r}")
 
 
-# LAPACK's real Schur decomposition and Sylvester solver, bound once
-_GEES, _TRSYL = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+@functools.cache
+def _lapack():
+    """LAPACK's real Schur decomposition and Sylvester solver, (gees, trsyl),
+    bound on the first call.  scipy.linalg is imported here, not with the
+    module, so that a run that solves no Lyapunov equation (a stability map,
+    an unstable point) does not load it."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
 
 
 def _no_sort(*_):
@@ -110,13 +116,15 @@ def _no_sort(*_):
 @functools.cache
 def _gees_lwork(n: int) -> int:
     """gees workspace size for n x n matrices (LAPACK's query reads only n)."""
-    return int(_GEES(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
+    gees, _ = _lapack()
+    return int(gees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
 
 
 def _schur(a: np.ndarray):
     """Real Schur form a = u r u^T of a drift, (r, u); a Schur form LAPACK
     cannot find and a spectrum that reaches the imaginary axis are errors."""
-    r, _, wr, _, u, _, info = _GEES(_no_sort, a, lwork=_gees_lwork(len(a)), sort_t=0)
+    gees, _ = _lapack()
+    r, _, wr, _, u, _, info = gees(_no_sort, a, lwork=_gees_lwork(len(a)), sort_t=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
     if info > 0:
@@ -132,7 +140,8 @@ def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     """y of r y + y r^T = f for a Schur form r (LAPACK trsyl).  trsyl scales
     y down to keep it from overflowing; a y it had to scale is no solution
     in the caller's units, so that is a solver breakdown."""
-    y, y_scale, info = _TRSYL(r, r, f, tranb="T")
+    _, trsyl = _lapack()
+    y, y_scale, info = trsyl(r, r, f, tranb="T")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
     if info == 1:
@@ -495,18 +504,11 @@ def _take(f, at) -> SimpleNamespace:
     return SimpleNamespace(**{name: a[at] for name, a in vars(f).items()})
 
 
-def covariance_stack(f) -> CovarianceStack:
-    """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
-    per SystemParams field, NaN where a field is None.
-
-    The mean fields come from steady_states and the drifts from one stack;
-    all the verdicts come from one stacked eigen-solve (a stack that LAPACK
-    fails is solved one drift at a time, so the error lands on its point);
-    the stable points get their diffusions from one stack and their
-    covariances from _lyapunov_solves.  Each point's outcome is that of
-    steady_state, drift_matrix, its verdict, diffusion_matrix and
-    lyapunov_solve in turn; an error outside NO_STEADY_STATE is raised.
-    """
+def _verdicts(f):
+    """The first half of covariance_stack, which a grid without measures
+    stops at: the chunk's MeanFields, its (k, 10, 10) drifts, their (k,)
+    spectral abscissae and stability verdicts (NaN and False without one),
+    and the NO_STEADY_STATE error of each point that has no verdict."""
     k = len(f.omega_d)
     mean = steady_states(f)
     errors = dict(mean.errors)
@@ -522,6 +524,23 @@ def covariance_stack(f) -> CovarianceStack:
             except np.linalg.LinAlgError as exc:
                 errors[i] = exc
     stable = StabilityVerdict.from_abscissa(abscissa, f.omega_d).stable
+    return mean, drifts, abscissa, stable, errors
+
+
+def covariance_stack(f) -> CovarianceStack:
+    """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
+    per SystemParams field, NaN where a field is None.
+
+    The mean fields come from steady_states and the drifts from one stack;
+    all the verdicts come from one stacked eigen-solve (a stack that LAPACK
+    fails is solved one drift at a time, so the error lands on its point);
+    that much is _verdicts.  The stable points then get their diffusions
+    from one stack and their covariances from _lyapunov_solves.  Each
+    point's outcome is that of steady_state, drift_matrix, its verdict,
+    diffusion_matrix and lyapunov_solve in turn; an error outside
+    NO_STEADY_STATE is raised.
+    """
+    mean, drifts, abscissa, stable, errors = _verdicts(f)
     at = np.flatnonzero(stable)
     D, failed = diffusion_matrices(_take(f, at))
     keep = np.setdiff1d(np.arange(len(at)), list(failed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MEASURE_IDS, NO_STEADY_STATE, measure_values, steady_covariance
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _lapack, measure_values, steady_covariance
 from .model import SystemParams, updated_in_omega_d_units
 from .sweep import _usable_cpus
 
@@ -101,10 +101,12 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     one.  One process, one restart or no ``fork`` start method: all run here.
 
     ``scipy.optimize`` is imported here, not with the module, so that runs
-    that never optimize do not load it; it is imported before the pool
-    forks, so the workers inherit it.
+    that never optimize do not load it; it and the Lyapunov solve's LAPACK
+    (``scipy.linalg``) are loaded before the pool forks, so the workers
+    inherit them.
     """
     from scipy.optimize import minimize
+    _lapack()
 
     if workers is not None and workers < 1:
         raise OptimizeError(f"workers must be at least 1, got {workers}")

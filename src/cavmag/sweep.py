@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _measure_value_stack, covariance_stack
+from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _lapack, _measure_value_stack,
+                       _verdicts, covariance_stack)
 from .model import EPS0, FIELDS, HBAR, KB, SystemParams, updated_in_omega_d_units
 
 # Grid points per chunk: per stacked stability solve and per progress report.
@@ -128,7 +129,9 @@ class GridSpec:
 @dataclass(frozen=True)
 class SweepRow:
     axis_values: tuple[float, ...]
-    stable: bool | None  # None when the point errored before a verdict
+    # None for an error row: the point errored before its verdict, or, in a
+    # grid with measures, after it (its diffusion, Lyapunov solve or measures)
+    stable: bool | None
     measures: dict[str, float] | None
     error: str | None = None
 
@@ -217,13 +220,20 @@ def _evaluate_chunk(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
     fields = {name: np.full(len(ok), v) for name, v in zip(FIELDS, _field_row(spec.base))}
     for t, at in zip(tables, at_axis):
         fields.update(zip(t.fields, t.columns.T[:, at[ok]]))
-    out = covariance_stack(SimpleNamespace(**fields))
-    for j, exc in out.errors.items():
+    f = SimpleNamespace(**fields)
+    if spec.measures:
+        out = covariance_stack(f)
+        stable, errors = out.stable, out.errors
+        measured = zip(out.solved.tolist(), _chunk_measures(spec.measures, out.covariances))
+    else:  # the verdict is the whole row: no diffusion, no Lyapunov solve
+        *_, stable, errors = _verdicts(f)
+        measured = ((j, {}) for j in np.flatnonzero(stable).tolist())
+    for j, exc in errors.items():
         rows[ok[j]] = _error_row(points[ok[j]], exc)
-    for j in np.flatnonzero(~out.stable).tolist():
-        if j not in out.errors:
+    for j in np.flatnonzero(~stable).tolist():
+        if j not in errors:
             rows[ok[j]] = SweepRow(points[ok[j]], stable=False, measures=None)
-    for j, values in zip(out.solved.tolist(), _chunk_measures(spec.measures, out.covariances)):
+    for j, values in measured:
         i = ok[j]
         if isinstance(values, Exception):
             rows[i] = _error_row(points[i], values)
@@ -237,8 +247,6 @@ def _chunk_measures(measure_ids, covariances: np.ndarray) -> list:
     NO_STEADY_STATE error it raised.  The pair blocks take one stacked
     eigen-solve and the one-vs-two blocks another; a stack that raises is
     evaluated one covariance at a time, so the error lands on its point."""
-    if not measure_ids:
-        return [{} for _ in covariances]
     if len(covariances):
         try:
             return _measure_value_stack(covariances, measure_ids)
@@ -275,7 +283,9 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     through in chunks of ``CHUNK`` as arrays of parameter fields: the mean
     fields and drifts of the chunk, one stacked stability verdict, the
     Lyapunov solves of the stable points, then their measures from one
-    stacked eigen-solve per block size.  ``progress`` (if given) is
+    stacked eigen-solve per block size.  A grid without measures stops at
+    the verdict: its stable rows carry ``measures={}``, and no diffusion or
+    Lyapunov solve can make them error rows.  ``progress`` (if given) is
     called with the number of completed rows after each chunk, that is every
     ``CHUNK`` rows and once after the last row.
 
@@ -294,6 +304,8 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     n = min(workers, len(chunks), _usable_cpus())
     pool = None
     if n > 1 and "fork" in multiprocessing.get_all_start_methods():
+        if spec.measures:
+            _lapack()  # scipy.linalg loads here once, not in every worker
         pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
     mapper = map if pool is None else pool.map
     rows = []

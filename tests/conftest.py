@@ -5,12 +5,18 @@ deliberately independent of the library's solve path.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import cavmag
 from cavmag import SystemParams
 from cavmag.dynamics import (
     MODE_LABELS,
@@ -147,3 +153,14 @@ def diffusion_for(p: SystemParams):
 
 def drift_for(p: SystemParams):
     return drift_matrix(p, steady_state(p))
+
+
+def run_fresh(script: str, *args: str) -> None:
+    """Runs a script in a new interpreter, with ``args`` as its sys.argv[1:]:
+    the test process has imported scipy, so import guards are checked there."""
+    src = str(Path(cavmag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib.util
 import json
@@ -215,6 +216,27 @@ class TestInputsEndInOneConfigErrorLine:
     def test_negative_seed(self, tmp_path, capsys, argv, seed):
         assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne", *argv) == (
             1, f"config error: [optimize]: seed must be >= 0, got {seed}\n")
+
+
+def out_in_the_way(tmp_path, under):
+    """An --out that names a file, or a path under one, and the reason
+    mkdir gives for it."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if under:
+        return taken / "out", os.strerror(errno.ENOTDIR)
+    return taken, os.strerror(errno.EEXIST)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ("point",), ("sweep", "--preset", "fig8"), ("stability-map", "--preset", "fig8"),
+    ("optimize", "--preset", "table2_ne"), ("tc", "--preset", "table2_ne"),
+], ids=lambda argv: argv[0])
+def test_out_in_the_way_is_a_config_error(tmp_path, capsys, argv, under):
+    out, reason = out_in_the_way(tmp_path, under)
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert tuple(capsys.readouterr()) == ("", f"config error: --out {out}: {reason}\n")
 
 
 class TestSweep:
@@ -593,6 +615,13 @@ class TestReproduceSweepsDigests:
         assert reproduce("--out", str(tmp_path), "--only", "fig8",
                          "--compare", str(manifest)) == 0
         assert "4 files identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_in_the_way_is_one_config_error_line(self, reproduce, tmp_path, capsys,
+                                                      under):
+        out, reason = out_in_the_way(tmp_path, under)
+        assert reproduce("--out", str(out), "--only", "fig8", "fig9") == 1
+        assert tuple(capsys.readouterr()) == ("", f"config error: --out {out}: {reason}\n")
 
 
 def test_operating_points_config_error_is_one_line():

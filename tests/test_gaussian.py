@@ -99,7 +99,8 @@ class TestLyapunovMatchesScipy:
 
     def test_cached_workspace_equals_the_per_call_query(self):
         def query(a):
-            return int(gaussian._GEES(gaussian._no_sort, a, lwork=-1)[-2][0].real)
+            gees, _ = gaussian._lapack()
+            return int(gees(gaussian._no_sort, a, lwork=-1)[-2][0].real)
 
         for p in sample_stable_params(seed=54, count=50):
             A = drift_matrix(p, steady_state(p))

@@ -1,8 +1,5 @@
+import json
 import multiprocessing
-import os
-import subprocess
-import sys
-import textwrap
 import time
 from pathlib import Path
 
@@ -20,6 +17,9 @@ from cavmag.optimize import (
     maximize,
 )
 
+from conftest import run_fresh
+
+SCMAP_INI = str(Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini")
 WD = SystemParams().omega_d
 
 NE_POINT = dict(delta_1=0.76, delta_2=-0.52, delta_n_tilde=0.77,
@@ -349,17 +349,6 @@ class TestCriticalTemperature:
             pytest.skip("profile monotone at this point; guard not exercised")
 
 
-def run_fresh(script: str, *args: str) -> None:
-    """Runs a script in a new interpreter: other tests import scipy.optimize
-    into this one."""
-    src = str(Path(optimize.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-
-
 class TestScipyOptimizeImport:
     def test_runs_that_do_not_optimize_do_not_import_it(self, tmp_path):
         run_fresh("""
@@ -378,14 +367,15 @@ class TestScipyOptimizeImport:
             assert cavmag.cli.main(["stability-map", "--config", sys.argv[2],
                                     "--workers", "2", "--out", sys.argv[1]]) == 0
             assert "scipy.optimize" not in sys.modules
-        """, str(tmp_path), str(Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini"))
+        """, str(tmp_path), SCMAP_INI)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the restart pool needs the fork start method")
     def test_maximize_imports_it_before_the_pool_forks(self):
+        # and binds the Lyapunov solve's LAPACK (scipy.linalg) there too
         run_fresh("""
             import sys
-            from cavmag import optimize
+            from cavmag import gaussian, optimize
             from cavmag.model import SystemParams
 
             built = []
@@ -393,15 +383,82 @@ class TestScipyOptimizeImport:
             class CheckedPool(optimize.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
                     assert "scipy.optimize" in sys.modules
+                    assert gaussian._lapack.cache_info().currsize == 1
                     built.append(args[0])
                     super().__init__(*args, **kwargs)
 
             optimize.ProcessPoolExecutor = CheckedPool
             assert "scipy.optimize" not in sys.modules
+            assert "scipy.linalg" not in sys.modules
             spec = optimize.OptimizeSpec(
                 measure="EN_ne",
                 box={"delta_1": (0.4, 1.1), "delta_2": (-0.9, -0.1)},
                 restarts=2, max_evaluations=120, seed=5)
             optimize.maximize(spec, SystemParams(), workers=2)
             assert built == [2]
+        """)
+
+
+class TestScipyLinalgImport:
+    """scipy.linalg loads on the first Lyapunov solve (gaussian._lapack), so
+    runs that stop at a stability verdict import no scipy module."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stability-map", "--config", SCMAP_INI], 0),
+        (["stability-map", "--config", SCMAP_INI, "--workers", "2"], 0),
+        (["point", "--set", "delta_n_tilde=-0.65"], 2),  # an unstable point
+    ])
+    def test_runs_without_a_solve_import_no_scipy(self, tmp_path, argv, code):
+        # the finder refuses scipy in this process and in every forked worker
+        run_fresh("""
+            import json, sys
+            import cavmag.cli
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} imported")
+
+            sys.meta_path.insert(0, NoScipy())
+            argv, code = json.loads(sys.argv[1])
+            assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == code
+            assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        """, json.dumps([argv, code]), str(tmp_path))
+
+    @pytest.mark.parametrize("argv", [["point"], ["sweep", "--preset", "fig8"]])
+    def test_runs_with_a_solve_import_it(self, tmp_path, argv):
+        run_fresh("""
+            import json, sys
+            import cavmag.cli
+
+            assert "scipy.linalg" not in sys.modules
+            assert cavmag.cli.main(json.loads(sys.argv[1]) + ["--out", sys.argv[2]]) == 0
+            assert "scipy.linalg" in sys.modules
+            assert "scipy.optimize" not in sys.modules
+        """, json.dumps(argv), str(tmp_path))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the chunk pool needs the fork start method")
+    def test_measured_run_grid_binds_it_before_the_pool_forks(self):
+        run_fresh("""
+            import sys
+            from cavmag import gaussian, sweep
+            from cavmag.model import SystemParams
+
+            built = []
+
+            class CheckedPool(sweep.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    assert "scipy.linalg" in sys.modules
+                    assert gaussian._lapack.cache_info().currsize == 1
+                    built.append(args[0])
+                    super().__init__(*args, **kwargs)
+
+            sweep.ProcessPoolExecutor = CheckedPool
+            sweep.CHUNK, sweep._usable_cpus = 7, lambda: 2
+            assert "scipy.linalg" not in sys.modules
+            spec = sweep.GridSpec(axes=(sweep.Axis("delta_n_tilde", -0.5, 1.5, 20),),
+                                  base=SystemParams(), measures=("EN_ne",))
+            rows = sweep.run_grid(spec, workers=2).rows
+            assert built == [2] and any(r.stable for r in rows)
         """)

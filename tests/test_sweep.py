@@ -54,6 +54,14 @@ def small_spec(**kw):
     return GridSpec(**defaults)
 
 
+def scmap_grid(measures=()):
+    """perfbench/scmap.ini subsampled from 121x81 to 25x17 points: the
+    magnon detuning is left to the mean-field loop."""
+    base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
+    return GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
+                    base=base, linkage="antisymmetric", measures=measures)
+
+
 class TestGridSpecValidation:
     def test_point_count_floor(self):
         with pytest.raises(SweepSpecError, match="at least 2"):
@@ -244,12 +252,7 @@ def assert_rows_identical(spec):
 
 class TestEngineMatchesPerPointReference:
     def test_self_consistent_stability_map(self):
-        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points: the
-        # magnon detuning is left to the mean-field loop
-        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
-        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
-                        base=base, linkage="antisymmetric", measures=("EN_ne",))
-        stable, unstable, _ = assert_rows_identical(spec)
+        stable, unstable, _ = assert_rows_identical(scmap_grid(("EN_ne",)))
         assert stable > 20 and unstable > 20
 
     def test_pinned_grid_with_measures_and_unstable_rows(self):
@@ -469,11 +472,7 @@ class TestProcessPool:
         assert len(assert_pool_rows_equal(spec, pools)) == points
 
     def test_self_consistent_stability_map(self, pools):
-        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points
-        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
-        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
-                        base=base, linkage="antisymmetric")
-        rows = assert_pool_rows_equal(spec, pools)
+        rows = assert_pool_rows_equal(scmap_grid(), pools)
         assert sum(r.stable is False for r in rows) > 20
 
     def test_progress_after_each_chunk(self, pools):
@@ -547,11 +546,7 @@ class TestRowsDoNotDependOnTheChunkSize:
         return runs[0]
 
     def test_self_consistent_stability_map(self, monkeypatch, pools):
-        # perfbench/scmap.ini subsampled from 121x81 to 25x17 points
-        base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
-        spec = GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
-                        base=base, linkage="antisymmetric")
-        rows = self.assert_same_rows(spec, monkeypatch, pools)
+        rows = self.assert_same_rows(scmap_grid(), monkeypatch, pools)
         assert sum(r.stable is False for r in rows) > 20
         assert sum(r.stable is True for r in rows) > 20
 
@@ -582,6 +577,37 @@ class TestRowsDoNotDependOnTheChunkSize:
         rows = self.assert_same_rows(spec, monkeypatch, pools)
         assert sum(r.stable is True for r in rows) > 20
         assert sum(r.stable is False for r in rows) > 20
+
+
+class TestGridWithoutMeasuresStopsAtTheVerdict:
+    @pytest.mark.parametrize("spec", [scmap_grid(("EN_ne",)), strong_drive_grid()],
+                             ids=["scmap", "strong-drive-with-error-rows"])
+    def test_rows_are_the_measured_grid_verdicts(self, spec, monkeypatch):
+        """Row for row, the stable flag and the error of the same grid with
+        measures, and no diffusion or Lyapunov solve."""
+        measured = run_grid(spec).rows
+        for name in ("diffusion_matrices", "_lyapunov_solves"):
+            monkeypatch.setattr(gaussian, name, lambda *args: pytest.fail("solved"))
+        mapped = run_grid(dataclasses.replace(spec, measures=())).rows
+        assert [(r.axis_values, r.stable, r.error) for r in mapped] == \
+            [(r.axis_values, r.stable, r.error) for r in measured]
+        assert [r.measures for r in mapped if r.stable] == [{}] * sum(r.stable is True
+                                                                      for r in mapped)
+        assert sum(r.stable is True for r in mapped) > 20
+        assert sum(r.stable is False for r in mapped) > 20
+
+    def test_a_point_whose_solve_breaks_down_is_stable_in_a_map(self):
+        # fig8 at T = 1e300 K: every point is stable, and trsyl scales each
+        # covariance down; only a grid with measures solves for it
+        cfg = config.load_layers(preset="fig8")
+        config.apply_set(cfg, "T=1e300")
+        for _, spec in config.build_grid_specs(cfg, config.build_system(cfg)):
+            measured = run_grid(spec).rows
+            assert all(r.stable is None and r.error.startswith("solver breakdown: ")
+                       for r in measured)
+            mapped = run_grid(dataclasses.replace(spec, measures=())).rows
+            assert [(r.stable, r.measures, r.error) for r in mapped] == \
+                [(True, {}, None)] * len(measured)
 
 
 def assert_same_evaluation(got, want):
