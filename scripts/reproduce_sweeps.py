@@ -58,6 +58,14 @@ def differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
     return lines
 
 
+def config_error(option: str, path: str, exc: Exception) -> int:
+    """Report a path that cannot be used as cavmag reports a bad --out: one
+    line before any preset runs, and exit status 1."""
+    print(f"config error: {option} {path}: {getattr(exc, 'strerror', None) or exc}",
+          file=sys.stderr)
+    return 1
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -75,14 +83,18 @@ def main() -> int:
 
     presets = args.only if args.only else FIGURE_PRESETS
     if args.compare:
-        recorded = json.loads(Path(args.compare).read_text())
+        try:
+            recorded = json.loads(Path(args.compare).read_text())
+            if not isinstance(recorded, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:  # missing, unreadable or not a manifest
+            return config_error("--compare", args.compare, exc)
         want = {name: digest for name, digest in recorded.items()
                 if name.split("/")[0] in presets}
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # as cavmag reports it, once rather than per preset
-        print(f"config error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        return config_error("--out", args.out, exc)
     failures = []
     for preset in presets:
         out = Path(args.out) / preset

@@ -42,9 +42,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default="cavmag-out",
                         help="output directory (default: cavmag-out)")
     common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="processes for sweep grid chunks (at most one per "
-                             "chunk and usable CPU) and optimizer restarts (one per "
-                             "restart); default 1; point, tc and runs without fork are serial")
+                        help="processes for sweep grid chunks and optimizer restarts "
+                             "(at most one per chunk or restart and usable CPU); "
+                             "default 1; point, tc and runs without fork are serial")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the optimizer seed")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -71,12 +71,18 @@ def _resolve(args):
     return cfg, build_system(cfg), build_coupling(cfg)
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, *files) -> Path:
+    """The --out directory, made if need be, checked before any evaluation:
+    none of the files the command writes there, its ``files`` and its
+    sidecar, may be a directory."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission, ...
         raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
+    for name in (*files, f"{args.command}.meta.json"):
+        if (out / name).is_dir():
+            raise ConfigError(f"--out {args.out}: {name} is a directory")
     return out
 
 
@@ -98,7 +104,7 @@ def _cplx(z) -> dict:
 
 def cmd_point(args) -> int:
     cfg, params, coupling = _resolve(args)
-    out = _out_dir(args)
+    out = _out_dir(args, "point.json")
     report = full_report(params)
     warnings = validate_regime(params, report.steady, coupling)
     ss = report.steady
@@ -155,7 +161,8 @@ def _run_sweeps(args) -> int:
     specs = build_grid_specs(cfg, params)
     if not specs:
         raise ConfigError("the configuration defines no [sweep] section")
-    out = _out_dir(args)
+    out = _out_dir(args, *(name + ext for name, _ in specs
+                           for ext in (".csv", ".csv.meta.json")))
     for name, spec in specs:
         if args.command == "stability-map":
             spec = replace(spec, measures=())
@@ -178,7 +185,7 @@ def _run_sweeps(args) -> int:
 def cmd_optimize(args) -> int:
     cfg, params, _ = _resolve(args)
     spec = build_optimize_spec(cfg, seed_override=args.seed)
-    out = _out_dir(args)
+    out = _out_dir(args, "optimize_report.json", "optimize_trace.csv")
     try:
         report = maximize(spec, params, workers=args.workers)
     except OptimizeError as exc:
@@ -206,7 +213,7 @@ def cmd_optimize(args) -> int:
 def cmd_tc(args) -> int:
     cfg, params, _ = _resolve(args)
     measure, t_max, tol = build_tc(cfg)
-    out = _out_dir(args)
+    out = _out_dir(args, "tc.json")
     try:
         t_c = critical_temperature(params, measure, t_max, tol=tol)
     except OptimizeError as exc:

@@ -14,6 +14,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+from .gaussian import MEASURE_IDS
 from .model import (FIELDS, TWO_PI, CouplingDerivation, ParameterError, SystemParams,
                     updated_in_omega_d_units)
 from .optimize import OPT_PARAMS, T_FLOOR, OptimizeSpec
@@ -324,6 +325,8 @@ def build_tc(cfg) -> tuple[str, float, float]:
     if not items:
         raise ConfigError("no [tc] section in the configuration")
     measure = items.get("measure", "")
+    if measure not in MEASURE_IDS:
+        raise ConfigError(f"[tc]: unknown measure id {measure!r}")
     t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
     if not T_FLOOR < t_max < math.inf:
         raise ConfigError(

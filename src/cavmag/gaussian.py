@@ -120,28 +120,24 @@ def _gees_lwork(n: int) -> int:
     return int(gees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
 
 
-def _schur(a: np.ndarray):
-    """Real Schur form a = u r u^T of a drift, (r, u); a Schur form LAPACK
-    cannot find and a spectrum that reaches the imaginary axis are errors."""
-    gees, _ = _lapack()
+def _bartels_stewart(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x of a x + x a^T = q for one prescaled drift a (Bartels-Stewart): the
+    real Schur form a = u r u^T (gees), y of r y + y r^T = u^T q u (trsyl),
+    then x = u y u^T.  A Schur form LAPACK cannot find and a spectrum that
+    reaches the imaginary axis are errors.  trsyl scales y down to keep it
+    from overflowing; a y it had to scale is no solution in the caller's
+    units, so that is a solver breakdown."""
+    gees, trsyl = _lapack()
     r, _, wr, _, u, _, info = gees(_no_sort, a, lwork=_gees_lwork(len(a)), sort_t=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    if not wr.max() < 0.0:
+    if not wr[wr.argmax()] < 0.0:  # wr.max(), NaN included, in a third of the time
         raise GaussianError(
             "unstable system: drift spectrum reaches the imaginary axis"
         )
-    return r, u
-
-
-def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """y of r y + y r^T = f for a Schur form r (LAPACK trsyl).  trsyl scales
-    y down to keep it from overflowing; a y it had to scale is no solution
-    in the caller's units, so that is a solver breakdown."""
-    _, trsyl = _lapack()
-    y, y_scale, info = trsyl(r, r, f, tranb="T")
+    y, y_scale, info = trsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK trsyl")
     if info == 1:
@@ -152,7 +148,7 @@ def _sylvester(r: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise GaussianError(
             f"solver breakdown: trsyl scaled the solution by {y_scale:.3e} "
             "to avoid overflow")
-    return y
+    return u.dot(y).dot(u.T)
 
 
 def _passes(finite, residual, bound):
@@ -190,10 +186,7 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     # max|A| is NaN or inf exactly when A has a non-finite entry
     if not (math.isfinite(scale) and np.isfinite(D).all()):
         raise GaussianError("non-finite drift or diffusion matrix")
-    a, q = A / scale, -D / scale
-    r, u = _schur(a)
-    y = _sylvester(r, u.T.dot(q.dot(u)))
-    V = u.dot(y).dot(u.T)
+    V = _bartels_stewart(A / scale, -D / scale)
     V = 0.5 * (V + V.T)
     residual = np.linalg.norm(A @ V + V @ A.T + D)
     bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
@@ -211,55 +204,38 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
 
 def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     """lyapunov_solve of each drift and diffusion pair of two (s, n, n)
-    stacks: the covariances that solved as a stack, their positions, and
-    the error of each pair that did not, by position, with its text.
+    stacks: the covariances that solved, their positions, and the error of
+    each pair that did not, by position, with its text.
 
-    The prescaling, the finiteness checks, u^T q u, the back-transform, the
-    symmetrization and the residual check run on the stacks, gees and trsyl
-    once per matrix; every stacked product gives each matrix the bits of
-    its own.
+    The prescaling, the finiteness checks, the symmetrization and the
+    residual check run on the stacks, _bartels_stewart once per matrix;
+    every stacked product gives each matrix the bits of its own.
     """
-    s, n = len(A), A.shape[-1]
-    errors = {}
-    if not s:
-        return np.empty((0, n, n)), np.empty(0, dtype=np.intp), errors
+    n = A.shape[-1]
     scale = np.abs(A).max(axis=(1, 2))
     scale[scale == 0.0] = 1.0  # a zero drift fails the spectrum check
     finite = np.isfinite(scale) & np.isfinite(D).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite).tolist():
-        errors[i] = GaussianError("non-finite drift or diffusion matrix")
+    errors = {i: GaussianError("non-finite drift or diffusion matrix")
+              for i in np.flatnonzero(~finite).tolist()}
     at = np.flatnonzero(finite)
     scale = scale[at, None, None]
-    a, q = A[at] / scale, -D[at] / scale
-    schur = []
-    for j, i in enumerate(at.tolist()):
+    solved, V = [], []
+    for i, a, q in zip(at.tolist(), A[at] / scale, -D[at] / scale):
         try:
-            r, u = _schur(a[j])
+            V.append(_bartels_stewart(a, q))
         except (np.linalg.LinAlgError, GaussianError) as exc:
             errors[i] = exc
         else:
-            schur.append((j, i, r, u))
-    U = np.array([u for *_, u in schur]).reshape(-1, n, n)
-    F = U.swapaxes(1, 2) @ (q[[j for j, *_ in schur]] @ U)
-    solved, Y = [], []
-    for m, ((_, i, r, _), f) in enumerate(zip(schur, F)):
-        try:
-            Y.append(_sylvester(r, f))
-        except GaussianError as exc:
-            errors[i] = exc
-        else:
-            solved.append(m)
-    U = U[solved]
-    ok = np.array([schur[m][1] for m in solved], dtype=np.intp)
-    Y = np.array(Y).reshape(-1, n, n)
-    V = (U @ Y) @ U.swapaxes(1, 2)
+            solved.append(i)
+    ok = np.array(solved, dtype=np.intp)
+    V = np.array(V).reshape(-1, n, n)
     V = 0.5 * (V + V.swapaxes(1, 2))
     A, D = A[ok], D[ok]
     residual = _frobenius(A @ V + V @ A.swapaxes(1, 2) + D)
     bound = LYAPUNOV_RESIDUAL_RTOL * np.maximum(1.0, _frobenius(D))
     good = _passes(np.isfinite(V).all(axis=(1, 2)), residual, bound)
     for j in np.flatnonzero(~good).tolist():
-        errors[int(ok[j])] = _breakdown(residual[j], bound[j])
+        errors[solved[j]] = _breakdown(residual[j], bound[j])
     return V[good], ok[good], errors
 
 

@@ -94,11 +94,12 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     its budget is an exact prefix of the uncut run.  The returned point is
     the first best stable one encountered.
 
-    ``workers`` forked processes (default: the CPUs this process may use)
-    run the restarts ahead with the budget the scan left.  A restart that
-    ended within its serial budget is taken as it ran; any other is replayed
-    here from its run's points.  So the report, or the error, is the serial
-    one.  One process, one restart or no ``fork`` start method: all run here.
+    Up to ``workers`` forked processes (default: no limit), at most one per
+    restart and per CPU this process may use, run the restarts ahead with
+    the budget the scan left.  A restart that ended within its serial budget
+    is taken as it ran; any other is replayed here from its run's points.
+    So the report, or the error, is the serial one.  One process, one
+    restart or no ``fork`` start method: all run here.
 
     ``scipy.optimize`` is imported here, not with the module, so that runs
     that never optimize do not load it; it and the Lyapunov solve's LAPACK
@@ -190,7 +191,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
         return state["record"], (res.fun, res.nfev, state["best"])
 
     spare = spec.max_evaluations - state["evals"]
-    n = min(workers or _usable_cpus(), len(starts))
+    n = min(workers or len(starts), len(starts), _usable_cpus())
     pool = None
     try:
         if n > 1 and spare > 0 and "fork" in multiprocessing.get_all_start_methods():

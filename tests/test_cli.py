@@ -209,6 +209,18 @@ class TestInputsEndInOneConfigErrorLine:
             1, f"config error: key {key!r} in [system] cannot be none; only the "
                "carriers, the detunings and delta_n_tilde_hz2pi may be left unset\n")
 
+    @pytest.mark.parametrize("argv, section, measure", [
+        (("optimize", "--preset", "table2_ne", "--set", "optimize.measure=EN_xx"),
+         "[optimize]", "EN_xx"),
+        (("tc", "--preset", "table2_de", "--set", "tc.measure=EN_xx"), "[tc]", "EN_xx"),
+        (("tc", "--preset", "table2_de", "--set", "tc.measure="), "[tc]", ""),
+    ], ids=["optimize", "tc", "tc-empty"])
+    def test_unknown_measure(self, tmp_path, capsys, argv, section, measure):
+        # exit 2 is for "no steady state", not for a typo in the configuration
+        assert self.run(tmp_path, capsys, *argv) == (
+            1, f"config error: {section}: unknown measure id {measure!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, seed", [
         (("--seed", "-1"), -1),
         (("--set", "optimize.seed=-3"), -3),
@@ -228,15 +240,39 @@ def out_in_the_way(tmp_path, under):
     return taken, os.strerror(errno.EEXIST)
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+# every file each subcommand below writes under --out
+OUTPUTS = {
+    "point": ("point.json", "point.meta.json"),
+    "sweep": ("a1nd.csv", "a1nd.csv.meta.json", "nde.csv", "nde.csv.meta.json",
+              "sweep.meta.json"),
+    "stability-map": ("a1nd.csv", "a1nd.csv.meta.json", "nde.csv", "nde.csv.meta.json",
+                      "stability-map.meta.json"),
+    "optimize": ("optimize_report.json", "optimize_trace.csv", "optimize.meta.json"),
+    "tc": ("tc.json", "tc.meta.json"),
+}
+
+
+@pytest.mark.parametrize("how", ["file", "under-a-file", "output-is-a-directory"])
 @pytest.mark.parametrize("argv", [
     ("point",), ("sweep", "--preset", "fig8"), ("stability-map", "--preset", "fig8"),
     ("optimize", "--preset", "table2_ne"), ("tc", "--preset", "table2_ne"),
 ], ids=lambda argv: argv[0])
-def test_out_in_the_way_is_a_config_error(tmp_path, capsys, argv, under):
-    out, reason = out_in_the_way(tmp_path, under)
-    assert run_cli(*argv, "--out", str(out)) == 1
-    assert tuple(capsys.readouterr()) == ("", f"config error: --out {out}: {reason}\n")
+def test_out_in_the_way_is_a_config_error(tmp_path, capsys, argv, how):
+    if how == "output-is-a-directory":
+        # a directory where an output goes: named before anything is
+        # evaluated, so nothing else is written
+        cases = []
+        for name in OUTPUTS[argv[0]]:
+            (tmp_path / name / name).mkdir(parents=True)
+            cases.append((tmp_path / name, f"{name} is a directory", [name]))
+    else:
+        out, reason = out_in_the_way(tmp_path, how == "under-a-file")
+        cases = [(out, reason, None)]
+    for out, reason, left in cases:
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert tuple(capsys.readouterr()) == ("", f"config error: --out {out}: {reason}\n")
+        if left is not None:
+            assert [path.name for path in out.iterdir()] == left
 
 
 class TestSweep:
@@ -622,6 +658,22 @@ class TestReproduceSweepsDigests:
         out, reason = out_in_the_way(tmp_path, under)
         assert reproduce("--out", str(out), "--only", "fig8", "fig9") == 1
         assert tuple(capsys.readouterr()) == ("", f"config error: --out {out}: {reason}\n")
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, os.strerror(errno.ENOENT)),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "not a JSON object"),
+    ], ids=["missing", "not-json", "not-an-object"])
+    def test_bad_manifest_is_one_config_error_line(self, reproduce, tmp_path, capsys,
+                                                   content, reason):
+        manifest = tmp_path / "manifest.json"
+        if content is not None:
+            manifest.write_text(content)
+        assert reproduce("--out", str(tmp_path / "out"), "--only", "fig8",
+                         "--compare", str(manifest)) == 1
+        assert tuple(capsys.readouterr()) == (
+            "", f"config error: --compare {manifest}: {reason}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_operating_points_config_error_is_one_line():

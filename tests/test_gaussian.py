@@ -1,3 +1,4 @@
+import linecache
 import logging
 import warnings
 
@@ -21,6 +22,7 @@ from cavmag.gaussian import (
     PAIRING_RTOL,
     TRIPARTITE_MEASURES,
     GaussianError,
+    covariance_stack,
     full_report,
     log_negativity,
     lyapunov_solve,
@@ -37,6 +39,7 @@ from conftest import (
     SAMPLING_BOX,
     draw_params,
     integrate_lyapunov,
+    param_arrays,
     positions,
     random_physical_covariance,
     sample_stable_params,
@@ -658,3 +661,49 @@ class TestBatchedLyapunovMatchesPerPoint:
         V, solved, errors = gaussian._lyapunov_solves(np.empty((0, 10, 10)),
                                                       np.empty((0, 10, 10)))
         assert V.shape == (0, 10, 10) and solved.tolist() == [] and errors == {}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_and_two_matrices(self, k):
+        A, D = self.stacks()
+        assert self.assert_same(A[:k], D[:k]) == {}
+        A[k - 1] = -A[k - 1]  # unstable
+        assert sorted(self.assert_same(A[:k], D[:k])) == [k - 1]
+
+    def test_both_forms_run_the_one_core(self, monkeypatch):
+        # an error the core raises on one matrix reaches lyapunov_solve, and
+        # _lyapunov_solves records it at that matrix's position
+        A, D = self.stacks()
+        chosen = A[6] / np.abs(A[6]).max()
+        core = gaussian._bartels_stewart
+
+        def failing(a, q):
+            if np.array_equal(a, chosen):
+                raise GaussianError("chosen")
+            return core(a, q)
+
+        monkeypatch.setattr(gaussian, "_bartels_stewart", failing)
+        with pytest.raises(GaussianError, match="^chosen$"):
+            lyapunov_solve(A[6], D[6])
+        errors = self.assert_same(A, D)
+        assert {i: str(exc) for i, exc in errors.items()} == {6: "chosen"}
+
+    def test_perturbation_warning_points_at_the_solve_call(self):
+        # trsyl perturbs a near-zero eigenvalue pair at delta_1 = 1e300; the
+        # warning names the line of steady_covariance or covariance_stack
+        # that asked for the solve, not a line inside the solver
+        p = SystemParams().updated(delta_1=1e300)
+
+        def point():
+            with pytest.raises(GaussianError, match="residual"):
+                steady_covariance(p)
+
+        def stack():
+            assert list(covariance_stack(param_arrays([p])).errors) == [0]
+
+        for run, call in ((point, "lyapunov_solve(A, diffusion_matrix(p))"),
+                          (stack, "_lyapunov_solves(drifts[at], D[keep])")):
+            with pytest.warns(RuntimeWarning, match="perturbing") as record:
+                run()
+            (warning,) = record
+            assert warning.filename == gaussian.__file__
+            assert call in linecache.getline(warning.filename, warning.lineno)

@@ -177,7 +177,8 @@ def serial_order(spec, monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Counts the process pools maximize builds."""
+    """Counts the process pools maximize builds, and lets it build one of up
+    to eight processes on a machine with fewer CPUs."""
     built = []
 
     class CountedPool(optimize.ProcessPoolExecutor):
@@ -186,6 +187,7 @@ def pools(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(optimize, "_usable_cpus", lambda: 8)
     return built
 
 
@@ -215,6 +217,12 @@ class TestRestartPool:
         assert maximize(spec, ne_base(), workers=8) == maximize(spec, ne_base(), workers=1)
         assert pools == [8]
         assert multiprocessing.active_children() == []
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, pools):
+        monkeypatch.setattr(optimize, "_usable_cpus", lambda: 2)
+        spec = local_spec(8, 300, 4)
+        assert maximize(spec, ne_base(), workers=8) == maximize(spec, ne_base(), workers=1)
+        assert pools == [2]
 
     def test_ties_keep_the_first_point(self, monkeypatch, pools):
         # a coarse objective: later restarts tie with the best found before
