@@ -4,6 +4,8 @@ temperatures, printing a summary table.
 
 Usage:
     python scripts/operating_points.py [--seed N]
+
+With the presets' own seeds it prints scripts/operating_points.txt.
 """
 import argparse
 import sys

@@ -188,8 +188,9 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise GaussianError("non-finite drift or diffusion matrix")
     V = _bartels_stewart(A / scale, -D / scale)
     V = 0.5 * (V + V.T)
-    residual = np.linalg.norm(A @ V + V @ A.T + D)
-    bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check
+        residual = np.linalg.norm(A @ V + V @ A.T + D)
+        bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
     if not _passes(np.isfinite(V).all(), residual, bound):
         raise _breakdown(residual, bound)
     return V
@@ -231,8 +232,9 @@ def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     V = np.array(V).reshape(-1, n, n)
     V = 0.5 * (V + V.swapaxes(1, 2))
     A, D = A[ok], D[ok]
-    residual = _frobenius(A @ V + V @ A.swapaxes(1, 2) + D)
-    bound = LYAPUNOV_RESIDUAL_RTOL * np.maximum(1.0, _frobenius(D))
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check
+        residual = _frobenius(A @ V + V @ A.swapaxes(1, 2) + D)
+        bound = LYAPUNOV_RESIDUAL_RTOL * np.maximum(1.0, _frobenius(D))
     good = _passes(np.isfinite(V).all(axis=(1, 2)), residual, bound)
     for j in np.flatnonzero(~good).tolist():
         errors[solved[j]] = _breakdown(residual[j], bound[j])

@@ -3,7 +3,9 @@ temperature search.
 
 The optimizer is a seeded multi-restart Nelder-Mead over a box in
 (delta_1, delta_2, delta_n_tilde, delta_e, J), all in omega_d units.
-Unstable points score zero.
+Unstable points score zero.  The bounded Nelder-Mead is this module's own
+(_nelder_mead): it takes the steps of scipy's, bit for bit, without loading
+scipy.optimize.
 """
 from __future__ import annotations
 
@@ -92,7 +94,8 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     predecessors left and stops before the call that would exceed it, so the
     report counts at most ``max_evaluations`` evaluations and a run cut by
     its budget is an exact prefix of the uncut run.  The returned point is
-    the first best stable one encountered.
+    the first best stable one encountered.  The descent is ``_nelder_mead``,
+    which gives the bits scipy's bounded Nelder-Mead gave.
 
     Up to ``workers`` forked processes (default: no limit), at most one per
     restart and per CPU this process may use, run the restarts ahead with
@@ -101,12 +104,9 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     So the report, or the error, is the serial one.  One process, one
     restart or no ``fork`` start method: all run here.
 
-    ``scipy.optimize`` is imported here, not with the module, so that runs
-    that never optimize do not load it; it and the Lyapunov solve's LAPACK
-    (``scipy.linalg``) are loaded before the pool forks, so the workers
-    inherit them.
+    The Lyapunov solve's LAPACK (``scipy.linalg``) is bound before the pool
+    forks, so the workers inherit it.
     """
-    from scipy.optimize import minimize
     _lapack()
 
     if workers is not None and workers < 1:
@@ -168,27 +168,17 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     starts = [np.array(x) for _, x in scanned[: spec.restarts]]
 
     def descend(start, maxfev):
-        return minimize(
-            lambda x: -objective(x),
-            start,
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={
-                "maxfev": maxfev,
-                "xatol": 1e-4,
-                "fatol": 1e-10,
-                "initial_simplex": _initial_simplex(start, lo, hi),
-            },
-        )
+        return _nelder_mead(lambda x: -objective(x), _initial_simplex(start, lo, hi),
+                            lo, hi, maxfev)
 
     def speculate(j):
         """Restart j in a pool worker: (record, (fun, nfev, own best) or None if cut)."""
         state.update(evals=0, best=None, record={}, restart=j)
         try:
-            res = descend(starts[j], spare)
+            fun, nfev = descend(starts[j], spare)
         except _LimitReached:
             return state["record"], None
-        return state["record"], (res.fun, res.nfev, state["best"])
+        return state["record"], (fun, nfev, state["best"])
 
     spare = spec.max_evaluations - state["evals"]
     n = min(workers or len(starts), len(starts), _usable_cpus())
@@ -220,8 +210,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
                 if best is not None:
                     offer(*best)
             else:
-                res = descend(start, budget)
-                fun, nfev = res.fun, res.nfev
+                fun, nfev = descend(start, budget)
             state["record"] = None
             restart_log.append({
                 "start": dict(zip(free, (float(v) for v in start))),
@@ -266,6 +255,82 @@ def _initial_simplex(start, lo, hi):
             step = -step
         simplex[i + 1, i] += step
     return simplex
+
+
+class _Spent(Exception):
+    """A Nelder-Mead run reached its maxfev calls."""
+
+
+def _nelder_mead(f, simplex, lo, hi, maxfev):
+    """Minimize f over the box [lo, hi] by Nelder-Mead (Nelder & Mead, Comput.
+    J. 7, 308 (1965)) from an (n+1, n) simplex: (smallest value of the final
+    simplex, calls of f).
+
+    This is scipy's ``minimize(method="Nelder-Mead")`` with bounds, an
+    initial simplex, ``xatol=1e-4`` and ``fatol=1e-10``, operation for
+    operation (scipy 1.17), so it gives the same bits.  Simplex vertices
+    above hi are reflected into the box, then every vertex and trial point
+    is clipped to it, and f gets a copy of each.  A run stops before the
+    call that would exceed ``maxfev``, possibly inside a step, and the
+    simplex is re-sorted after each step.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.clip(np.where(simplex > hi, 2 * hi - simplex, simplex), lo, hi)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return f(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Spent:
+        pass
+    # scipy sorts twice here; argsort is not stable, so the second may move ties
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while nfev < maxfev:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= 1e-4
+                    and np.abs(fsim[0] - fsim[1:]).max() <= 1e-10):
+                break
+            xbar = sim[:-1].sum(0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+            fxr = call(xr)
+            if fxr < fsim[0]:  # expand
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:  # contract inside
+                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = call(sim[j])
+        except _Spent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return np.min(fsim), nfev
 
 
 def critical_temperature(p: SystemParams, measure: str, T_max: float,

@@ -532,7 +532,9 @@ class TestPresets:
 # commands, recorded before the covariance became a plain array: the
 # measures, the verdict, the optimizer and the tc search in every bit.  The
 # <command>.meta.json sidecars were recorded before the configuration front
-# end was cut down, and pin the config echo and the sidecar head.
+# end was cut down, and pin the config echo and the sidecar head.  The
+# table2_a1n, table2_a1d and table2_de optima were recorded while maximize
+# still called scipy's Nelder-Mead.
 ONE_POINT_DIGESTS = {
     "point --preset default": {
         "stdout": "488cc5fa44667c6f3c330c6447f1d626086f75b33aa0e470efb7065ea69dc39f",
@@ -559,11 +561,29 @@ ONE_POINT_DIGESTS = {
         "point.json": "b96e04b2d7c3525af8ea6f05fba8c83bc0ba829db9b125b9459b71cc233818e4",
         "point.meta.json": "5f906de5945bffd8f157f5f1724883baf2d47a1dc32780290930bf5ffefe5381",
     },
+    "optimize --preset table2_a1n": {
+        "stdout": "a4c2b91b1910d887a43ebba622e04c75d20aa7168b50b25bb6d6e5c4e9861f05",
+        "optimize_report.json": "5807aa9355c557567da4d5c25b938c43029af46f3e88b995f0e8122718ecdc42",
+        "optimize_trace.csv": "a131fe37766e702d06964bb1b8d810c1e65db83010fb6999b3ed7dcea8b1090e",
+        "optimize.meta.json": "99ac225c6d4e088b30213bb14d2ebd7dea64c400ee9cd77879ecf19ac9d37e3a",
+    },
+    "optimize --preset table2_a1d": {
+        "stdout": "0c83705aab6a2d9e275738223e84531d46095cb12368e875113643782bf73552",
+        "optimize_report.json": "b7d75faf8a58debe32762e2fb7ed09593105d6799ba9c786d7cf79c4629b2f66",
+        "optimize_trace.csv": "ef8fc9cf099b1d1269adb401710afc3070417c3df10e78743c1444c3b031e3a3",
+        "optimize.meta.json": "7fbde6bb58a5193289103b66ad74930d6d5e548e077cd7d67f5d366188b84f57",
+    },
     "optimize --preset table2_ne": {
         "stdout": "16318292a5e91466a4cc0d244d619a58280aa5bb8e006fc664cc15fd861e76dd",
         "optimize_report.json": "6de3077ce10c3c90b6f12a8d16533566488f56f85a1abf7a245aa4a5b3dbbae0",
         "optimize_trace.csv": "34a773bc569757389dd1b3aad685548b00ca6f716179c1193b8d8637407ed7b4",
         "optimize.meta.json": "f5c3866680822012f9a21fb3b8b4f42759071441293f48b332bebbff28bda854",
+    },
+    "optimize --preset table2_de": {
+        "stdout": "52ab944b0ac61e5014b5f36f66e06f34d986eabaf653fd45c56f75bf5f8e92c5",
+        "optimize_report.json": "486e605706b92fbd35534335dffc7d93d728c6f454bb4224e68c3d4e868e7615",
+        "optimize_trace.csv": "cafde632b15a15595c9f61923c094b562a79ec4e56e7b78405fa091a604d14b9",
+        "optimize.meta.json": "3f4f2806fe90eb94ba017825fe6b342c0c227761ff9be8f8783418c87c17fe8a",
     },
     "tc --preset table2_de": {
         "stdout": "8222f546c2dbd48cd8355169440cb3cc3d71b6fb754df15956b95c8d8f33bba2",

@@ -644,7 +644,10 @@ class TestBatchedLyapunovMatchesPerPoint:
         hot = SystemParams(T=1e300)
         A[4], D[4] = drift_matrix(hot, steady_state(hot)), diffusion_matrix(hot)
         D[7] *= 1e160  # ||D||_F overflows, trsyl needs no scaling
-        errors = self.assert_same(A, D)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            errors = self.assert_same(A, D)
+        assert not [w for w in caught if "overflow" in str(w.message)]
         assert sorted(errors) == [4, 7]
         assert str(errors[4]).startswith("solver breakdown: trsyl scaled ")
         assert str(errors[7]).startswith("solver breakdown: Lyapunov residual bound inf")

@@ -1,13 +1,17 @@
+import inspect
 import json
 import multiprocessing
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from cavmag import optimize
 from cavmag.dynamics import SteadyStateError
-from cavmag.model import SystemParams
+from cavmag.model import SystemParams, updated_in_omega_d_units
 from cavmag.optimize import (
     NonMonotoneProfile,
     OptimizeError,
@@ -307,6 +311,177 @@ class TestRestartPool:
             maximize(local_spec(3, 150, 4), ne_base(), workers=workers)
 
 
+def _step_lines() -> dict[int, str]:
+    """The line numbers of _nelder_mead that run only in one kind of step,
+    by step: the line after each step's comment, the convergence break, and
+    the line after each budget cut (in the first simplex, then in a step)."""
+    lines, first = inspect.getsourcelines(optimize._nelder_mead)
+    marks = {"# expand": "expand", "# reflect": "reflect",
+             "# contract outside": "outside", "# contract inside": "inside",
+             "# towards the best vertex": "shrink"}
+    steps, cuts = {}, iter(["cut in the simplex", "cut in a step"])
+    for i, line in enumerate(lines, start=first):
+        steps.update((i + 1, step) for mark, step in marks.items() if mark in line)
+        if line.strip() == "break":
+            steps[i] = "converged"
+        if "except _Spent" in line:
+            steps[i + 1] = next(cuts)
+    assert len(steps) == 8
+    return steps
+
+
+STEP_LINES = _step_lines()
+
+
+def nelder_mead_against_scipy(f, simplex, lo, hi, maxfev) -> set[str]:
+    """Runs _nelder_mead and scipy's bounded Nelder-Mead, as maximize called
+    it, on f: both evaluate the same points, byte for byte and in the same
+    order, and return the same value and call count.  Returns the steps
+    _nelder_mead took."""
+    ours, theirs, steps = [], [], set()
+
+    def logged(calls):
+        def g(x):
+            calls.append(x.tobytes())
+            return f(x)
+        return g
+
+    def trace_steps(frame, event, arg):
+        if event == "line" and frame.f_lineno in STEP_LINES:
+            steps.add(STEP_LINES[frame.f_lineno])
+        return trace_steps
+
+    code, before = optimize._nelder_mead.__code__, sys.gettrace()
+    sys.settrace(lambda frame, *_: trace_steps if frame.f_code is code else None)
+    try:
+        fun, nfev = optimize._nelder_mead(logged(ours), simplex.copy(), lo, hi, maxfev)
+    finally:
+        sys.settrace(before)
+    res = minimize(logged(theirs), np.clip(simplex[0], lo, hi), method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-10,
+                            "initial_simplex": simplex})
+    assert len(ours) == nfev and ours == theirs
+    assert (float(fun).hex(), nfev) == (float(res.fun).hex(), res.nfev)
+    return steps
+
+
+def en_ne_objective(box):
+    """maximize's objective on EN_ne over a box around NE_POINT: minus the
+    measure, and 0.0 (so -0.0) where there is no steady state."""
+    names, base = list(box), ne_base()
+
+    def f(x):
+        value = evaluate_measure(updated_in_omega_d_units(base, dict(zip(names, x))),
+                                 "EN_ne")
+        return -(0.0 if value is None else value)
+
+    lo, hi = (np.array([box[n][k] for n in names]) for k in (0, 1))
+    return f, lo, hi
+
+
+SQUARE = np.full(2, -1.0), np.ones(2)
+PARTLY_UNSTABLE = {"delta_1": (0.4, 1.1), "delta_n_tilde": (-0.9, 1.1)}
+
+
+def smooth(x):  # a minimum near 0, so reflections cross zero
+    return float(((x - [0.01, -0.02]) ** 2 * [1.0, 10.0]).sum())
+
+
+def stairs(x):  # levels of equal values: ties in fsim and between trial points
+    return float(np.floor(5 * (x[0] + 2 * x[1])))
+
+
+def plateau(x):  # a flat floor: ties, and shrinks
+    return float(min(0.0, np.floor(4 * x).sum() - 2))
+
+
+class TestNelderMeadMatchesScipy:
+    """_nelder_mead against scipy.optimize.minimize, its slow reference."""
+
+    @pytest.mark.parametrize("f, start, steps", [
+        (smooth, [0.9, 0.8], {"reflect", "expand", "outside", "inside", "converged"}),
+        (stairs, [0.3, 0.9], {"reflect", "expand", "shrink", "converged"}),
+        (plateau, [0.2, 0.3], {"shrink", "converged"}),
+        (smooth, [1.0, 1.0], {"converged"}),  # on the upper bound: the steps flip
+    ])
+    def test_every_step(self, f, start, steps):
+        simplex = optimize._initial_simplex(np.array(start), *SQUARE)
+        assert steps <= nelder_mead_against_scipy(f, simplex, *SQUARE, 500)
+
+    @pytest.mark.parametrize("f, start", [(stairs, [0.3, 0.9]), (plateau, [0.2, 0.3])])
+    def test_ties(self, f, start):
+        values = []
+
+        def counted(x):
+            values.append(f(x))
+            return values[-1]
+
+        nelder_mead_against_scipy(counted, optimize._initial_simplex(
+            np.array(start), *SQUARE), *SQUARE, 500)
+        assert len(set(values)) < len(values) / 4
+
+    def test_f_gets_a_copy(self):
+        def scribbling(x):
+            value = smooth(x)
+            x[:] = np.nan
+            return value
+
+        simplex = optimize._initial_simplex(np.array([0.9, 0.8]), *SQUARE)
+        assert "converged" in nelder_mead_against_scipy(scribbling, simplex, *SQUARE, 500)
+
+    def test_vertices_above_the_upper_bound_are_reflected(self):
+        simplex = np.array([[1.0, 1.0], [1.2, 1.0], [1.0, 1.3]])
+        assert "converged" in nelder_mead_against_scipy(smooth, simplex, *SQUARE, 500)
+        # reflected to 0.8 and 0.7, inside the box
+        seen = []
+        optimize._nelder_mead(lambda x: seen.append(x.copy()) or smooth(x),
+                              simplex, *SQUARE, 3)
+        assert np.array_equal(seen, [[1.0, 1.0], [0.8, 1.0], [1.0, 0.7]])
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 3])
+    def test_budget_below_the_simplex(self, maxfev):
+        lo, hi = np.zeros(3), np.ones(3)
+        simplex = optimize._initial_simplex(np.array([0.4, 0.5, 0.6]), lo, hi)
+        steps = nelder_mead_against_scipy(lambda x: float(x.sum()), simplex, lo, hi,
+                                          maxfev)
+        assert steps == {"cut in the simplex"}
+
+    def test_every_budget_cut(self):
+        steps = set()
+        for f, start in [(smooth, [0.9, 0.8]), (stairs, [0.3, 0.9])]:
+            simplex = optimize._initial_simplex(np.array(start), *SQUARE)
+            for maxfev in range(1, 60):
+                steps |= nelder_mead_against_scipy(f, simplex, *SQUARE, maxfev)
+        assert "cut in a step" in steps
+
+    @pytest.mark.parametrize("box, start, steps", [
+        (LOCAL_BOX, [0.75, -0.5], {"reflect", "expand", "outside", "inside"}),
+        ({n: (v - 0.3, v + 0.3) for n, v in NE_POINT.items()},
+         list(NE_POINT.values()), {"cut in a step"}),
+        # a box that is partly unstable: from its edge, and from an unstable
+        # start, where every value is a -0.0 tie and the simplex shrinks
+        (PARTLY_UNSTABLE, [0.75, 0.3], {"expand", "converged"}),
+        (PARTLY_UNSTABLE, [0.75, -0.6], {"shrink", "converged"}),
+    ])
+    def test_en_ne_objectives(self, box, start, steps):
+        f, lo, hi = en_ne_objective(box)
+        simplex = optimize._initial_simplex(np.array(start), lo, hi)
+        assert steps <= nelder_mead_against_scipy(f, simplex, lo, hi, 150)
+
+    def test_limit_reached_passes_through(self):
+        def limited(x):
+            if limited.calls == 5:
+                raise optimize._LimitReached
+            limited.calls += 1
+            return smooth(x)
+
+        limited.calls = 0
+        with pytest.raises(optimize._LimitReached):
+            optimize._nelder_mead(limited, optimize._initial_simplex(
+                np.array([0.9, 0.8]), *SQUARE), *SQUARE, 500)
+
+
 class TestCriticalTemperature:
     def test_zero_couplings_not_entangled_at_floor(self):
         base = SystemParams(J=0.0, G_ae=0.0, g_na=0.0, G_nd=0.0)
@@ -379,32 +554,57 @@ class TestScipyOptimizeImport:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the restart pool needs the fork start method")
-    def test_maximize_imports_it_before_the_pool_forks(self):
-        # and binds the Lyapunov solve's LAPACK (scipy.linalg) there too
+    @pytest.mark.parametrize("argv, pools", [
+        (["optimize", "--preset", "table2_ne", "--workers", "1"], []),
+        (["optimize", "--preset", "table2_ne", "--workers", "2"], [2]),
+        (["tc", "--preset", "table2_ne"], []),
+    ])
+    def test_optimize_and_tc_never_import_it(self, tmp_path, argv, pools):
+        # the finder refuses scipy.optimize in this process and in every
+        # forked worker, and the workers log what they had loaded; the
+        # Lyapunov solve's LAPACK is bound before the pool forks
         run_fresh("""
-            import sys
+            import json, os, sys
+            import cavmag.cli
             from cavmag import gaussian, optimize
-            from cavmag.model import SystemParams
+
+            argv, pools, log = json.loads(sys.argv[1])
+
+            def note(line):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {line}\\n")
+
+            class NoOptimize:
+                def find_spec(self, name, path=None, target=None):
+                    if name.startswith("scipy.optimize"):
+                        note(f"imported {name}")
+                        raise ImportError(f"{name} imported")
 
             built = []
 
             class CheckedPool(optimize.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
-                    assert "scipy.optimize" in sys.modules
                     assert gaussian._lapack.cache_info().currsize == 1
                     built.append(args[0])
                     super().__init__(*args, **kwargs)
 
-            optimize.ProcessPoolExecutor = CheckedPool
-            assert "scipy.optimize" not in sys.modules
-            assert "scipy.linalg" not in sys.modules
-            spec = optimize.OptimizeSpec(
-                measure="EN_ne",
-                box={"delta_1": (0.4, 1.1), "delta_2": (-0.9, -0.1)},
-                restarts=2, max_evaluations=120, seed=5)
-            optimize.maximize(spec, SystemParams(), workers=2)
-            assert built == [2]
-        """)
+            speculate = optimize._speculate
+
+            def logged(j):
+                result = speculate(j)
+                note(f"restart {j} {'scipy.optimize' in sys.modules}")
+                return result
+
+            sys.meta_path.insert(0, NoOptimize())
+            optimize.ProcessPoolExecutor, optimize._speculate = CheckedPool, logged
+            optimize._usable_cpus = lambda: 2
+            assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == 0
+            assert "scipy.optimize" not in sys.modules and built == pools
+            lines = open(log).read().splitlines() if os.path.exists(log) else []
+            assert all(line.split()[1:2] == ["restart"] and line.endswith(" False")
+                       for line in lines), lines
+            assert bool(lines) == bool(pools)
+        """, json.dumps([argv, pools, str(tmp_path / "log")]), str(tmp_path))
 
 
 class TestScipyLinalgImport:
