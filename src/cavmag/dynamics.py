@@ -214,7 +214,7 @@ def _point(f, i: int) -> SimpleNamespace:
 
 
 def steady_states(f) -> MeanFields:
-    """steady_state of every point of a chunk ``f`` (gaussian.covariance_stack),
+    """steady_state of every point of a chunk ``f`` (gaussian.evaluate_chunk),
     with the same bits, iteration counts and SteadyStateErrors; any other
     error is raised, that of the first point that raises one.
 
@@ -317,7 +317,7 @@ def drift_matrix(p, ss) -> np.ndarray:
     state.  Row pairs (1-based): a1 1-2, a2 3-4, magnon 5-6, phonon 7-8,
     ensemble 9-10.
 
-    Also takes a chunk (gaussian.covariance_stack) with its MeanFields, and
+    Also takes a chunk (gaussian.evaluate_chunk) with its MeanFields, and
     then returns the (k, 10, 10) stack of the drifts of its points.
     """
     d1, d2, de = p.delta_1, p.delta_2, p.delta_e

@@ -23,7 +23,6 @@ import numpy as np
 
 from .dynamics import (
     MODE_LABELS,
-    MeanFields,
     StabilityVerdict,
     SteadyState,
     SteadyStateError,
@@ -403,7 +402,7 @@ def _measures(covariances: np.ndarray, plan: _Plan, labels) -> list[list]:
     each matrix the bits of a solve on that matrix alone, but an error
     anywhere in a stack raises for the whole stack.
     """
-    flat = covariances.reshape(len(covariances), -1)
+    flat = covariances.reshape(len(covariances), covariances.shape[-1] ** 2)
     e_pair = e_split = []
     if len(plan.pair_index):
         W = flat.take(plan.pair_index, axis=1) * _PAIR_SIGNS
@@ -467,14 +466,14 @@ def residual_contangle(V3: np.ndarray) -> ResidualContangle:
     return _measures(V3[None], _plan(((0, 1, 2),), 6), range(3))[0][0]
 
 
-class CovarianceStack(NamedTuple):
-    """The steady covariances of a chunk, and what led to them."""
+class ChunkOutcome(NamedTuple):
+    """What evaluate_chunk found at the points of a chunk, by position."""
 
-    steady: MeanFields
     abscissa: np.ndarray  # (k,) spectral abscissa of each drift, NaN without one
     stable: np.ndarray  # (k,) the stability verdicts, False without one
     covariances: np.ndarray  # (s, 10, 10): the stable points that solved, in order
     solved: np.ndarray  # (s,) their positions
+    values: dict  # position -> {measure id: value}, for each point measured
     errors: dict  # position -> the NO_STEADY_STATE error of the point
 
 
@@ -482,51 +481,62 @@ def _take(f, at) -> SimpleNamespace:
     return SimpleNamespace(**{name: a[at] for name, a in vars(f).items()})
 
 
-def _verdicts(f):
-    """The first half of covariance_stack, which a grid without measures
-    stops at: the chunk's MeanFields, its (k, 10, 10) drifts, their (k,)
-    spectral abscissae and stability verdicts (NaN and False without one),
-    and the NO_STEADY_STATE error of each point that has no verdict."""
+def _each(solve, stack, errors, at):
+    """solve on a stack whose matrices sit at positions ``at``, in one call;
+    if that raises a NO_STEADY_STATE error, one matrix at a time, so that
+    each error lands on its own position in ``errors``.  Returns the
+    positions that succeeded and their results, in order."""
+    try:
+        return at.tolist(), solve(stack)
+    except NO_STEADY_STATE:
+        pass
+    done, results = [], []
+    for i, x in zip(at.tolist(), stack):
+        try:
+            results.append(solve(x[None])[0])
+        except NO_STEADY_STATE as exc:
+            errors[i] = exc
+        else:
+            done.append(i)
+    return done, results
+
+
+def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
+    """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
+    per SystemParams field, NaN where a field is None.
+
+    The mean fields come from steady_states and the drifts from one stack;
+    all the verdicts come from one stacked eigen-solve.  Without measure ids
+    that is all: no diffusion and no Lyapunov solve.  With them, the stable
+    points get their diffusions from one stack, their covariances from
+    _lyapunov_solves and their values from measure_values on the stack of
+    covariances.  A stacked eigen-solve that fails is redone one matrix at
+    a time, so the error lands on its point.  Each point's outcome is that
+    of steady_state, drift_matrix, its verdict, diffusion_matrix,
+    lyapunov_solve and measure_values in turn; an error outside
+    NO_STEADY_STATE is raised.
+    """
     k = len(f.omega_d)
     mean = steady_states(f)
     errors = dict(mean.errors)
     drifts = drift_matrix(f, mean)
     live = np.setdiff1d(np.arange(k), list(errors))
     abscissa = np.full(k, np.nan)
-    try:
-        abscissa[live] = spectral_abscissa(drifts[live])
-    except np.linalg.LinAlgError:
-        for i in live.tolist():
-            try:
-                abscissa[i] = spectral_abscissa(drifts[i])
-            except np.linalg.LinAlgError as exc:
-                errors[i] = exc
+    done, abscissae = _each(spectral_abscissa, drifts[live], errors, live)
+    abscissa[done] = abscissae
     stable = StabilityVerdict.from_abscissa(abscissa, f.omega_d).stable
-    return mean, drifts, abscissa, stable, errors
-
-
-def covariance_stack(f) -> CovarianceStack:
-    """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
-    per SystemParams field, NaN where a field is None.
-
-    The mean fields come from steady_states and the drifts from one stack;
-    all the verdicts come from one stacked eigen-solve (a stack that LAPACK
-    fails is solved one drift at a time, so the error lands on its point);
-    that much is _verdicts.  The stable points then get their diffusions
-    from one stack and their covariances from _lyapunov_solves.  Each
-    point's outcome is that of steady_state, drift_matrix, its verdict,
-    diffusion_matrix and lyapunov_solve in turn; an error outside
-    NO_STEADY_STATE is raised.
-    """
-    mean, drifts, abscissa, stable, errors = _verdicts(f)
     at = np.flatnonzero(stable)
+    if not measure_ids:
+        return ChunkOutcome(abscissa, stable, drifts[:0], at[:0], {}, errors)
     D, failed = diffusion_matrices(_take(f, at))
     keep = np.setdiff1d(np.arange(len(at)), list(failed))
     errors.update((int(at[j]), exc) for j, exc in failed.items())
     at = at[keep]
     V, solved, failed = _lyapunov_solves(drifts[at], D[keep])
     errors.update((int(at[j]), exc) for j, exc in failed.items())
-    return CovarianceStack(mean, abscissa, stable, V, at[solved], errors)
+    at = at[solved]
+    measured, values = _each(lambda stack: measure_values(stack, measure_ids), V, errors, at)
+    return ChunkOutcome(abscissa, stable, V, at, dict(zip(measured, values)), errors)
 
 
 def steady_covariance(p: SystemParams):
@@ -540,24 +550,23 @@ def steady_covariance(p: SystemParams):
     return ss, verdict, V
 
 
-def _measure_value_stack(covariances: np.ndarray, measure_ids) -> list[dict[str, float]]:
-    """measure_values of every 10x10 covariance in a (k, 10, 10) stack, from
-    one stacked eigen-solve per block size; an error raises for the stack."""
+def measure_values(V: np.ndarray, measure_ids):
+    """Requested entanglement measures evaluated on a 10x10 covariance, as a
+    {measure id: value} dict.  Also takes an (s, 10, 10) stack, and then
+    returns one dict per covariance, from one stacked eigen-solve per block
+    size; an error anywhere in the stack raises for the whole stack."""
+    if V.ndim > 3 or V.shape[-2:] != (2 * len(MODE_LABELS),) * 2:
+        raise GaussianError("measures need a 10x10 covariance or a stack of them; "
+                            f"have shape {V.shape}")
     ids = tuple(measure_ids)
     try:
         plan = _plan(tuple(_BLOCK_OF[mid] for mid in ids), 2 * len(MODE_LABELS))
     except KeyError as exc:
         raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
-    return [{mid: value.r_min if mid in TRIPARTITE_MEASURES else value
-             for mid, value in zip(ids, values)}
-            for values in _measures(covariances, plan, MODE_LABELS)]
-
-
-def measure_values(V: np.ndarray, measure_ids) -> dict[str, float]:
-    """Requested entanglement measures evaluated on a 10x10 covariance."""
-    if V.shape != (2 * len(MODE_LABELS),) * 2:
-        raise GaussianError(f"measures need a 10x10 covariance; have shape {V.shape}")
-    return _measure_value_stack(V[None], measure_ids)[0]
+    values = [{mid: value.r_min if mid in TRIPARTITE_MEASURES else value
+               for mid, value in zip(ids, values)}
+              for values in _measures(V if V.ndim == 3 else V[None], plan, MODE_LABELS)]
+    return values if V.ndim == 3 else values[0]
 
 
 def full_report(p: SystemParams) -> EntanglementReport:

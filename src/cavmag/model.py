@@ -195,6 +195,10 @@ class CouplingDerivation:
     spin_number: float = 2.5
 
     def __post_init__(self):
+        # NaN passes the sign checks below and silences a regime warning
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         for name in ("V_cav", "N_atoms", "Gamma_gyro", "rho_spin",
                      "V_sphere", "spin_number"):
             if getattr(self, name) <= 0:

@@ -337,8 +337,9 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
                          tol: float = 1e-3) -> float:
     """Temperature at which a measure first drops below 1e-4.
 
-    Bisection on [1 mK, T_max] to within ``tol`` (default 1 mK), after a
-    coarse scan that verifies a monotone-decreasing profile.
+    Bisection on [1 mK, T_max] to within ``tol`` (default 1 mK), or until
+    no float lies between its ends, after a coarse scan that verifies a
+    monotone-decreasing profile.
     """
     if measure not in MEASURE_IDS:
         raise OptimizeError(f"unknown measure id {measure!r}")
@@ -378,6 +379,8 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
     lo = max(T for T, v in samples if T < hi and v >= ENTANGLEMENT_FLOOR)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if value_at(mid) < ENTANGLEMENT_FLOOR:
             hi = mid
         else:

@@ -3,7 +3,7 @@
 Axis values are dimensionless (units of omega_d) except the temperature axis,
 which is kelvin.  Each axis value passes the parameter checks once; points
 are then evaluated in consecutive chunks of CHUNK (1000) as arrays of
-parameter fields (gaussian.covariance_stack), with one stacked measure
+parameter fields (gaussian.evaluate_chunk), with one stacked measure
 eigen-solve per block size, and rows are emitted in row-major order over the
 axes.  With ``workers > 1`` the chunks run on a pool of forked processes;
 the rows are equal either way, and for every chunk size.
@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _lapack, _measure_value_stack,
-                       _verdicts, covariance_stack)
+from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _lapack, evaluate_chunk
 from .model import EPS0, FIELDS, HBAR, KB, SystemParams, updated_in_omega_d_units
 
 # Grid points per chunk: per stacked stability solve and per progress report.
@@ -97,6 +96,8 @@ class GridSpec:
                 raise SweepSpecError(
                     f"unknown measure id {mid!r}; choose from {MEASURE_IDS}"
                 )
+        if len(set(self.measures)) != len(self.measures):
+            raise SweepSpecError("measures must be distinct")
         if "delta_a" in axis_params and self.linkage == "independent":
             raise SweepSpecError(
                 "a delta_a axis requires symmetric or antisymmetric linkage"
@@ -198,7 +199,7 @@ def _error_row(axis_values, exc) -> SweepRow:
     return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
 
 
-def _evaluate_chunk(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
+def _chunk_rows(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
     """Rows of the consecutive grid points numbered by ``chunk`` (row-major);
     a point that has no usable steady state becomes an error row.  A point
     with an axis value that failed the parameter checks gets the error that
@@ -221,44 +222,15 @@ def _evaluate_chunk(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
     for t, at in zip(tables, at_axis):
         fields.update(zip(t.fields, t.columns.T[:, at[ok]]))
     f = SimpleNamespace(**fields)
-    if spec.measures:
-        out = covariance_stack(f)
-        stable, errors = out.stable, out.errors
-        measured = zip(out.solved.tolist(), _chunk_measures(spec.measures, out.covariances))
-    else:  # the verdict is the whole row: no diffusion, no Lyapunov solve
-        *_, stable, errors = _verdicts(f)
-        measured = ((j, {}) for j in np.flatnonzero(stable).tolist())
-    for j, exc in errors.items():
-        rows[ok[j]] = _error_row(points[ok[j]], exc)
-    for j in np.flatnonzero(~stable).tolist():
-        if j not in errors:
-            rows[ok[j]] = SweepRow(points[ok[j]], stable=False, measures=None)
-    for j, values in measured:
-        i = ok[j]
-        if isinstance(values, Exception):
-            rows[i] = _error_row(points[i], values)
-        else:
-            rows[i] = SweepRow(points[i], stable=True, measures=values)
+    out = evaluate_chunk(f, spec.measures)
+    for j, (i, stable) in enumerate(zip(ok.tolist(), out.stable.tolist())):
+        if j in out.errors:
+            rows[i] = _error_row(points[i], out.errors[j])
+        elif not stable:
+            rows[i] = SweepRow(points[i], stable=False, measures=None)
+        else:  # a grid without measures stops at the verdict, with no values
+            rows[i] = SweepRow(points[i], stable=True, measures=out.values.get(j, {}))
     return rows
-
-
-def _chunk_measures(measure_ids, covariances: np.ndarray) -> list:
-    """measure_values of each covariance of a (s, 10, 10) stack, or the
-    NO_STEADY_STATE error it raised.  The pair blocks take one stacked
-    eigen-solve and the one-vs-two blocks another; a stack that raises is
-    evaluated one covariance at a time, so the error lands on its point."""
-    if len(covariances):
-        try:
-            return _measure_value_stack(covariances, measure_ids)
-        except NO_STEADY_STATE:
-            pass
-    values = []
-    for V in covariances:
-        try:
-            values.append(_measure_value_stack(V[None], measure_ids)[0])
-        except NO_STEADY_STATE as exc:
-            values.append(exc)
-    return values
 
 
 def grid_points(spec: GridSpec):
@@ -310,7 +282,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     mapper = map if pool is None else pool.map
     rows = []
     try:
-        for rows_of_chunk in mapper(partial(_evaluate_chunk, spec, tables), chunks):
+        for rows_of_chunk in mapper(partial(_chunk_rows, spec, tables), chunks):
             rows += rows_of_chunk
             if progress is not None:
                 progress(len(rows))

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cavmag import sweep
+from cavmag import config, optimize, sweep
 from cavmag.cli import main
 
 
@@ -117,6 +118,16 @@ class TestEvaluationErrorsAreOneLine:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"config error: [system]: {field} must be finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key, field", config._COUPLING_FIELDS.items())
+    def test_non_finite_coupling_field_is_a_configuration_error(self, tmp_path, capsys,
+                                                                key, field, value):
+        # a NaN passed the sign checks and dropped the regime warning it feeds
+        code = run_cli("point", "--set", f"coupling.{key}={value}", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"config error: [coupling]: {field} must be finite, got {value}\n"
 
     def test_overflowing_mean_field_is_no_steady_state(self, tmp_path, capsys):
         code = run_cli("point", "--set", "Omega_n=1e190", "--out", str(tmp_path))
@@ -361,6 +372,15 @@ measures = EN_de, EN_ne
         assert len(serial.splitlines()) == 1 + 21 * 21
         assert serial == (out2 / "par.csv").read_bytes()
 
+    def test_repeated_measure_is_a_configuration_error(self, tmp_path, capsys):
+        # the CSV carried the EN_ne column twice
+        code = run_cli("sweep", "--preset", "fig8", "--set", "sweep:nde.measures=EN_ne,EN_ne",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "config error: [sweep:nde]: measures must be distinct\n"
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestStabilityMap:
     def test_measures_are_stripped(self, tmp_path):
@@ -476,6 +496,25 @@ class TestTc:
         assert "critical temperature for EN_ne" in out
         record = json.loads((tmp_path / "tc.json").read_text())
         assert 0.140 <= record["T_c_K"] <= 0.260
+
+    def test_tolerance_below_the_float_spacing_ends(self, tmp_path, monkeypatch):
+        # the bisection stops once no float lies between its ends, some 50
+        # halvings in, instead of halving the same interval forever
+        temperatures = []
+        real = optimize.evaluate_measure
+
+        def counted(p, measure):
+            temperatures.append(p.T)
+            assert len(temperatures) <= 100, "the bisection does not end"
+            return real(p, measure)
+
+        monkeypatch.setattr(optimize, "evaluate_measure", counted)
+        code = run_cli("tc", "--preset", "table2_ne", "--set", "tc.tol_K=1e-20",
+                       "--out", str(tmp_path))
+        assert code == 0
+        T_c = json.loads((tmp_path / "tc.json").read_text())["T_c_K"]
+        assert 0.140 <= T_c <= 0.260
+        assert abs(temperatures[-1] - T_c) <= 2 * math.ulp(T_c)
 
     def test_zero_tolerance_is_a_configuration_error(self, tmp_path, capsys):
         code = run_cli("tc", "--preset", "table2_de", "--set", "tc.tol_K=0",

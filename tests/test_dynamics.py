@@ -11,7 +11,7 @@ from cavmag.dynamics import (
     steady_state,
     steady_states,
 )
-from cavmag.gaussian import covariance_stack, lyapunov_solve, symplectic_eigenvalues
+from cavmag.gaussian import evaluate_chunk, lyapunov_solve, symplectic_eigenvalues
 from cavmag.model import ParameterError, SystemParams, updated_in_omega_d_units
 from cavmag.sweep import Axis, GridSpec, _point_values, grid_points
 
@@ -326,7 +326,7 @@ class TestStability:
         assert not verdict_of(A, omega_d=1.0).stable
 
     def test_stack_matches_one_drift_at_a_time(self):
-        # covariance_stack takes every verdict from one stacked eigen-solve
+        # evaluate_chunk takes every verdict from one stacked eigen-solve
         rng = np.random.default_rng(63)
         ps = [draw_params(rng, SystemParams()) for _ in range(60)]
         ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
@@ -334,7 +334,7 @@ class TestStability:
         drifts = np.array([drift_matrix(p, steady_state(p)) for p in ps])
         assert list(spectral_abscissa(drifts)) == [spectral_abscissa(A)
                                                    for A in drifts]
-        out = covariance_stack(param_arrays(ps))
+        out = evaluate_chunk(param_arrays(ps), ())
         assert out.errors == {}
         for p, A, abscissa, stable in zip(ps, drifts, out.abscissa.tolist(), out.stable):
             one = verdict_of(A, p.omega_d)

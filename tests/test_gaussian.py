@@ -22,7 +22,7 @@ from cavmag.gaussian import (
     PAIRING_RTOL,
     TRIPARTITE_MEASURES,
     GaussianError,
-    covariance_stack,
+    evaluate_chunk,
     full_report,
     log_negativity,
     lyapunov_solve,
@@ -504,6 +504,22 @@ class TestStackedKernelMatchesReference:
             assert list(got) == ids
             assert_value_types(list(got.values()), [values[mid] for mid in ids])
 
+    @pytest.mark.parametrize("ids", [["EN_ne"], ["EN_de", "R_nde"], list(MEASURE_IDS)])
+    def test_stack_form_equals_the_point_form(self, reference_points, ids):
+        stack = np.array([V for _, V, _, _ in reference_points])
+        got = measure_values(stack, ids)
+        assert len(got) == len(stack)
+        for values, V in zip(got, stack):
+            want = measure_values(V, ids)
+            assert list(values) == list(want) == ids
+            assert_value_types(list(values.values()), list(want.values()))
+        assert measure_values(stack[:0], ids) == []
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 8, 8), (10, 10, 2), (1, 2, 10, 10)])
+    def test_stack_of_the_wrong_shape(self, shape):
+        with pytest.raises(GaussianError, match="10x10"):
+            measure_values(np.zeros(shape), ["EN_ne"])
+
     def test_hand_built_three_mode_contangle(self):
         # bare 3-mode states: noisy states squeezed across both cuts, and
         # network triples copied out of their covariance (where the clamp
@@ -692,7 +708,7 @@ class TestBatchedLyapunovMatchesPerPoint:
 
     def test_perturbation_warning_points_at_the_solve_call(self):
         # trsyl perturbs a near-zero eigenvalue pair at delta_1 = 1e300; the
-        # warning names the line of steady_covariance or covariance_stack
+        # warning names the line of steady_covariance or evaluate_chunk
         # that asked for the solve, not a line inside the solver
         p = SystemParams().updated(delta_1=1e300)
 
@@ -701,7 +717,7 @@ class TestBatchedLyapunovMatchesPerPoint:
                 steady_covariance(p)
 
         def stack():
-            assert list(covariance_stack(param_arrays([p])).errors) == [0]
+            assert list(evaluate_chunk(param_arrays([p]), ("EN_ne",)).errors) == [0]
 
         for run, call in ((point, "lyapunov_solve(A, diffusion_matrix(p))"),
                           (stack, "_lyapunov_solves(drifts[at], D[keep])")):
