@@ -222,8 +222,10 @@ def cmd_tc(args) -> int:
         for T, v in getattr(exc, "samples", ()):
             print(f"  T={T:.4f} K  {measure}={v:.6e}", file=sys.stderr)
         return 2
+    # one decimal reads 0.0 below 0.05 mK; two significant digits do not
+    tol_mk = f"{tol * 1e3:.1f}" if tol >= 5e-5 else f"{tol * 1e3:.2g}"
     print(f"critical temperature for {measure}: {t_c * 1e3:.1f} mK "
-          f"(threshold 1e-4, tolerance {tol * 1e3:.1f} mK)")
+          f"(threshold 1e-4, tolerance {tol_mk} mK)")
     write_json(out / "tc.json",
                {"measure": measure, "T_c_K": t_c, "T_max_K": t_max, "tol_K": tol})
     _write_sidecar(out, "tc", cfg, args)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ParameterError, SystemParams, thermal_occupation
 
@@ -336,7 +337,7 @@ def drift_matrix(p, ss) -> np.ndarray:
         zero,  zero,  zero,  zero,  zero,  Gnd,  -wd,   -gd,    zero,  zero,
         zero,  Gae,   zero,  zero,  zero,  zero,  zero,  zero, -ge,    de,
        -Gae,   zero,  zero,  zero,  zero,  zero,  zero,  zero, -de,   -ge,
-    ))
+    ), dtype=float)
     return A.T.reshape(A.shape[1:] + (10, 10))
 
 
@@ -386,10 +387,37 @@ def diffusion_matrices(f) -> tuple[np.ndarray, dict]:
     return _diffusion(f, *occupations), errors
 
 
+_geev = _umath_linalg.eigvals  # numpy's eigenvalue gufunc (LAPACK geev), bound once
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a float64 or complex128 (..., n, n) array, with
+    its checks and error texts, in one gufunc call: the spectra as complex
+    arrays with numpy's bits (numpy also returns them so, unless a real
+    input's spectra are all real, when it drops their zero imaginary parts).
+    A matrix that is not square or not finite, and a LAPACK failure, raise
+    LinAlgError."""
+    if a.ndim < 2:
+        raise LinAlgError(f"{a.ndim}-dimensional array given. "
+                          "Array must be at least two-dimensional")
+    if a.shape[-1] != a.shape[-2]:
+        raise LinAlgError("Last 2 dimensions of the array must be square")
+    # counting is np.isfinite(a).all() without the Python layer of .all()
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise LinAlgError("Array must not contain infs or NaNs")
+    return _geev(a, signature="D->D" if a.dtype.kind == "c" else "d->D")
+
+
 def spectral_abscissa(A: np.ndarray):
     """Largest real part of the spectrum of a matrix (a float) or of each
     matrix in an (..., n, n) stack (an array), from one eigen-solve call; a
     LAPACK failure raises LinAlgError."""
-    abscissa = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    abscissa = eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
     return float(abscissa) if abscissa.ndim == 0 else abscissa
 

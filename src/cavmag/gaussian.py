@@ -29,6 +29,7 @@ from .dynamics import (
     diffusion_matrices,
     diffusion_matrix,
     drift_matrix,
+    eigvals,
     spectral_abscissa,
     steady_state,
     steady_states,
@@ -119,15 +120,16 @@ def _gees_lwork(n: int) -> int:
     return int(gees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
 
 
-def _bartels_stewart(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _bartels_stewart(a: np.ndarray, q: np.ndarray, gees, trsyl, lwork: int) -> np.ndarray:
     """x of a x + x a^T = q for one prescaled drift a (Bartels-Stewart): the
     real Schur form a = u r u^T (gees), y of r y + y r^T = u^T q u (trsyl),
-    then x = u y u^T.  A Schur form LAPACK cannot find and a spectrum that
-    reaches the imaginary axis are errors.  trsyl scales y down to keep it
-    from overflowing; a y it had to scale is no solution in the caller's
-    units, so that is a solver breakdown."""
-    gees, trsyl = _lapack()
-    r, _, wr, _, u, _, info = gees(_no_sort, a, lwork=_gees_lwork(len(a)), sort_t=0)
+    then x = u y u^T; the caller looks up gees, trsyl (_lapack) and gees'
+    workspace size (_gees_lwork) once for all its solves.  A Schur form
+    LAPACK cannot find and a spectrum that reaches the imaginary axis are
+    errors.  trsyl scales y down to keep it from overflowing; a y it had to
+    scale is no solution in the caller's units, so that is a solver
+    breakdown."""
+    r, _, wr, _, u, _, info = gees(_no_sort, a, lwork=lwork, sort_t=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
     if info > 0:
@@ -181,16 +183,19 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n) or D.shape != (n, n):
         raise GaussianError("drift and diffusion must be square and same size")
-    scale = np.max(np.abs(A)) or 1.0  # a zero drift fails the spectrum check
+    scale = np.abs(A).max() or 1.0  # a zero drift fails the spectrum check
     # max|A| is NaN or inf exactly when A has a non-finite entry
-    if not (math.isfinite(scale) and np.isfinite(D).all()):
+    if not (math.isfinite(scale) and np.count_nonzero(np.isfinite(D)) == D.size):
         raise GaussianError("non-finite drift or diffusion matrix")
-    V = _bartels_stewart(A / scale, -D / scale)
+    # D / -scale is -D / scale bit for bit, in one operation
+    V = _bartels_stewart(A / scale, D / -scale, *_lapack(), _gees_lwork(n))
     V = 0.5 * (V + V.T)
+    # each norm is np.linalg.norm's: sqrt(x . x), x the flattened matrix
     with np.errstate(over="ignore"):  # an overflowing norm fails the check
-        residual = np.linalg.norm(A @ V + V @ A.T + D)
-        bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, np.linalg.norm(D))
-    if not _passes(np.isfinite(V).all(), residual, bound):
+        r, d = (A @ V + V @ A.T + D).ravel(), D.ravel()
+        residual = math.sqrt(r.dot(r))
+        bound = LYAPUNOV_RESIDUAL_RTOL * max(1.0, math.sqrt(d.dot(d)))
+    if not _passes(np.count_nonzero(np.isfinite(V)) == V.size, residual, bound):
         raise _breakdown(residual, bound)
     return V
 
@@ -220,9 +225,10 @@ def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     at = np.flatnonzero(finite)
     scale = scale[at, None, None]
     solved, V = [], []
-    for i, a, q in zip(at.tolist(), A[at] / scale, -D[at] / scale):
+    lapack = (*_lapack(), _gees_lwork(n)) if len(at) else ()  # no solve, no scipy
+    for i, a, q in zip(at.tolist(), A[at] / scale, D[at] / -scale):
         try:
-            V.append(_bartels_stewart(a, q))
+            V.append(_bartels_stewart(a, q, *lapack))
         except (np.linalg.LinAlgError, GaussianError) as exc:
             errors[i] = exc
         else:
@@ -299,19 +305,19 @@ def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
     m = W.shape[-1] // 2
     i_omega = _I_OMEGA[m] if m in _I_OMEGA else 1j * np.kron(np.eye(m), _J)
     try:
-        raw = np.abs(np.linalg.eigvals(i_omega @ W))
+        raw = np.abs(eigvals(i_omega @ W))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise GaussianError(f"eigen-solver failure: {exc}") from exc
     raw.sort()
     lo, hi = raw[:, 0::2], raw[:, 1::2]
     unpaired = (hi - lo) / np.maximum(hi, 1e-300) > PAIRING_RTOL
-    if unpaired.any():
+    if np.count_nonzero(unpaired):
         raise GaussianError(
             "symplectic eigenvalue pairing failure: spectrum "
             f"{raw[unpaired.any(axis=1)][0]!r}"
         )
     nu = 0.5 * (lo + hi)
-    if not (nu[:, 0] > 0.0).all():
+    if np.count_nonzero(nu[:, 0] > 0.0) < len(nu):
         raise GaussianError(
             f"degenerate symplectic spectrum: minimum symplectic eigenvalue "
             f"{np.min(nu[:, 0]):.3g} is not positive"
@@ -330,16 +336,22 @@ def _log_negativities(W: np.ndarray) -> list[float]:
 class _Plan(NamedTuple):
     """What the measure kernel needs of one request, built once per request."""
 
-    pair_index: np.ndarray  # (P, 4, 4) flat covariance indices of the pair blocks
-    split_index: np.ndarray  # (S, 6, 6) the same for the splits, three per triple
+    # flat covariance indices of the P pair blocks (16 each), then of the S
+    # splits (36 each, three per triple), and the partial-transpose sign of
+    # each of those entries
+    index: np.ndarray
+    signs: np.ndarray
+    n_pairs: int  # P
+    n_splits: int  # S
     # per triple, per split r: the positions of mode r and the other two
     # modes in the covariance, of the split, and of mode r's two pairs
     contangles: tuple
     slots: tuple  # per requested block: (is a triple, position among its kind)
+    ids: tuple  # per requested block, its measure id (measure_plan), else ()
 
 
 @functools.cache
-def _plan(blocks: tuple, n: int) -> _Plan:
+def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
     """The plan of a request for these blocks on an n x n covariance: the
     distinct pairs in first-seen order (those of the triples included), then
     the distinct triples."""
@@ -349,7 +361,7 @@ def _plan(blocks: tuple, n: int) -> _Plan:
 
     def flat(block):
         q = np.array(_quadratures(block))
-        return n * q[:, None] + q
+        return (n * q[:, None] + q).ravel()
 
     contangles = []
     for j, t in enumerate(triples):
@@ -360,13 +372,30 @@ def _plan(blocks: tuple, n: int) -> _Plan:
                           *(at[tuple(sorted((t[r], t[x])))] for x in others)))
         contangles.append(tuple(parts))
     return _Plan(
-        pair_index=np.array([flat(p) for p in pairs], dtype=np.intp).reshape(-1, 4, 4),
-        split_index=np.array([flat(t) for t in triples for _ in range(3)],
-                             dtype=np.intp).reshape(-1, 6, 6),
+        index=np.concatenate([flat(p) for p in pairs]
+                             + [flat(t) for t in triples for _ in range(3)]
+                             + [np.empty(0, dtype=np.intp)]),
+        signs=np.concatenate([_PAIR_SIGNS.ravel()] * len(pairs)
+                             + [_SPLIT_SIGNS.ravel()] * len(triples) + [np.empty(0)]),
+        n_pairs=len(pairs),
+        n_splits=3 * len(triples),
         contangles=tuple(contangles),
         slots=tuple((True, triples.index(b)) if len(b) == 3 else (False, at[b])
                     for b in blocks),
+        ids=ids,
     )
+
+
+def measure_plan(measure_ids) -> _Plan:
+    """The plan of a request for these measure ids on the 10x10 covariance,
+    for measure_values; a caller that measures many covariances makes it
+    once.  An unknown id is a GaussianError."""
+    ids = tuple(measure_ids)
+    try:
+        blocks = tuple(_BLOCK_OF[mid] for mid in ids)
+    except KeyError as exc:
+        raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
+    return _plan(blocks, 2 * len(MODE_LABELS), ids)
 
 
 def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
@@ -403,14 +432,13 @@ def _measures(covariances: np.ndarray, plan: _Plan, labels) -> list[list]:
     anywhere in a stack raises for the whole stack.
     """
     flat = covariances.reshape(len(covariances), covariances.shape[-1] ** 2)
+    W = flat.take(plan.index, axis=1) * plan.signs
+    n_pairs, n_splits = plan.n_pairs, plan.n_splits
     e_pair = e_split = []
-    if len(plan.pair_index):
-        W = flat.take(plan.pair_index, axis=1) * _PAIR_SIGNS
-        e_pair = _log_negativities(W.reshape(-1, 4, 4))
-    if plan.contangles:
-        W = flat.take(plan.split_index, axis=1).reshape(-1, 3, 6, 6) * _SPLIT_SIGNS
-        e_split = _log_negativities(W.reshape(-1, 6, 6))
-    n_pairs, n_splits = len(plan.pair_index), len(plan.split_index)
+    if n_pairs:
+        e_pair = _log_negativities(W[:, :16 * n_pairs].reshape(-1, 4, 4))
+    if n_splits:
+        e_split = _log_negativities(W[:, 16 * n_pairs:].reshape(-1, 6, 6))
     out = []
     for i in range(len(covariances)):
         ep = e_pair[i * n_pairs:(i + 1) * n_pairs]
@@ -514,8 +542,10 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     a time, so the error lands on its point.  Each point's outcome is that
     of steady_state, drift_matrix, its verdict, diffusion_matrix,
     lyapunov_solve and measure_values in turn; an error outside
-    NO_STEADY_STATE is raised.
+    NO_STEADY_STATE is raised.  The measure ids are resolved first
+    (measure_plan), so an unknown one raises before any work.
     """
+    plan = measure_plan(measure_ids)
     k = len(f.omega_d)
     mean = steady_states(f)
     errors = dict(mean.errors)
@@ -535,7 +565,7 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     V, solved, failed = _lyapunov_solves(drifts[at], D[keep])
     errors.update((int(at[j]), exc) for j, exc in failed.items())
     at = at[solved]
-    measured, values = _each(lambda stack: measure_values(stack, measure_ids), V, errors, at)
+    measured, values = _each(lambda stack: measure_values(stack, plan), V, errors, at)
     return ChunkOutcome(abscissa, stable, V, at, dict(zip(measured, values)), errors)
 
 
@@ -552,19 +582,16 @@ def steady_covariance(p: SystemParams):
 
 def measure_values(V: np.ndarray, measure_ids):
     """Requested entanglement measures evaluated on a 10x10 covariance, as a
-    {measure id: value} dict.  Also takes an (s, 10, 10) stack, and then
-    returns one dict per covariance, from one stacked eigen-solve per block
-    size; an error anywhere in the stack raises for the whole stack."""
+    {measure id: value} dict; the ids may also come as their measure_plan.
+    Also takes an (s, 10, 10) stack, and then returns one dict per
+    covariance, from one stacked eigen-solve per block size; an error
+    anywhere in the stack raises for the whole stack."""
     if V.ndim > 3 or V.shape[-2:] != (2 * len(MODE_LABELS),) * 2:
         raise GaussianError("measures need a 10x10 covariance or a stack of them; "
                             f"have shape {V.shape}")
-    ids = tuple(measure_ids)
-    try:
-        plan = _plan(tuple(_BLOCK_OF[mid] for mid in ids), 2 * len(MODE_LABELS))
-    except KeyError as exc:
-        raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
-    values = [{mid: value.r_min if mid in TRIPARTITE_MEASURES else value
-               for mid, value in zip(ids, values)}
+    plan = measure_ids if isinstance(measure_ids, _Plan) else measure_plan(measure_ids)
+    values = [{mid: value.r_min if triple else value
+               for mid, (triple, _), value in zip(plan.ids, plan.slots, values)}
               for values in _measures(V if V.ndim == 3 else V[None], plan, MODE_LABELS)]
     return values if V.ndim == 3 else values[0]
 

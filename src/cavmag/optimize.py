@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MEASURE_IDS, NO_STEADY_STATE, _lapack, measure_values, steady_covariance
+from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _lapack, measure_plan, measure_values,
+                       steady_covariance)
 from .model import SystemParams, updated_in_omega_d_units
 from .sweep import _usable_cpus
 
@@ -77,12 +78,16 @@ class OptimumReport:
     restarts: list[dict] = field(default_factory=list)
 
 
-def evaluate_measure(p: SystemParams, measure: str) -> float | None:
-    """Measure value at one parameter point; None when there is no steady state."""
+def evaluate_measure(p: SystemParams, measure) -> float | None:
+    """Measure value at one parameter point; None when there is no steady
+    state.  The measure is its id, or the gaussian.measure_plan of that one
+    id, which a search makes once."""
     _, _, V = steady_covariance(p)
     if V is None:
         return None
-    return measure_values(V, [measure])[measure]
+    if isinstance(measure, str):
+        measure = measure_plan((measure,))
+    return measure_values(V, measure)[measure.ids[0]]
 
 
 def maximize(spec: OptimizeSpec, base: SystemParams,
@@ -104,13 +109,15 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     So the report, or the error, is the serial one.  One process, one
     restart or no ``fork`` start method: all run here.
 
-    The Lyapunov solve's LAPACK (``scipy.linalg``) is bound before the pool
-    forks, so the workers inherit it.
+    The measure's plan (``gaussian.measure_plan``) is made once, and the
+    Lyapunov solve's LAPACK (``scipy.linalg``) bound, before the pool forks,
+    so the workers inherit both.
     """
     _lapack()
 
     if workers is not None and workers < 1:
         raise OptimizeError(f"workers must be at least 1, got {workers}")
+    plan = measure_plan((spec.measure,))
     names = [n for n in OPT_PARAMS if n in spec.box]
     free = [n for n in names if spec.box[n][0] < spec.box[n][1]]
     fixed = {n: spec.box[n][0] for n in names if n not in free}
@@ -127,7 +134,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
             state["best"] = (value, point)
 
     def objective(x_free) -> float:
-        x_free = np.clip(x_free, lo, hi)
+        x_free = x_free.clip(lo, hi)
         point = dict(fixed)
         point.update(zip(free, x_free))
         j, record, key = state["restart"], state["record"], x_free.tobytes()
@@ -138,8 +145,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
             value = record[key]
         else:
             try:
-                value = evaluate_measure(updated_in_omega_d_units(base, point),
-                                         spec.measure)
+                value = evaluate_measure(updated_in_omega_d_units(base, point), plan)
             except NO_STEADY_STATE:
                 value = None
             if record is not None:
@@ -275,7 +281,7 @@ def _nelder_mead(f, simplex, lo, hi, maxfev):
     simplex is re-sorted after each step.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.clip(np.where(simplex > hi, 2 * hi - simplex, simplex), lo, hi)
+    sim = np.where(simplex > hi, 2 * hi - simplex, simplex).clip(lo, hi)
     n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
     nfev = 0
@@ -285,10 +291,10 @@ def _nelder_mead(f, simplex, lo, hi, maxfev):
         if nfev >= maxfev:
             raise _Spent
         nfev += 1
-        return f(np.copy(x))
+        return f(x.copy())
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
+        ind = fsim.argsort()
         return sim[ind], fsim[ind]
 
     try:
@@ -304,28 +310,28 @@ def _nelder_mead(f, simplex, lo, hi, maxfev):
                     and np.abs(fsim[0] - fsim[1:]).max() <= 1e-10):
                 break
             xbar = sim[:-1].sum(0) / n
-            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+            xr = ((1 + rho) * xbar - rho * sim[-1]).clip(lo, hi)
             fxr = call(xr)
             if fxr < fsim[0]:  # expand
-                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+                xe = ((1 + rho * chi) * xbar - rho * chi * sim[-1]).clip(lo, hi)
                 fxe = call(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:  # reflect
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # contract outside
-                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+                    xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1]).clip(lo, hi)
                     fxc = call(xc)
                     shrink = not fxc <= fxr
                 else:  # contract inside
-                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                    xc = ((1 - psi) * xbar + psi * sim[-1]).clip(lo, hi)
                     fxc = call(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # towards the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                        sim[j] = (sim[0] + sigma * (sim[j] - sim[0])).clip(lo, hi)
                         fsim[j] = call(sim[j])
         except _Spent:
             pass
@@ -339,7 +345,7 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
 
     Bisection on [1 mK, T_max] to within ``tol`` (default 1 mK), or until
     no float lies between its ends, after a coarse scan that verifies a
-    monotone-decreasing profile.
+    monotone-decreasing profile.  The measure's plan is made once.
     """
     if measure not in MEASURE_IDS:
         raise OptimizeError(f"unknown measure id {measure!r}")
@@ -348,9 +354,10 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
             f"T_max must be finite and exceed the {T_FLOOR} K floor, got {T_max!r}")
     if not 0.0 < tol < math.inf:  # at tol <= 0 the bisection never ends
         raise OptimizeError(f"tol must be a positive finite temperature, got {tol!r}")
+    plan = measure_plan((measure,))
 
     def value_at(T: float) -> float:
-        v = evaluate_measure(p.updated(T=T), measure)
+        v = evaluate_measure(p.updated(T=T), plan)
         return 0.0 if v is None else v
 
     v_floor = value_at(T_FLOOR)

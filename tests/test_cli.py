@@ -516,6 +516,17 @@ class TestTc:
         assert 0.140 <= T_c <= 0.260
         assert abs(temperatures[-1] - T_c) <= 2 * math.ulp(T_c)
 
+    @pytest.mark.parametrize("tol, printed", [
+        ("1e-3", "1.0"), ("2e-3", "2.0"), ("5e-5", "0.1"), ("4.9e-5", "0.049"),
+        ("1.234e-6", "0.0012"), ("1e-20", "1e-17")])
+    def test_tolerance_prints_a_non_zero_value(self, tmp_path, capsys, tol, printed):
+        # one decimal of mK printed every tol_K below 5e-5 K as 0.0
+        code = run_cli("tc", "--preset", "table2_ne", "--set", f"tc.tol_K={tol}",
+                       "--out", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().out.endswith(
+            f"(threshold 1e-4, tolerance {printed} mK)\n")
+
     def test_zero_tolerance_is_a_configuration_error(self, tmp_path, capsys):
         code = run_cli("tc", "--preset", "table2_de", "--set", "tc.tol_K=0",
                        "--out", str(tmp_path))

@@ -419,6 +419,92 @@ OVERFLOW = [
 ]
 
 
+def _assert_same_spectra(got, want):
+    """dynamics.eigvals against np.linalg.eigvals, bit for bit: numpy drops
+    the imaginary parts of a real input's spectra when they are all zero."""
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    if want.dtype == np.complex128:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got.real.tobytes() == want.tobytes() and not got.imag.any()
+
+
+class TestEigvalsMatchesNumpy:
+    """dynamics.eigvals binds numpy's eigvals gufunc once and repeats numpy's
+    checks; spectral_abscissa and the symplectic spectra both call it."""
+
+    @pytest.mark.parametrize("shape", [(10, 10), (1, 10, 10), (7, 10, 10), (3, 2, 10, 10)])
+    def test_real_drift_stacks(self, shape):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            A = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+            _assert_same_spectra(dynamics.eigvals(A), np.linalg.eigvals(A))
+
+    def test_real_spectra_stay_complex(self):
+        A = np.diag([-1.0, -2.0, 3.0])
+        _assert_same_spectra(dynamics.eigvals(A), np.linalg.eigvals(A))
+
+    def test_network_drifts(self):
+        rng = np.random.default_rng(72)
+        A = np.array([drift_matrix(p, steady_state(p))
+                      for p in (draw_params(rng, SystemParams()) for _ in range(50))])
+        _assert_same_spectra(dynamics.eigvals(A), np.linalg.eigvals(A))
+        for a in A:
+            _assert_same_spectra(dynamics.eigvals(a), np.linalg.eigvals(a))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", [1, 5, 200])
+    def test_complex_i_omega_w_stacks(self, m, k):
+        # the symplectic-spectrum input: i Omega times partially transposed
+        # covariance blocks of the network, 4x4 for a pair, 6x6 for a split
+        covariances = [lyapunov_solve(drift_matrix(p, steady_state(p)), diffusion_matrix(p))
+                       for p in sample_stable_params(seed=73, count=k)]
+        i_omega = 1j * np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        signs = np.ones(2 * m)
+        signs[1] = -1.0
+        W = i_omega @ (np.array([V[:2 * m, :2 * m] for V in covariances])
+                       * np.outer(signs, signs))
+        assert W.shape == (k, 2 * m, 2 * m) and W.dtype == np.complex128
+        _assert_same_spectra(dynamics.eigvals(W), np.linalg.eigvals(W))
+        _assert_same_spectra(dynamics.eigvals(W[0]), np.linalg.eigvals(W[0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_input(self, bad, dtype):
+        A = np.eye(4, dtype=dtype)[None].repeat(3, axis=0)
+        A[1, 2, 3] = bad
+        self.assert_same_error(A)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (5,), ()])
+    def test_not_a_stack_of_square_matrices(self, shape):
+        self.assert_same_error(np.ones(shape))
+
+    @staticmethod
+    def assert_same_error(A):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigvals(A)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            dynamics.eigvals(A)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_non_convergence_is_a_linalg_error(self, monkeypatch):
+        # numpy's gufunc flags a LAPACK failure as an invalid value; the
+        # binding's errstate turns that flag into numpy's LinAlgError
+        def not_converged(a, signature):
+            return np.sqrt(np.full(a.shape[:-1], -1.0)).astype(complex)
+
+        monkeypatch.setattr(dynamics, "_geev", not_converged)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            dynamics.eigvals(np.eye(3))
+
+    def test_spectral_abscissa_of_a_non_finite_drift(self):
+        A = -np.eye(10)
+        A[4, 5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            spectral_abscissa(A)
+
+
 class TestArrayMeanFieldMatchesScalar:
     @pytest.fixture(params=["default", "all-array", "all-scalar"])
     def min_live(self, request, monkeypatch):

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from cavmag import gaussian
+from cavmag import config, gaussian, optimize
 from cavmag.dynamics import (
+    STABILITY_EPS_FACTOR,
     diffusion_matrix,
     drift_matrix,
     spectral_abscissa,
@@ -545,6 +546,33 @@ class TestStackedKernelMatchesReference:
             positive += sum(v > 0.0 for v in partitions.values())
         assert clamped > 0 and positive > 0
 
+    @pytest.mark.parametrize("ids", [["EN_xx"], ["EN_ne", "EN_xx"], ["en_ne"]])
+    def test_unknown_measure_id(self, ids):
+        _, _, V = steady_covariance(SystemParams())
+        unknown = ids[-1]
+        for request in (lambda: measure_values(V, ids), lambda: measure_values(V[None], ids),
+                        lambda: gaussian.measure_plan(ids)):
+            with pytest.raises(GaussianError, match=f"^unknown measure id {unknown!r}$"):
+                request()
+
+    def test_unknown_measure_id_in_a_chunk_raises_before_any_work(self, monkeypatch):
+        # evaluate_chunk resolves its request first: an unknown id is one
+        # GaussianError, not the same error on every stable point after the
+        # mean fields and the Lyapunov solves
+        calls = []
+        for name in ("steady_states", "_lyapunov_solves"):
+            def counted(*args, real=getattr(gaussian, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(gaussian, name, counted)
+        f = param_arrays([SystemParams()] * 3)
+        with pytest.raises(GaussianError, match="^unknown measure id 'EN_xx'$"):
+            evaluate_chunk(f, ("EN_ne", "EN_xx"))
+        assert calls == []
+        assert sorted(evaluate_chunk(f, ("EN_ne",)).values) == [0, 1, 2]
+        assert calls == ["steady_states", "_lyapunov_solves"]
+
     def test_one_unpaired_matrix_fails_the_stack(self):
         _, _, V = steady_covariance(SystemParams())
         bad = V.copy()
@@ -553,6 +581,74 @@ class TestStackedKernelMatchesReference:
             measure_values(bad, MEASURE_IDS)
         assert measure_values(bad, ["EN_ne", "R_nde"]) == \
             measure_values(V, ["EN_ne", "R_nde"])
+
+
+def _ref_point(p):
+    """The one-point path from its slow references: np.linalg.eigvals for
+    the verdict and scipy's solve_continuous_lyapunov for the covariance
+    (_scipy_lyapunov), then _ref_measures: (abscissa, covariance, values,
+    contangles), the last three None at an unstable point."""
+    A = drift_matrix(p, steady_state(p))
+    abscissa = float(np.linalg.eigvals(A).real.max())
+    if not abscissa < -STABILITY_EPS_FACTOR * p.omega_d:
+        return abscissa, None, None, None
+    V = _scipy_lyapunov(A, diffusion_matrix(p))
+    return abscissa, V, *_ref_measures(V)
+
+
+def _table2_ne_points(seed, count):
+    cfg = config.load_layers(preset="table2_ne")
+    base, box = config.build_system(cfg), config.build_optimize_spec(cfg).box
+    rng = np.random.default_rng(seed)
+    return [updated_in_omega_d_units(base, {k: rng.uniform(*box[k]) for k in box})
+            for _ in range(count)]
+
+
+class TestOnePointPathMatchesReference:
+    """full_report and evaluate_measure against _ref_point, compared with ==
+    and by type, at seeded points of the point-random box (SAMPLING_BOX) and
+    of the table2_ne optimization box."""
+
+    @pytest.fixture(scope="class", params=["point-random", "table2_ne"])
+    def points(self, request):
+        if request.param == "table2_ne":
+            ps = _table2_ne_points(seed=81, count=40)
+        else:
+            rng = np.random.default_rng(82)
+            ps = [draw_params(rng, SystemParams()) for _ in range(50)]
+        # mirrored magnon detunings: mostly unstable points
+        ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override) for p in ps[:10]]
+        out = [(p, *_ref_point(p)) for p in ps]
+        assert 0 < sum(V is not None for _, _, V, _, _ in out) < len(out)
+        return out
+
+    def test_full_report(self, points):
+        for p, abscissa, V, values, contangles in points:
+            report = full_report(p)
+            assert report.verdict.spectral_abscissa == abscissa
+            assert report.stable is (V is not None)
+            if V is None:
+                assert report.bipartite == report.tripartite == {}
+                continue
+            assert steady_covariance(p)[2].tobytes() == V.tobytes()
+            assert_value_types([report.measure(mid) for mid in MEASURE_IDS],
+                               [values[mid] for mid in MEASURE_IDS])
+            for mid, triple in TRIPARTITE_MEASURES.items():
+                partitions, clamped = contangles[mid]
+                rc = report.tripartite[triple]
+                assert list(rc.partitions) == list(partitions)
+                assert_value_types(list(rc.partitions.values()), list(partitions.values()))
+                assert rc.clamped == clamped
+
+    def test_evaluate_measure(self, points):
+        for mid in MEASURE_IDS:
+            plan = gaussian.measure_plan((mid,))
+            for p, _, V, values, _ in points:
+                got = [optimize.evaluate_measure(p, mid), optimize.evaluate_measure(p, plan)]
+                if V is None:
+                    assert got == [None, None]
+                else:
+                    assert_value_types(got, [values[mid]] * 2)
 
 
 def _two_mode_squeezer(i, j, r, n_modes=3):
@@ -695,10 +791,10 @@ class TestBatchedLyapunovMatchesPerPoint:
         chosen = A[6] / np.abs(A[6]).max()
         core = gaussian._bartels_stewart
 
-        def failing(a, q):
+        def failing(a, q, *lapack):
             if np.array_equal(a, chosen):
                 raise GaussianError("chosen")
-            return core(a, q)
+            return core(a, q, *lapack)
 
         monkeypatch.setattr(gaussian, "_bartels_stewart", failing)
         with pytest.raises(GaussianError, match="^chosen$"):

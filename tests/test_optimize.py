@@ -482,6 +482,45 @@ class TestNelderMeadMatchesScipy:
                 np.array([0.9, 0.8]), *SQUARE), *SQUARE, 500)
 
 
+class TestMeasureResolvedOncePerSearch:
+    """maximize and critical_temperature make the measure's plan once and
+    pass it to every evaluation (whose values equal those of the id:
+    test_gaussian.py::TestOnePointPathMatchesReference)."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        made, evaluated = [], []
+        real_plan, real_evaluate = optimize.measure_plan, optimize.evaluate_measure
+
+        def plan(ids):
+            made.append(tuple(ids))
+            return real_plan(ids)
+
+        def evaluate(p, measure):
+            evaluated.append(measure)
+            return real_evaluate(p, measure)
+
+        monkeypatch.setattr(optimize, "measure_plan", plan)
+        monkeypatch.setattr(optimize, "evaluate_measure", evaluate)
+        return made, evaluated
+
+    def test_maximize(self, plans):
+        made, evaluated = plans
+        spec = OptimizeSpec(measure="EN_de", box={"J": (0.2, 1.6), "delta_e": (-1.0, 1.0)},
+                            restarts=2, max_evaluations=60)
+        report = maximize(spec, ne_base(), workers=1)
+        assert made == [("EN_de",)] and len(evaluated) == report.evaluations == 60
+        assert evaluated[0].ids == ("EN_de",)
+        assert all(plan is evaluated[0] for plan in evaluated)
+
+    def test_critical_temperature(self, plans):
+        made, evaluated = plans
+        critical_temperature(ne_base(), "EN_ne", 0.5, tol=5e-3)
+        assert made == [("EN_ne",)] and len(evaluated) > 10
+        assert evaluated[0].ids == ("EN_ne",)
+        assert all(plan is evaluated[0] for plan in evaluated)
+
+
 class TestCriticalTemperature:
     def test_zero_couplings_not_entangled_at_floor(self):
         base = SystemParams(J=0.0, G_ae=0.0, g_na=0.0, G_nd=0.0)
