@@ -11,8 +11,11 @@ MODE_LABELS.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -100,13 +103,33 @@ class EntanglementReport:
 
 @functools.cache
 def _lapack():
-    """LAPACK's real Schur decomposition and Sylvester solver, (gees, trsyl),
-    bound on the first call.  scipy.linalg is imported here, not with the
-    module, so that a run that solves no Lyapunov equation (a stability map,
-    an unstable point) does not load it."""
-    from scipy.linalg import get_lapack_funcs
+    """LAPACK's real Schur decomposition and Sylvester solver for float64,
+    (gees, trsyl), bound on the first call, so that a run that solves no
+    Lyapunov equation (a stability map, an unstable point) loads no scipy.
 
-    return get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+    They are the objects scipy.linalg.get_lapack_funcs returns, taken from
+    the f2py extension it reads them from, scipy/linalg/_flapack, without
+    importing scipy.linalg (which costs a cold process about 0.1 s and 20 MB
+    more).  Only scipy's top level is imported; its set-up finds the bundled
+    BLAS.  The extension is single-phase: the interpreter initializes it
+    once and keeps it in sys.modules under its name, so an ``import
+    scipy.linalg`` before or after this call holds these same objects.  A
+    scipy without that file raises ImportError.
+    """
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no LAPACK extension _flapack in {where}")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+    flapack = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader, origin=path))
+    loader.exec_module(flapack)
+    return flapack.dgees, flapack.dtrsyl
 
 
 def _no_sort(*_):
@@ -529,6 +552,13 @@ def _each(solve, stack, errors, at):
     return done, results
 
 
+def _except(n: int, positions) -> np.ndarray:
+    """The positions 0..n-1 not among ``positions``, ascending."""
+    keep = np.ones(n, dtype=bool)
+    keep[list(positions)] = False
+    return np.flatnonzero(keep)
+
+
 def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
     per SystemParams field, NaN where a field is None.
@@ -550,7 +580,7 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     mean = steady_states(f)
     errors = dict(mean.errors)
     drifts = drift_matrix(f, mean)
-    live = np.setdiff1d(np.arange(k), list(errors))
+    live = _except(k, errors)
     abscissa = np.full(k, np.nan)
     done, abscissae = _each(spectral_abscissa, drifts[live], errors, live)
     abscissa[done] = abscissae
@@ -559,7 +589,7 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     if not measure_ids:
         return ChunkOutcome(abscissa, stable, drifts[:0], at[:0], {}, errors)
     D, failed = diffusion_matrices(_take(f, at))
-    keep = np.setdiff1d(np.arange(len(at)), list(failed))
+    keep = _except(len(at), failed)
     errors.update((int(at[j]), exc) for j, exc in failed.items())
     at = at[keep]
     V, solved, failed = _lyapunov_solves(drifts[at], D[keep])

@@ -110,8 +110,8 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     restart or no ``fork`` start method: all run here.
 
     The measure's plan (``gaussian.measure_plan``) is made once, and the
-    Lyapunov solve's LAPACK (``scipy.linalg``) bound, before the pool forks,
-    so the workers inherit both.
+    Lyapunov solve's LAPACK (``gaussian._lapack``) bound, before the pool
+    forks, so the workers inherit both.
     """
     _lapack()
 
@@ -368,8 +368,8 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
         )
     n_samples = 9
     temps = [T_FLOOR + i * (T_max - T_FLOOR) / (n_samples - 1)
-             for i in range(n_samples)]
-    samples = [(T, value_at(T)) for T in temps]
+             for i in range(1, n_samples)]  # the floor's value is v_floor
+    samples = [(T_FLOOR, v_floor)] + [(T, value_at(T)) for T in temps]
     slack = 1e-6 * v_floor
     for (_, v_lo), (_, v_hi) in zip(samples, samples[1:]):
         if v_hi > v_lo + slack:

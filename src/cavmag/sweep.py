@@ -277,7 +277,7 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     pool = None
     if n > 1 and "fork" in multiprocessing.get_all_start_methods():
         if spec.measures:
-            _lapack()  # scipy.linalg loads here once, not in every worker
+            _lapack()  # LAPACK is bound here once, not in every worker
         pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
     mapper = map if pool is None else pool.map
     rows = []

@@ -1,3 +1,4 @@
+import importlib.machinery
 import linecache
 import logging
 import warnings
@@ -43,6 +44,7 @@ from conftest import (
     param_arrays,
     positions,
     random_physical_covariance,
+    run_fresh,
     sample_stable_params,
     two_mode_squeezed,
 )
@@ -822,3 +824,54 @@ class TestBatchedLyapunovMatchesPerPoint:
             (warning,) = record
             assert warning.filename == gaussian.__file__
             assert call in linecache.getline(warning.filename, warning.lineno)
+
+
+class TestLapackBinding:
+    """gaussian._lapack binds the gees and trsyl that scipy.linalg's
+    get_lapack_funcs returns, without importing scipy.linalg."""
+
+    @pytest.mark.parametrize("linalg", ["before", "after"])
+    def test_same_objects_and_bits_as_get_lapack_funcs(self, linalg):
+        # scipy.linalg imported before or after the first bind, in a process
+        # that has not loaded it yet; the drifts are fig2a's points 4000-4999
+        run_fresh("""
+            import sys
+            import numpy as np
+            from cavmag import config, gaussian, sweep
+            from cavmag.dynamics import drift_matrix, steady_state
+            from cavmag.model import updated_in_omega_d_units
+
+            assert "scipy.linalg" not in sys.modules
+            if sys.argv[1] == "before":
+                import scipy.linalg
+            ours = gaussian._lapack()
+            assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "before")
+            from scipy.linalg import get_lapack_funcs
+            theirs = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+            assert ours[0] is theirs[0] and ours[1] is theirs[1]
+
+            cfg = config.load_layers(preset="fig2a")
+            [(_, spec)] = config.build_grid_specs(cfg, config.build_system(cfg))
+            drifts = []
+            for point in sweep.grid_points(spec)[4000:5000]:
+                p = updated_in_omega_d_units(spec.base, sweep._point_values(spec, point))
+                A = drift_matrix(p, steady_state(p))
+                drifts.append(A / np.abs(A).max())
+            assert len(drifts) == 1000
+            q = -np.eye(10)
+            for a in drifts:
+                (r, *_, u, _, info), (r_, *_, u_, _, info_) = (
+                    gees(lambda *_: None, a, sort_t=0) for gees, _ in (ours, theirs))
+                assert info == info_ and r.tobytes() == r_.tobytes()
+                assert u.tobytes() == u_.tobytes()
+                c = u.T @ q @ u
+                y, scale, info = ours[1](r, r, c, tranb="T")
+                y_, scale_, info_ = theirs[1](r, r, c, tranb="T")
+                assert (scale, info) == (scale_, info_) and y.tobytes() == y_.tobytes()
+        """, linalg)
+
+    def test_a_missing_extension_names_the_directory(self, monkeypatch):
+        # no fallback to another binding: the uncached call raises
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"^no LAPACK extension _flapack in .*linalg$"):
+            gaussian._lapack.__wrapped__()

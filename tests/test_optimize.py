@@ -522,6 +522,18 @@ class TestMeasureResolvedOncePerSearch:
 
 
 class TestCriticalTemperature:
+    def test_no_temperature_evaluated_twice(self, monkeypatch):
+        temps, evaluate = [], optimize.evaluate_measure
+
+        def spy(p, plan):
+            temps.append(p.T)
+            return evaluate(p, plan)
+
+        monkeypatch.setattr(optimize, "evaluate_measure", spy)
+        critical_temperature(ne_base(), "EN_ne", 0.5)
+        assert temps[0] == optimize.T_FLOOR and len(temps) > 10
+        assert len(set(temps)) == len(temps)
+
     def test_zero_couplings_not_entangled_at_floor(self):
         base = SystemParams(J=0.0, G_ae=0.0, g_na=0.0, G_nd=0.0)
         with pytest.raises(OptimizeError, match="not entangled at floor"):
@@ -646,9 +658,90 @@ class TestScipyOptimizeImport:
         """, json.dumps([argv, pools, str(tmp_path / "log")]), str(tmp_path))
 
 
+class TestNoScipyLinalgNorNumpyMa:
+    """No command imports scipy.linalg (a run that solves binds LAPACK from
+    its extension, gaussian._lapack) or numpy.ma, in this process or in a
+    forked worker."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pools need the fork start method")
+    @pytest.mark.parametrize("argv, pools, solves", [
+        (["point"], [], True),
+        (["tc", "--preset", "table2_ne"], [], True),
+        (["optimize", "--preset", "table2_ne", "--workers", "1"], [], True),
+        (["optimize", "--preset", "table2_ne", "--workers", "2"], [2], True),
+        (["sweep", "--preset", "fig8", "--workers", "1"], [], True),
+        (["sweep", "--preset", "fig8", "--workers", "2"], [2, 2], True),
+        (["stability-map", "--config", SCMAP_INI, "--workers", "1"], [], False),
+        (["stability-map", "--config", SCMAP_INI, "--workers", "2"], [2], False),
+    ], ids=["point", "tc", "optimize-w1", "optimize-w2", "fig8-w1", "fig8-w2",
+            "scmap-w1", "scmap-w2"])
+    def test_commands_never_import_them(self, tmp_path, argv, pools, solves):
+        # the finder refuses both in this process and in every forked worker
+        # and logs each attempt; the workers log that they ran, and 50-point
+        # chunks give each fig8 grid two, so its pool forks too
+        run_fresh("""
+            import json, os, sys
+            import numpy
+            refused = ["scipy.linalg"]
+            if "numpy.ma" not in sys.modules:  # numpy 1.x imports it with numpy
+                refused.append("numpy.ma")
+            import cavmag.cli
+            from cavmag import gaussian, optimize, sweep
+
+            argv, pools, solves, log = json.loads(sys.argv[1])
+
+            def note(line):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {line}\\n")
+
+            class Refuse:
+                def find_spec(self, name, path=None, target=None):
+                    if any(name == r or name.startswith(r + ".") for r in refused):
+                        note(f"imported {name}")
+                        raise ImportError(f"{name} imported")
+
+            built = []
+
+            def checked(executor):
+                class CheckedPool(executor):
+                    def __init__(self, *args, **kwargs):
+                        assert gaussian._lapack.cache_info().currsize == solves
+                        built.append(args[0])
+                        super().__init__(*args, **kwargs)
+                return CheckedPool
+
+            chunk_rows, speculate = sweep._chunk_rows, optimize._speculate
+
+            def logged_chunk_rows(*args):
+                note("ran")
+                return chunk_rows(*args)
+
+            def logged_speculate(j):
+                note("ran")
+                return speculate(j)
+
+            sys.meta_path.insert(0, Refuse())
+            sweep.ProcessPoolExecutor = checked(sweep.ProcessPoolExecutor)
+            optimize.ProcessPoolExecutor = checked(optimize.ProcessPoolExecutor)
+            sweep._chunk_rows, optimize._speculate = logged_chunk_rows, logged_speculate
+            sweep.CHUNK = 50
+            sweep._usable_cpus = optimize._usable_cpus = lambda: 2
+            assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == 0
+            assert built == pools
+            assert gaussian._lapack.cache_info().currsize == solves
+            assert not [name for name in refused if name in sys.modules]
+            lines = open(log).read().splitlines() if os.path.exists(log) else []
+            assert all(line.endswith(" ran") for line in lines), lines
+            workers = {line.split()[0] for line in lines} - {str(os.getpid())}
+            assert bool(workers) == bool(pools), lines
+        """, json.dumps([argv, pools, solves, str(tmp_path / "log")]), str(tmp_path))
+
+
 class TestScipyLinalgImport:
-    """scipy.linalg loads on the first Lyapunov solve (gaussian._lapack), so
-    runs that stop at a stability verdict import no scipy module."""
+    """LAPACK is bound on the first Lyapunov solve (gaussian._lapack), so
+    runs that stop at a stability verdict import no scipy module, and runs
+    that solve import scipy's top level but not scipy.linalg."""
 
     @pytest.mark.parametrize("argv, code", [
         (["stability-map", "--config", SCMAP_INI], 0),
@@ -673,14 +766,16 @@ class TestScipyLinalgImport:
         """, json.dumps([argv, code]), str(tmp_path))
 
     @pytest.mark.parametrize("argv", [["point"], ["sweep", "--preset", "fig8"]])
-    def test_runs_with_a_solve_import_it(self, tmp_path, argv):
+    def test_runs_with_a_solve_bind_lapack_only(self, tmp_path, argv):
         run_fresh("""
             import json, sys
             import cavmag.cli
+            from cavmag import gaussian
 
             assert "scipy.linalg" not in sys.modules
             assert cavmag.cli.main(json.loads(sys.argv[1]) + ["--out", sys.argv[2]]) == 0
-            assert "scipy.linalg" in sys.modules
+            assert gaussian._lapack.cache_info().currsize == 1
+            assert "scipy.linalg" not in sys.modules
             assert "scipy.optimize" not in sys.modules
         """, json.dumps(argv), str(tmp_path))
 
@@ -696,7 +791,7 @@ class TestScipyLinalgImport:
 
             class CheckedPool(sweep.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
-                    assert "scipy.linalg" in sys.modules
+                    assert "scipy.linalg" not in sys.modules
                     assert gaussian._lapack.cache_info().currsize == 1
                     built.append(args[0])
                     super().__init__(*args, **kwargs)
