@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (
     ConfigError,
@@ -27,7 +29,7 @@ from .config import (
 from .gaussian import BIPARTITE_MEASURES, NO_STEADY_STATE, TRIPARTITE_MEASURES, full_report
 from .model import validate_regime
 from .optimize import OptimizeError, critical_temperature, maximize
-from .sweep import emit_csv, run_grid, sidecar_head, write_json
+from .sweep import ERROR, UNSTABLE, emit_csv, run_grid, sidecar_head, write_json
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -174,9 +176,9 @@ def _run_sweeps(args) -> int:
         result = run_grid(spec, progress=progress, workers=args.workers)
         destination = out / f"{name}.csv"
         emit_csv(result, destination)
-        n_unstable = sum(1 for r in result.rows if r.stable is False)
-        n_err = sum(1 for r in result.rows if r.error is not None)
-        print(f"wrote {destination} ({len(result.rows)} rows, "
+        n_unstable = np.count_nonzero(result.codes == UNSTABLE)
+        n_err = np.count_nonzero(result.codes == ERROR)
+        print(f"wrote {destination} ({len(result.codes)} rows, "
               f"{n_unstable} unstable, {n_err} errors)")
     _write_sidecar(out, args.command, cfg, args)
     return 0

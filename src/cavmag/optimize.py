@@ -10,8 +10,6 @@ scipy.optimize.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,12 +188,16 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     n = min(workers or len(starts), len(starts), _usable_cpus())
     pool = None
     try:
-        if n > 1 and spare > 0 and "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            limits = context.RawArray("q", [spare] * len(starts))
-            pool = ProcessPoolExecutor(n, mp_context=context, initializer=_share,
-                                       initargs=(speculate,))
-            ahead = [pool.submit(_speculate, j) for j in range(len(starts))]
+        if n > 1 and spare > 0:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+                limits = context.RawArray("q", [spare] * len(starts))
+                pool = ProcessPoolExecutor(n, mp_context=context, initializer=_share,
+                                           initargs=(speculate,))
+                ahead = [pool.submit(_speculate, j) for j in range(len(starts))]
         for k, start in enumerate(starts):
             budget = spec.max_evaluations - state["evals"]
             if budget <= 0:

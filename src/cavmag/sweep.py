@@ -4,17 +4,18 @@ Axis values are dimensionless (units of omega_d) except the temperature axis,
 which is kelvin.  Each axis value passes the parameter checks once; points
 are then evaluated in consecutive chunks of CHUNK (1000) as arrays of
 parameter fields (gaussian.evaluate_chunk), with one stacked measure
-eigen-solve per block size, and rows are emitted in row-major order over the
-axes.  With ``workers > 1`` the chunks run on a pool of forked processes;
-the rows are equal either way, and for every chunk size.
+eigen-solve per block size.  A chunk returns columns: an int8 verdict code
+per row, one float64 array per measure and its errors by row number, which
+run_grid joins in row-major order over the axes into a SweepResult.  With
+``workers > 1`` the chunks run on a pool of forked processes; the columns
+are equal either way, and for every chunk size.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -33,6 +34,15 @@ from .model import EPS0, FIELDS, HBAR, KB, SystemParams, updated_in_omega_d_unit
 # ms at 200, 542-554 at 500, 503-514 at 1000).  It is fixed, not set from the
 # worker count, so that rows and progress calls are the same for any count.
 CHUNK = 1000
+
+# The most rows a grid may have, about 1000x the largest preset grid (10 201
+# rows); GridSpec checks it, so no axis makes its values beyond it.
+MAX_ROWS = 10**7
+
+# A row's verdict code in SweepResult.codes.  An error row errored before its
+# verdict or, in a grid with measures, after it (its diffusion, Lyapunov
+# solve or measures).
+UNSTABLE, STABLE, ERROR = 0, 1, -1
 
 SWEEP_PARAMS = ("delta_1", "delta_2", "delta_e", "delta_n_tilde", "J", "T", "delta_a")
 LINKAGES = ("independent", "symmetric", "antisymmetric")
@@ -84,6 +94,11 @@ class GridSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise SweepSpecError("a grid has one or two axes")
+        rows = math.prod(a.points for a in self.axes)
+        if rows > MAX_ROWS:
+            raise SweepSpecError(
+                f"the grid has {rows} rows, over the bound of {MAX_ROWS} rows per grid"
+            )
         if self.linkage not in LINKAGES:
             raise SweepSpecError(
                 f"unknown linkage {self.linkage!r}; choose from {LINKAGES}"
@@ -127,20 +142,17 @@ class GridSpec:
         return tuple(a.param for a in self.axes) + ("stable",) + self.measures
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_values: tuple[float, ...]
-    # None for an error row: the point errored before its verdict, or, in a
-    # grid with measures, after it (its diffusion, Lyapunov solve or measures)
-    stable: bool | None
-    measures: dict[str, float] | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    columns: tuple[str, ...]
-    rows: list[SweepRow]
+    """A grid's rows as columns, in row-major order over the axes: row i of a
+    two-axis grid is at ``axis_values[0][i // n]`` and ``axis_values[1][i %
+    n]``, n the points of the second axis."""
+
+    columns: tuple[str, ...]  # the CSV header: axis params, "stable", measure ids
+    axis_values: tuple[list, ...]  # each axis's values, as Axis.values gives them
+    codes: np.ndarray  # (rows,) int8: STABLE, UNSTABLE or ERROR
+    measures: dict  # measure id -> (rows,) float64, NaN off the STABLE rows
+    errors: dict  # row -> the message of its error, for each ERROR row, ascending
     metadata: dict = field(default_factory=dict)
 
 
@@ -195,42 +207,42 @@ def _axis_table(spec: GridSpec, axis: Axis) -> _AxisTable:
                       rows[:, changed], np.array(valid))
 
 
-def _error_row(axis_values, exc) -> SweepRow:
-    return SweepRow(axis_values, stable=None, measures=None, error=str(exc))
-
-
-def _chunk_rows(spec: GridSpec, tables, chunk: range) -> list[SweepRow]:
-    """Rows of the consecutive grid points numbered by ``chunk`` (row-major);
-    a point that has no usable steady state becomes an error row.  A point
-    with an axis value that failed the parameter checks gets the error that
-    building its parameters raises; the others are evaluated together."""
+def _chunk_columns(spec: GridSpec, tables, chunk: range):
+    """The consecutive grid points numbered by ``chunk`` (row-major) as
+    columns: their int8 verdict codes, one float64 array per measure id (NaN
+    where a point has no value) and ``{row: message}`` for the points that
+    have no usable steady state.  A point with an axis value that failed the
+    parameter checks gets the error that building its parameters raises; the
+    others are evaluated together."""
     index = np.arange(chunk.start, chunk.stop)
     at_axis = [index] if len(tables) == 1 else list(np.divmod(index, len(tables[1].values)))
-    points = list(zip(*([t.values[i] for i in at.tolist()] for t, at in zip(tables, at_axis))))
     valid = np.logical_and.reduce([t.valid[at] for t, at in zip(tables, at_axis)])
-    rows = [None] * len(points)
+    codes = np.full(len(index), ERROR, dtype=np.int8)
+    values = {mid: np.full(len(index), np.nan) for mid in spec.measures}
+    errors = {}
     for i in np.flatnonzero(~valid).tolist():
+        point = tuple(t.values[at[i]] for t, at in zip(tables, at_axis))
         try:
-            updated_in_omega_d_units(spec.base, _point_values(spec, points[i]))
+            updated_in_omega_d_units(spec.base, _point_values(spec, point))
         except NO_STEADY_STATE as exc:
-            rows[i] = _error_row(points[i], exc)
+            errors[chunk.start + i] = str(exc)
         else:
-            raise RuntimeError(f"grid point {points[i]} passes the parameter checks "
+            raise RuntimeError(f"grid point {point} passes the parameter checks "
                                "that one of its axis values failed")
     ok = np.flatnonzero(valid)
     fields = {name: np.full(len(ok), v) for name, v in zip(FIELDS, _field_row(spec.base))}
     for t, at in zip(tables, at_axis):
         fields.update(zip(t.fields, t.columns.T[:, at[ok]]))
-    f = SimpleNamespace(**fields)
-    out = evaluate_chunk(f, spec.measures)
-    for j, (i, stable) in enumerate(zip(ok.tolist(), out.stable.tolist())):
-        if j in out.errors:
-            rows[i] = _error_row(points[i], out.errors[j])
-        elif not stable:
-            rows[i] = SweepRow(points[i], stable=False, measures=None)
-        else:  # a grid without measures stops at the verdict, with no values
-            rows[i] = SweepRow(points[i], stable=True, measures=out.values.get(j, {}))
-    return rows
+    out = evaluate_chunk(SimpleNamespace(**fields), spec.measures)
+    codes[ok] = out.stable
+    # a grid without measures stops at the verdict, and has no columns to fill
+    measured = list(out.values)
+    for mid, column in values.items():
+        column[ok[measured]] = [out.values[j][mid] for j in measured]
+    failed = list(out.errors)
+    codes[ok[failed]] = ERROR
+    errors.update((chunk.start + int(ok[j]), str(out.errors[j])) for j in failed)
+    return codes, values, dict(sorted(errors.items()))
 
 
 def grid_points(spec: GridSpec):
@@ -255,18 +267,21 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     through in chunks of ``CHUNK`` as arrays of parameter fields: the mean
     fields and drifts of the chunk, one stacked stability verdict, the
     Lyapunov solves of the stable points, then their measures from one
-    stacked eigen-solve per block size.  A grid without measures stops at
-    the verdict: its stable rows carry ``measures={}``, and no diffusion or
-    Lyapunov solve can make them error rows.  ``progress`` (if given) is
-    called with the number of completed rows after each chunk, that is every
-    ``CHUNK`` rows and once after the last row.
+    stacked eigen-solve per block size.  A chunk returns its rows' verdict
+    codes, measure columns and errors, and the chunks are joined in order
+    into the SweepResult.  A grid without measures stops at the verdict: it
+    has no measure columns, and no diffusion or Lyapunov solve can make its
+    rows error rows.  ``progress`` (if given) is called with the number of
+    completed rows after each chunk, that is every ``CHUNK`` rows and once
+    after the last row.
 
     ``workers > 1`` evaluates the chunks on a pool of forked processes, at
     most one per chunk and per CPU this process may use; results come back
-    in chunk order, so rows and progress calls are those of a serial run.
-    Without a ``fork`` start method (or with one process) the chunks run
-    here, one after another.  An exception other than a point's
-    ``NO_STEADY_STATE`` error reaches the caller with its type.
+    in chunk order, so the columns and progress calls are those of a serial
+    run.  Without a ``fork`` start method (or with one process) the chunks
+    run here, one after another, and the pool modules are not imported.  An
+    exception other than a point's ``NO_STEADY_STATE`` error reaches the
+    caller with its type.
     """
     if workers < 1:
         raise SweepSpecError(f"workers must be at least 1, got {workers}")
@@ -275,17 +290,21 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
     chunks = [range(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
     n = min(workers, len(chunks), _usable_cpus())
     pool = None
-    if n > 1 and "fork" in multiprocessing.get_all_start_methods():
-        if spec.measures:
-            _lapack()  # LAPACK is bound here once, not in every worker
-        pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
+    if n > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            if spec.measures:
+                _lapack()  # LAPACK is bound here once, not in every worker
+            pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
     mapper = map if pool is None else pool.map
-    rows = []
+    parts = []
     try:
-        for rows_of_chunk in mapper(partial(_chunk_rows, spec, tables), chunks):
-            rows += rows_of_chunk
+        for chunk, part in zip(chunks, mapper(partial(_chunk_columns, spec, tables), chunks)):
+            parts.append(part)
             if progress is not None:
-                progress(len(rows))
+                progress(chunk.stop)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -304,7 +323,13 @@ def run_grid(spec: GridSpec, progress: "callable | None" = None,
             a.param: ("K" if a.param == "T" else "omega_d") for a in spec.axes
         },
     }
-    return SweepResult(columns=spec.columns, rows=rows, metadata=metadata)
+    codes, values, errors = zip(*parts)
+    return SweepResult(columns=spec.columns, axis_values=tuple(t.values for t in tables),
+                       codes=np.concatenate(codes),
+                       measures={mid: np.concatenate([v[mid] for v in values])
+                                 for mid in spec.measures},
+                       errors={row: e for part in errors for row, e in part.items()},
+                       metadata=metadata)
 
 
 def sidecar_head() -> dict:
@@ -318,27 +343,25 @@ def write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".9g")
+# the CSV stable cell by verdict code: ERROR (-1) picks the last, empty
+_FLAGS = ("0", "1", "")
 
 
 def emit_csv(result: SweepResult, destination) -> None:
     """Write the sweep table (9 significant digits) plus a metadata sidecar.
 
-    Unstable and errored points leave their measure cells empty, so plots can
-    distinguish "no entanglement" from "no steady state".
+    Each axis value is formatted once and shared by the rows that have it;
+    the stable cells come from the verdict codes, the measure cells from the
+    measure columns.  Unstable and errored points leave their measure cells
+    empty, so plots can distinguish "no entanglement" from "no steady state".
     """
     destination = Path(destination)
-    n_axes = result.columns.index("stable")
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        cells = [_cell(v) for v in row.axis_values]
-        cells.append("" if row.stable is None else ("1" if row.stable else "0"))
-        for mid in result.columns[n_axes + 1:]:
-            cells.append(_cell(None if row.measures is None else row.measures.get(mid)))
-        lines.append(",".join(cells))
+    axis_cells = [[format(v, ".9g") for v in values] for values in result.axis_values]
+    codes = result.codes.tolist()
+    cells = [map(",".join, itertools.product(*axis_cells)), [_FLAGS[c] for c in codes]]
+    for column in result.measures.values():
+        cells.append([format(v, ".9g") if c == STABLE else ""
+                      for v, c in zip(column.tolist(), codes)])
+    lines = [",".join(result.columns), *map(",".join, zip(*cells))]
     destination.write_text("\n".join(lines) + "\n")
     write_json(destination.with_name(destination.name + ".meta.json"), result.metadata)
-

@@ -38,7 +38,7 @@ from cavmag.gaussian import (
 )
 from cavmag.model import SystemParams
 from cavmag.optimize import critical_temperature, evaluate_measure, maximize
-from cavmag.sweep import run_grid
+from cavmag.sweep import STABLE, run_grid
 
 from conftest import (
     integrate_lyapunov,
@@ -88,10 +88,8 @@ def preset_grid(name: str):
 
 def grid_to_array(spec, result):
     n0, n1 = spec.axes[0].points, spec.axes[1].points
-    values = np.full((n0, n1), np.nan)
-    for k, row in enumerate(result.rows):
-        if row.measures:
-            values[divmod(k, n1)] = next(iter(row.measures.values()))
+    # the first measure; NaN off the stable rows
+    values = next(iter(result.measures.values())).reshape(n0, n1)
     return (np.array(spec.axes[0].values()), np.array(spec.axes[1].values()),
             values)
 
@@ -309,8 +307,9 @@ def test_criterion_9_tripartite_positivity():
     maxima = {}
     for name, measure in (("a1nd", "R_a1nd"), ("nde", "R_nde")):
         result = run_grid(specs[name])
-        best = max((row.measures[measure], row.axis_values[0])
-                   for row in result.rows if row.measures)
+        (delta_a,) = result.axis_values  # a one-axis grid
+        best = max((v, da) for v, da, code in zip(result.measures[measure].tolist(), delta_a,
+                                                  result.codes.tolist()) if code == STABLE)
         maxima[measure] = best
     passed = all(v > 1e-6 for v, _ in maxima.values())
     report_line("criterion 9", passed,

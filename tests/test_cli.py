@@ -211,6 +211,21 @@ class TestInputsEndInOneConfigErrorLine:
         assert self.run(tmp_path, capsys, "sweep", ini=ini) == (1, f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ini, message", [
+        pytest.param("[sweep:a]\n" + _TINY_SWEEP.replace("= 3", "= 100000000000"),
+                     "[sweep:a]: the grid has 100000000000 rows, over the bound of "
+                     "10000000 rows per grid", id="one-axis"),
+        pytest.param("[sweep:a]\n" + _TINY_SWEEP.replace("= 3", "= 4000")
+                     + "axis2 = T\naxis2_min_K = 0\naxis2_max_K = 0.1\naxis2_points = 2501\n",
+                     "[sweep:a]: the grid has 10004000 rows, over the bound of "
+                     "10000000 rows per grid", id="two-axes"),
+    ])
+    def test_grid_too_large_to_hold(self, tmp_path, capsys, monkeypatch, ini, message):
+        # the bound is checked on the spec, before any axis makes its values
+        monkeypatch.setattr(sweep.Axis, "values", lambda axis: pytest.fail("values made"))
+        assert self.run(tmp_path, capsys, "sweep", ini=ini) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("assignment, key", [
         ("J=none", "J_hz2pi"), ("T=none", "T_K"), ("kappa_a=none", "kappa_a_hz2pi"),
         ("system.omega_d_hz2pi=none", "omega_d_hz2pi"),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import multiprocessing
@@ -185,12 +186,12 @@ def pools(monkeypatch):
     to eight processes on a machine with fewer CPUs."""
     built = []
 
-    class CountedPool(optimize.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(args[0])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(optimize, "_usable_cpus", lambda: 8)
     return built
 
@@ -299,10 +300,9 @@ class TestRestartPool:
     def test_no_pool(self, monkeypatch, restarts, workers, fork):
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was built")
-        monkeypatch.setattr(optimize, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         if not fork:
-            monkeypatch.setattr(optimize.multiprocessing, "get_all_start_methods",
-                                lambda: ["spawn"])
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         maximize(local_spec(restarts, 150, 4), ne_base(), workers=workers)
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -596,7 +596,7 @@ class TestScipyOptimizeImport:
                                   Axis("delta_n_tilde", 0.7, 1.1, 2)),
                             base=SystemParams(), linkage="antisymmetric",
                             measures=("EN_de", "EN_ne"))
-            assert len(run_grid(spec).rows) == 6
+            assert len(run_grid(spec).codes) == 6
             # a pooled stability map of several chunks
             assert cavmag.cli.main(["stability-map", "--config", sys.argv[2],
                                     "--workers", "2", "--out", sys.argv[1]]) == 0
@@ -615,7 +615,7 @@ class TestScipyOptimizeImport:
         # forked worker, and the workers log what they had loaded; the
         # Lyapunov solve's LAPACK is bound before the pool forks
         run_fresh("""
-            import json, os, sys
+            import concurrent.futures, json, os, sys
             import cavmag.cli
             from cavmag import gaussian, optimize
 
@@ -633,7 +633,7 @@ class TestScipyOptimizeImport:
 
             built = []
 
-            class CheckedPool(optimize.ProcessPoolExecutor):
+            class CheckedPool(concurrent.futures.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
                     assert gaussian._lapack.cache_info().currsize == 1
                     built.append(args[0])
@@ -647,7 +647,7 @@ class TestScipyOptimizeImport:
                 return result
 
             sys.meta_path.insert(0, NoOptimize())
-            optimize.ProcessPoolExecutor, optimize._speculate = CheckedPool, logged
+            concurrent.futures.ProcessPoolExecutor, optimize._speculate = CheckedPool, logged
             optimize._usable_cpus = lambda: 2
             assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == 0
             assert "scipy.optimize" not in sys.modules and built == pools
@@ -681,7 +681,7 @@ class TestNoScipyLinalgNorNumpyMa:
         # and logs each attempt; the workers log that they ran, and 50-point
         # chunks give each fig8 grid two, so its pool forks too
         run_fresh("""
-            import json, os, sys
+            import concurrent.futures, json, os, sys
             import numpy
             refused = ["scipy.linalg"]
             if "numpy.ma" not in sys.modules:  # numpy 1.x imports it with numpy
@@ -711,20 +711,20 @@ class TestNoScipyLinalgNorNumpyMa:
                         super().__init__(*args, **kwargs)
                 return CheckedPool
 
-            chunk_rows, speculate = sweep._chunk_rows, optimize._speculate
+            chunk_columns, speculate = sweep._chunk_columns, optimize._speculate
 
-            def logged_chunk_rows(*args):
+            def logged_chunk_columns(*args):
                 note("ran")
-                return chunk_rows(*args)
+                return chunk_columns(*args)
 
             def logged_speculate(j):
                 note("ran")
                 return speculate(j)
 
             sys.meta_path.insert(0, Refuse())
-            sweep.ProcessPoolExecutor = checked(sweep.ProcessPoolExecutor)
-            optimize.ProcessPoolExecutor = checked(optimize.ProcessPoolExecutor)
-            sweep._chunk_rows, optimize._speculate = logged_chunk_rows, logged_speculate
+            concurrent.futures.ProcessPoolExecutor = checked(
+                concurrent.futures.ProcessPoolExecutor)
+            sweep._chunk_columns, optimize._speculate = logged_chunk_columns, logged_speculate
             sweep.CHUNK = 50
             sweep._usable_cpus = optimize._usable_cpus = lambda: 2
             assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == 0
@@ -736,6 +736,40 @@ class TestNoScipyLinalgNorNumpyMa:
             workers = {line.split()[0] for line in lines} - {str(os.getpid())}
             assert bool(workers) == bool(pools), lines
         """, json.dumps([argv, pools, solves, str(tmp_path / "log")]), str(tmp_path))
+
+
+class TestPoolModulesOnlyForAPool:
+    """multiprocessing and concurrent.futures are imported where a pool is
+    built: a command that forks no pool loads neither."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pools need the fork start method")
+    @pytest.mark.parametrize("argv, forks", [
+        (["point"], 0),
+        (["tc", "--preset", "table2_ne"], 0),
+        (["optimize", "--preset", "table2_ne", "--workers", "1"], 0),
+        (["stability-map", "--config", SCMAP_INI, "--workers", "1"], 0),
+        (["optimize", "--preset", "table2_ne", "--workers", "2"], 2),
+        (["stability-map", "--config", SCMAP_INI, "--workers", "2"], 2),
+    ], ids=["point", "tc", "optimize-w1", "scmap-w1", "optimize-w2", "scmap-w2"])
+    def test_only_a_pool_loads_them(self, tmp_path, argv, forks):
+        # the audit hook counts the processes the pools fork
+        run_fresh("""
+            import json, os, sys
+            import cavmag.cli
+            from cavmag import optimize, sweep
+
+            argv, forks = json.loads(sys.argv[1])
+            modules = ("multiprocessing", "concurrent.futures")
+            assert not [name for name in modules if name in sys.modules]
+            forked = []
+            sys.addaudithook(lambda event, args: event == "os.fork" and forked.append(1))
+            sweep._usable_cpus = optimize._usable_cpus = lambda: 2
+            code = cavmag.cli.main(argv + ["--out", sys.argv[2]])
+            assert code in (0, 2) and len(forked) == forks, (code, forked)
+            assert [name for name in modules if name in sys.modules] == \\
+                (list(modules) if forks else []), sys.modules.keys()
+        """, json.dumps([argv, forks]), str(tmp_path))
 
 
 class TestScipyLinalgImport:
@@ -783,24 +817,24 @@ class TestScipyLinalgImport:
                         reason="the chunk pool needs the fork start method")
     def test_measured_run_grid_binds_it_before_the_pool_forks(self):
         run_fresh("""
-            import sys
+            import concurrent.futures, sys
             from cavmag import gaussian, sweep
             from cavmag.model import SystemParams
 
             built = []
 
-            class CheckedPool(sweep.ProcessPoolExecutor):
+            class CheckedPool(concurrent.futures.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
                     assert "scipy.linalg" not in sys.modules
                     assert gaussian._lapack.cache_info().currsize == 1
                     built.append(args[0])
                     super().__init__(*args, **kwargs)
 
-            sweep.ProcessPoolExecutor = CheckedPool
+            concurrent.futures.ProcessPoolExecutor = CheckedPool
             sweep.CHUNK, sweep._usable_cpus = 7, lambda: 2
             assert "scipy.linalg" not in sys.modules
             spec = sweep.GridSpec(axes=(sweep.Axis("delta_n_tilde", -0.5, 1.5, 20),),
                                   base=SystemParams(), measures=("EN_ne",))
-            rows = sweep.run_grid(spec, workers=2).rows
-            assert built == [2] and any(r.stable for r in rows)
+            result = sweep.run_grid(spec, workers=2)
+            assert built == [2] and (result.codes == sweep.STABLE).any()
         """)

@@ -1,5 +1,10 @@
+import concurrent.futures
 import contextlib
 import dataclasses
+import itertools
+import math
+import multiprocessing
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,9 +25,12 @@ from cavmag.gaussian import (
 )
 from cavmag.model import FIELDS, ParameterError, SystemParams, updated_in_omega_d_units
 from cavmag.sweep import (
+    ERROR,
+    MAX_ROWS,
+    STABLE,
+    UNSTABLE,
     Axis,
     GridSpec,
-    SweepRow,
     SweepSpecError,
     _point_values,
     emit_csv,
@@ -61,6 +69,38 @@ def scmap_grid(measures=()):
     base = SystemParams(delta_n=0.0, delta_n_tilde_override=None)
     return GridSpec(axes=(Axis("delta_a", -2.5, 2.5, 25), Axis("J", 0.2, 1.8, 17)),
                     base=base, linkage="antisymmetric", measures=measures)
+
+
+class Row(NamedTuple):
+    """One grid row, as the per-point reference gives it."""
+
+    axis_values: tuple
+    stable: bool | None  # None for an error row
+    measures: dict | None  # None off the stable rows
+    error: str | None = None
+
+
+def rows_of(result):
+    """The Rows of a columnar SweepResult, in row-major order."""
+    points = itertools.product(*result.axis_values)
+    return [Row(pt, None, None, result.errors[i]) if code == ERROR
+            else Row(pt, False, None) if code == UNSTABLE
+            else Row(pt, True, {mid: float(column[i]) for mid, column in result.measures.items()})
+            for i, (pt, code) in enumerate(zip(points, result.codes.tolist()))]
+
+
+def bits(result):
+    """Everything a SweepResult holds but its metadata, measure values as
+    their float64 bits, so that equal means bit for bit."""
+    assert result.codes.dtype == np.int8
+    assert all(column.dtype == np.float64 for column in result.measures.values())
+    return (result.columns, repr(result.axis_values), result.codes.tolist(),
+            {mid: column.view(np.int64).tolist() for mid, column in result.measures.items()},
+            result.errors)
+
+
+def count(result, code):
+    return np.count_nonzero(result.codes == code)
 
 
 class TestGridSpecValidation:
@@ -102,6 +142,19 @@ class TestGridSpecValidation:
         with pytest.raises(SweepSpecError, match="one or two"):
             GridSpec(axes=(Axis("J", 0.2, 1.0, 3),) * 3, base=SystemParams())
 
+    def test_row_bound(self):
+        # the specs are built without making any axis values
+        with pytest.raises(SweepSpecError, match=f"the grid has 100000000000 rows, "
+                                                 f"over the bound of {MAX_ROWS} rows"):
+            GridSpec(axes=(Axis("J", 0.2, 1.0, 10**11),), base=SystemParams())
+        with pytest.raises(SweepSpecError, match=f"the grid has {MAX_ROWS + 10**4} rows, "
+                                                 f"over the bound of {MAX_ROWS} rows"):
+            GridSpec(axes=(Axis("J", 0.2, 1.0, MAX_ROWS // 10**4 + 1),
+                           Axis("T", 0.0, 0.1, 10**4)), base=SystemParams())
+        at_bound = GridSpec(axes=(Axis("J", 0.2, 1.0, MAX_ROWS // 10**4),
+                                  Axis("T", 0.0, 0.1, 10**4)), base=SystemParams())
+        assert math.prod(a.points for a in at_bound.axes) == MAX_ROWS == 10**7
+
 
 class TestRunGrid:
     def test_decoupled_grid_is_all_zero(self):
@@ -110,18 +163,17 @@ class TestRunGrid:
             axes=(Axis("delta_e", -1.0, 1.0, 2), Axis("delta_n_tilde", 0.5, 1.0, 2)),
             base=base, measures=("EN_de", "EN_ne", "EN_a1a2"))
         result = run_grid(spec)
-        assert len(result.rows) == 4
-        for row in result.rows:
-            assert row.stable
-            assert all(v < 1e-12 for v in row.measures.values())
+        assert result.codes.tolist() == [STABLE] * 4
+        assert list(result.measures) == ["EN_de", "EN_ne", "EN_a1a2"]
+        assert all((column < 1e-12).all() for column in result.measures.values())
 
     def test_row_major_order_and_row_count(self):
         spec = small_spec()
-        result = run_grid(spec)
-        assert len(result.rows) == 6
-        assert [r.axis_values for r in result.rows] == grid_points(spec)
-        assert result.rows[0].axis_values == (-1.5, 0.7)
-        assert result.rows[1].axis_values == (-1.5, 1.1)
+        rows = rows_of(run_grid(spec))
+        assert len(rows) == 6
+        assert [r.axis_values for r in rows] == grid_points(spec)
+        assert rows[0].axis_values == (-1.5, 0.7)
+        assert rows[1].axis_values == (-1.5, 1.1)
 
     def test_antisymmetric_linkage_is_exact(self):
         spec = small_spec()
@@ -148,8 +200,8 @@ class TestRunGrid:
         spec = GridSpec(axes=(Axis("delta_n_tilde", -0.66, -0.64, 3),),
                         base=base, measures=("EN_a1n",))
         result = run_grid(spec)
-        assert all(row.stable is False for row in result.rows)
-        assert all(row.measures is None for row in result.rows)
+        assert result.codes.tolist() == [UNSTABLE] * 3 and result.errors == {}
+        assert np.isnan(result.measures["EN_a1n"]).all()
 
     @pytest.mark.usefixtures("chunk_200")
     @pytest.mark.parametrize("points, expected", [(450, [200, 400, 450]),
@@ -169,9 +221,9 @@ class TestRunGrid:
                                             for i in range(len(f.omega_d))})
         monkeypatch.setattr(gaussian, "steady_states", fail)
         result = run_grid(small_spec())
-        assert all(row.stable is None and row.measures is None
-                   and row.error == "singular denominator"
-                   for row in result.rows)
+        assert result.codes.tolist() == [ERROR] * 6
+        assert result.errors == dict.fromkeys(range(6), "singular denominator")
+        assert all(np.isnan(column).all() for column in result.measures.values())
 
     @pytest.mark.parametrize("axis, zeroed", [
         (Axis("delta_e", -1.0, 1.0, 3), dict(gamma_e=0.0)),
@@ -180,7 +232,7 @@ class TestRunGrid:
     def test_zero_damping_resonance_is_an_error_row(self, axis, zeroed):
         spec = GridSpec(axes=(axis,), base=SystemParams(**zeroed),
                         measures=("EN_ne",))
-        rows = run_grid(spec).rows
+        rows = rows_of(run_grid(spec))
         assert rows[1].axis_values == (0.0,)
         assert rows[1].stable is None and rows[1].measures is None
         assert "singular denominator" in rows[1].error
@@ -195,8 +247,7 @@ class TestRunGrid:
 
     def test_determinism(self):
         spec = small_spec()
-        r1, r2 = run_grid(spec), run_grid(spec)
-        assert r1.rows == r2.rows
+        assert bits(run_grid(spec)) == bits(run_grid(spec))
 
     def test_metadata_carries_base_and_grid(self):
         result = run_grid(small_spec())
@@ -226,29 +277,53 @@ def reference_rows(spec):
             p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
             _, _, V = reference_steady_covariance(p)
             if V is None:
-                rows.append(SweepRow(pt, stable=False, measures=None))
+                rows.append(Row(pt, stable=False, measures=None))
             else:
-                rows.append(SweepRow(pt, stable=True,
-                                     measures=measure_values(V, spec.measures)))
+                rows.append(Row(pt, stable=True,
+                                measures=measure_values(V, spec.measures)))
         except NO_STEADY_STATE as exc:
-            rows.append(SweepRow(pt, stable=None, measures=None, error=str(exc)))
+            rows.append(Row(pt, stable=None, measures=None, error=str(exc)))
     return rows
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return format(value, ".9g")
+
+
+def reference_csv(columns, rows) -> str:
+    """The row-by-row CSV writer that emit_csv replaced, on Rows: every cell
+    formatted where its row is written."""
+    n_axes = columns.index("stable")
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [_cell(v) for v in row.axis_values]
+        cells.append("" if row.stable is None else ("1" if row.stable else "0"))
+        for mid in columns[n_axes + 1:]:
+            cells.append(_cell(None if row.measures is None else row.measures.get(mid)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def assert_rows_identical(spec):
-    """run_grid equals the per-point reference row by row, with ==; returns
-    the counts of stable, unstable and error rows."""
-    got, want = run_grid(spec).rows, reference_rows(spec)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        # repr: a NaN axis value is not == to itself
-        assert (repr(g.axis_values), g.stable, g.measures, g.error) == (
-            repr(w.axis_values), w.stable, w.measures, w.error)
-        if g.measures:
-            assert [type(v) for v in g.measures.values()] == \
-                [type(v) for v in w.measures.values()]
-    return (sum(r.stable is True for r in got), sum(r.stable is False for r in got),
-            sum(r.error is not None for r in got))
+    """run_grid equals the per-point reference row by row: the same axis
+    values, verdicts and errors, and measure values with the same float64
+    bits (so -0.0 for 0.0 fails); returns the counts of stable, unstable and
+    error rows."""
+    result, want = run_grid(spec), reference_rows(spec)
+    # repr: a NaN axis value is not == to itself
+    assert [repr(pt) for pt in itertools.product(*result.axis_values)] == \
+        [repr(w.axis_values) for w in want]
+    assert result.codes.tolist() == [ERROR if w.stable is None else int(w.stable)
+                                     for w in want]
+    assert result.errors == {i: w.error for i, w in enumerate(want) if w.error is not None}
+    assert list(result.measures) == list(spec.measures)
+    for mid, column in result.measures.items():
+        reference = np.array([w.measures[mid] if w.stable else np.nan for w in want])
+        assert column.dtype == reference.dtype == np.float64
+        assert column.view(np.int64).tolist() == reference.view(np.int64).tolist(), mid
+    return count(result, STABLE), count(result, UNSTABLE), count(result, ERROR)
 
 
 class TestEngineMatchesPerPointReference:
@@ -275,8 +350,7 @@ class TestEngineMatchesPerPointReference:
         # gamma_e = 0 makes the ensemble denominator vanish
         spec = GridSpec(axes=(Axis("T", -0.02, 0.02, 3), Axis("delta_e", -1.0, 1.0, 5)),
                         base=SystemParams(gamma_e=0.0), measures=("EN_de",))
-        rows = run_grid(spec).rows
-        errors = [r.error for r in rows]
+        errors = run_grid(spec).errors
         assert "T must be non-negative" in errors[0]
         assert "singular denominator" in errors[7]
         _, _, n_errors = assert_rows_identical(spec)
@@ -305,9 +379,9 @@ class TestEngineMatchesPerPointReference:
         # every point fails the parameter check, so the drift stack is empty
         spec = GridSpec(axes=(Axis("T", -0.3, -0.1, 3),), base=SystemParams(),
                         measures=("EN_ne",))
-        rows = run_grid(spec).rows
-        assert len(rows) == 3
-        assert all("T must be non-negative" in r.error for r in rows)
+        result = run_grid(spec)
+        assert result.codes.tolist() == [ERROR] * 3
+        assert all("T must be non-negative" in e for e in result.errors.values())
         _, _, n_errors = assert_rows_identical(spec)
         assert n_errors == 3
         out = evaluate_chunk(param_arrays([]), ("EN_ne",))
@@ -323,7 +397,7 @@ class TestEngineMatchesPerPointReference:
         spec = GridSpec(axes=axes, base=SystemParams(), measures=("EN_ne",))
         _, _, n_errors = assert_rows_identical(spec)
         assert n_errors > 0
-        errors = {r.error for r in run_grid(spec).rows if r.error}
+        errors = set(run_grid(spec).errors.values())
         assert errors <= {"T must be non-negative", "delta_e must be finite, got inf"}
 
     def test_each_axis_value_is_checked_once(self, monkeypatch):
@@ -344,9 +418,9 @@ class TestEngineMatchesPerPointReference:
         calls.clear()
         spec = GridSpec(axes=(Axis("T", -0.1, 0.1, 5), Axis("J", 0.2, 1.6, 20)),
                         base=SystemParams())
-        rows = run_grid(spec).rows
+        result = run_grid(spec)
         assert len(calls) == 5 + 20 + 2 * 20
-        assert sum(r.error is not None for r in rows) == 2 * 20
+        assert count(result, ERROR) == len(result.errors) == 2 * 20
 
     @pytest.mark.usefixtures("chunk_200")
     def test_fig7_type_grid(self):
@@ -366,8 +440,8 @@ class TestEngineMatchesPerPointReference:
     def test_one_stacked_solve_per_block_size_per_chunk(self, monkeypatch):
         spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 2 * sweep.CHUNK),),
                         base=SystemParams(), measures=("EN_ne", "R_nde"))
-        want = run_grid(spec).rows
-        assert all(r.stable for r in want)
+        want = run_grid(spec)
+        assert (want.codes == STABLE).all()
         stacks = []
         real = dynamics._geev
 
@@ -376,7 +450,7 @@ class TestEngineMatchesPerPointReference:
             return real(a, signature=signature)
 
         monkeypatch.setattr(dynamics, "_geev", counted)
-        assert run_grid(spec).rows == want
+        assert bits(run_grid(spec)) == bits(want)
         # per chunk: the drifts, the three pairs of n-d-e (n-e among
         # them) and the three splits of n-d-e
         assert stacks == [(sweep.CHUNK, 10, 10), (3 * sweep.CHUNK, 4, 4),
@@ -388,8 +462,8 @@ class TestEngineMatchesPerPointReference:
         # that row alone
         spec = GridSpec(axes=(Axis("delta_n_tilde", 0.5, 1.5, 30),), base=SystemParams(),
                         measures=("EN_a1a2", "EN_ne", "R_nde"))
-        want = run_grid(spec).rows
-        assert all(r.stable for r in want)  # so covariance 7 is that of point 7
+        want = run_grid(spec)
+        assert (want.codes == STABLE).all()  # so covariance 7 is that of point 7
         real = gaussian._lyapunov_solves
 
         def one_unpaired(A, D):
@@ -398,19 +472,24 @@ class TestEngineMatchesPerPointReference:
             return V, solved, errors
 
         monkeypatch.setattr(gaussian, "_lyapunov_solves", one_unpaired)
-        got = run_grid(spec).rows
-        assert want[7].stable and got[7].stable is None and got[7].measures is None
-        assert "pairing" in got[7].error
-        assert got[:7] + got[8:] == want[:7] + want[8:]
+        got = run_grid(spec)
+        assert got.codes[7] == ERROR and list(got.errors) == [7]
+        assert "pairing" in got.errors[7]
+        assert all(np.isnan(column[7]) for column in got.measures.values())
+        others = np.arange(30) != 7
+        assert got.codes[others].tolist() == want.codes[others].tolist()
+        for mid, column in got.measures.items():
+            assert column[others].view(np.int64).tolist() == \
+                want.measures[mid][others].view(np.int64).tolist()
 
     def test_grid_without_measures_makes_no_measure_call(self, monkeypatch):
         def no_call(*args):
             raise AssertionError("measure call on a measure-less grid")
 
         monkeypatch.setattr(gaussian, "measure_values", no_call)
-        rows = run_grid(small_spec(measures=())).rows
-        assert [r.measures for r in rows if r.stable] == [{}] * sum(r.stable for r in rows)
-        assert any(r.stable for r in rows)
+        result = run_grid(small_spec(measures=()))
+        assert result.measures == {}
+        assert count(result, STABLE) > 0
 
     @pytest.mark.usefixtures("chunk_200")
     @pytest.mark.parametrize("points", [199, 200, 201, 450])
@@ -427,21 +506,21 @@ def pools(monkeypatch):
     on a single-CPU machine."""
     built = []
 
-    class CountedPool(sweep.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(args[0])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     return built
 
 
 def assert_pool_rows_equal(spec, pools):
-    """Rows of a 2-worker run equal the serial rows with ==; returns them."""
-    serial = run_grid(spec, workers=1).rows
-    assert run_grid(spec, workers=2).rows == serial
-    assert pools == ([2] if len(serial) > sweep.CHUNK else [])
+    """A 2-worker run equals the serial run bit for bit; returns it."""
+    serial = run_grid(spec, workers=1)
+    assert bits(run_grid(spec, workers=2)) == bits(serial)
+    assert pools == ([2] if len(serial.codes) > sweep.CHUNK else [])
     return serial
 
 
@@ -452,17 +531,16 @@ class TestProcessPool:
                               Axis("delta_n_tilde", -0.8, 1.6, 17)),
                         base=SystemParams(), linkage="antisymmetric",
                         measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd"))
-        rows = assert_pool_rows_equal(spec, pools)
-        assert sum(r.stable is True for r in rows) > 20
-        assert sum(r.stable is False for r in rows) > 20
+        result = assert_pool_rows_equal(spec, pools)
+        assert count(result, STABLE) > 20
+        assert count(result, UNSTABLE) > 20
 
     def test_error_rows(self, pools):
         # a negative temperature fails the parameter check; delta_e = 0 with
         # gamma_e = 0 makes the ensemble denominator vanish
         spec = GridSpec(axes=(Axis("T", -0.02, 0.02, 3), Axis("delta_e", -1.0, 1.0, 101)),
                         base=SystemParams(gamma_e=0.0), measures=("EN_de",))
-        rows = assert_pool_rows_equal(spec, pools)
-        errors = [r.error for r in rows if r.error is not None]
+        errors = list(assert_pool_rows_equal(spec, pools).errors.values())
         assert len(errors) == 101 + 1 + 1
         assert sum("singular denominator" in e for e in errors) == 2
 
@@ -470,11 +548,10 @@ class TestProcessPool:
     def test_chunk_boundaries(self, points, pools):
         spec = GridSpec(axes=(Axis("delta_n_tilde", -0.5, 1.5, points),),
                         base=SystemParams(), measures=("EN_ne",))
-        assert len(assert_pool_rows_equal(spec, pools)) == points
+        assert len(assert_pool_rows_equal(spec, pools).codes) == points
 
     def test_self_consistent_stability_map(self, pools):
-        rows = assert_pool_rows_equal(scmap_grid(), pools)
-        assert sum(r.stable is False for r in rows) > 20
+        assert count(assert_pool_rows_equal(scmap_grid(), pools), UNSTABLE) > 20
 
     def test_progress_after_each_chunk(self, pools):
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
@@ -496,9 +573,9 @@ class TestProcessPool:
     def test_no_pool_for_one_process(self, monkeypatch, points, workers):
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was built")
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, points),), base=SystemParams())
-        assert len(run_grid(spec, workers=workers).rows) == points
+        assert len(run_grid(spec, workers=workers).codes) == points
 
     def test_workers_capped_by_chunks_and_cpus(self, pools, monkeypatch):
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
@@ -508,10 +585,9 @@ class TestProcessPool:
         assert pools == [2, 3]
 
     def test_serial_without_fork(self, monkeypatch, pools):
-        monkeypatch.setattr(sweep.multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         spec = GridSpec(axes=(Axis("J", 0.2, 1.0, 450),), base=SystemParams())
-        assert len(run_grid(spec, workers=2).rows) == 450
+        assert len(run_grid(spec, workers=2).codes) == 450
         assert pools == []
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -534,22 +610,22 @@ def strong_drive_grid():
 
 
 class TestRowsDoNotDependOnTheChunkSize:
-    """Rows are equal with == for chunks of 7 points, of 200 and of
+    """Results are equal bit for bit for chunks of 7 points, of 200 and of
     run_grid's own size, each with 1 and with 2 workers."""
 
     def assert_same_rows(self, spec, monkeypatch, pools):
         runs = []
         for chunk in (7, 200, CHUNK):
             monkeypatch.setattr(sweep, "CHUNK", chunk)
-            runs += [run_grid(spec, workers=workers).rows for workers in (1, 2)]
-        assert all(rows == runs[0] for rows in runs[1:])
+            runs += [run_grid(spec, workers=workers) for workers in (1, 2)]
+        assert all(bits(result) == bits(runs[0]) for result in runs[1:])
         assert pools and set(pools) == {2}  # 7-point chunks always start one
         return runs[0]
 
     def test_self_consistent_stability_map(self, monkeypatch, pools):
-        rows = self.assert_same_rows(scmap_grid(), monkeypatch, pools)
-        assert sum(r.stable is False for r in rows) > 20
-        assert sum(r.stable is True for r in rows) > 20
+        result = self.assert_same_rows(scmap_grid(), monkeypatch, pools)
+        assert count(result, UNSTABLE) > 20
+        assert count(result, STABLE) > 20
 
     def test_strong_drive_with_errors_and_scalar_hand_offs(self, monkeypatch, pools):
         spec = strong_drive_grid()
@@ -561,12 +637,12 @@ class TestRowsDoNotDependOnTheChunkSize:
             return real(p, dnt, first)
 
         monkeypatch.setattr(dynamics, "_iterate", counted)
-        rows = self.assert_same_rows(spec, monkeypatch, pools)
-        errors = [r.error for r in rows if r.error is not None]
+        result = self.assert_same_rows(spec, monkeypatch, pools)
+        errors = list(result.errors.values())
         assert len(errors) >= 3
         assert all(e.startswith("non-convergent self-consistency") for e in errors)
-        assert sum(r.stable is False for r in rows) > 20
-        assert sum(r.stable is True for r in rows) > 150
+        assert count(result, UNSTABLE) > 20
+        assert count(result, STABLE) > 150
         # serial runs only: forked workers count in their own copy
         assert any(first > 1 for first in handed_off)
 
@@ -575,9 +651,9 @@ class TestRowsDoNotDependOnTheChunkSize:
                               Axis("delta_n_tilde", -0.8, 1.6, 11)),
                         base=SystemParams(), linkage="antisymmetric",
                         measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd"))
-        rows = self.assert_same_rows(spec, monkeypatch, pools)
-        assert sum(r.stable is True for r in rows) > 20
-        assert sum(r.stable is False for r in rows) > 20
+        result = self.assert_same_rows(spec, monkeypatch, pools)
+        assert count(result, STABLE) > 20
+        assert count(result, UNSTABLE) > 20
 
 
 class TestGridWithoutMeasuresStopsAtTheVerdict:
@@ -586,16 +662,15 @@ class TestGridWithoutMeasuresStopsAtTheVerdict:
     def test_rows_are_the_measured_grid_verdicts(self, spec, monkeypatch):
         """Row for row, the stable flag and the error of the same grid with
         measures, and no diffusion or Lyapunov solve."""
-        measured = run_grid(spec).rows
+        measured = run_grid(spec)
         for name in ("diffusion_matrices", "_lyapunov_solves"):
             monkeypatch.setattr(gaussian, name, lambda *args: pytest.fail("solved"))
-        mapped = run_grid(dataclasses.replace(spec, measures=())).rows
-        assert [(r.axis_values, r.stable, r.error) for r in mapped] == \
-            [(r.axis_values, r.stable, r.error) for r in measured]
-        assert [r.measures for r in mapped if r.stable] == [{}] * sum(r.stable is True
-                                                                      for r in mapped)
-        assert sum(r.stable is True for r in mapped) > 20
-        assert sum(r.stable is False for r in mapped) > 20
+        mapped = run_grid(dataclasses.replace(spec, measures=()))
+        assert (mapped.axis_values, mapped.codes.tolist(), mapped.errors) == \
+            (measured.axis_values, measured.codes.tolist(), measured.errors)
+        assert mapped.measures == {}
+        assert count(mapped, STABLE) > 20
+        assert count(mapped, UNSTABLE) > 20
 
     def test_a_point_whose_solve_breaks_down_is_stable_in_a_map(self):
         # fig8 at T = 1e300 K: every point is stable, and trsyl scales each
@@ -603,12 +678,11 @@ class TestGridWithoutMeasuresStopsAtTheVerdict:
         cfg = config.load_layers(preset="fig8")
         config.apply_set(cfg, "T=1e300")
         for _, spec in config.build_grid_specs(cfg, config.build_system(cfg)):
-            measured = run_grid(spec).rows
-            assert all(r.stable is None and r.error.startswith("solver breakdown: ")
-                       for r in measured)
-            mapped = run_grid(dataclasses.replace(spec, measures=())).rows
-            assert [(r.stable, r.measures, r.error) for r in mapped] == \
-                [(True, {}, None)] * len(measured)
+            measured = run_grid(spec)
+            assert (measured.codes == ERROR).all()
+            assert all(e.startswith("solver breakdown: ") for e in measured.errors.values())
+            mapped = run_grid(dataclasses.replace(spec, measures=()))
+            assert (mapped.codes == STABLE).all() and mapped.errors == {}
 
 
 def assert_same_evaluation(got, want):
@@ -661,8 +735,8 @@ class TestOnePointCallMatchesScalarReference:
 
 def test_overflowing_diffusion_is_an_error_row():
     # trsyl scales the covariance down at 5e299 and 1e300 K
-    rows = run_grid(GridSpec(axes=(Axis("T", 0.0, 1e300, 3),), base=SystemParams(),
-                             measures=("EN_ne",))).rows
+    rows = rows_of(run_grid(GridSpec(axes=(Axis("T", 0.0, 1e300, 3),), base=SystemParams(),
+                                     measures=("EN_ne",))))
     assert rows[0].stable and rows[0].measures["EN_ne"] > 0.0
     assert [r.stable for r in rows[1:]] == [None, None]
     assert all(r.error.startswith("solver breakdown: trsyl scaled ") for r in rows[1:])
@@ -700,8 +774,8 @@ def test_every_field_value_ends_in_a_value_or_a_named_error(name):
                 pass
         axis = Axis("J" if name == "T" else "T", 0.0, 0.4, 2 * sweep.CHUNK + 1)
         with warns_if(perturbed):
-            rows = run_grid(GridSpec(axes=(axis,), base=p, measures=("EN_ne",))).rows
-        assert len(rows) == axis.points
+            result = run_grid(GridSpec(axes=(axis,), base=p, measures=("EN_ne",)))
+        assert len(result.codes) == axis.points
     assert built
 
 
@@ -727,7 +801,7 @@ class TestCsv:
         dest = tmp_path / "grid.csv"
         emit_csv(result, dest)
         value_cell = dest.read_text().splitlines()[1].split(",")[-1]
-        assert value_cell == format(result.rows[0].measures["EN_de"], ".9g")
+        assert value_cell == format(result.measures["EN_de"][0], ".9g")
 
     def test_sidecar_written(self, tmp_path):
         dest = tmp_path / "grid.csv"
@@ -745,3 +819,32 @@ class TestCsv:
         emit_csv(run_grid(spec), dest)
         for line in dest.read_text().splitlines()[1:]:
             assert line.endswith(",0,")
+
+
+class TestCsvMatchesTheRowByRowWriter:
+    """emit_csv writes the bytes of the row-by-row writer it replaced, run on
+    the per-point reference rows, with 1 and with 2 workers; 40-point
+    chunks give every grid here a pool."""
+
+    @pytest.mark.parametrize("spec, verdicts", [
+        # -0.05 K fails the parameter checks
+        (GridSpec(axes=(Axis("T", -0.05, 0.3, 71),), base=SystemParams(),
+                  measures=("EN_ne", "R_nde")), {None, True}),
+        (GridSpec(axes=(Axis("delta_a", -2.0, 1.0, 12), Axis("delta_n_tilde", -0.8, 1.6, 10)),
+                  base=SystemParams(), linkage="antisymmetric",
+                  measures=("EN_de", "EN_ne", "EN_a1a2", "R_nde", "R_a1nd")), {True, False}),
+        # a negative temperature, and delta_e = 0 with gamma_e = 0
+        (GridSpec(axes=(Axis("T", -0.02, 0.02, 3), Axis("delta_e", -1.0, 1.0, 101)),
+                  base=SystemParams(gamma_e=0.0), measures=("EN_de",)), {None, True}),
+        (scmap_grid(), {True, False}),
+    ], ids=["T-first-value-fails", "pinned-5-measures", "error-rows", "scmap"])
+    def test_same_bytes(self, spec, verdicts, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(sweep, "CHUNK", 40)
+        rows = reference_rows(spec)
+        assert {r.stable for r in rows} == verdicts
+        want = reference_csv(spec.columns, rows).encode()
+        for workers in (1, 2):
+            dest = tmp_path / f"w{workers}.csv"
+            emit_csv(run_grid(spec, workers=workers), dest)
+            assert dest.read_bytes() == want
+        assert pools == [2]
