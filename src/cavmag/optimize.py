@@ -5,11 +5,13 @@ The optimizer is a seeded multi-restart Nelder-Mead over a box in
 (delta_1, delta_2, delta_n_tilde, delta_e, J), all in omega_d units.
 Unstable points score zero.  The bounded Nelder-Mead is this module's own
 (_nelder_mead): it takes the steps of scipy's, bit for bit, without loading
-scipy.optimize.
+scipy.optimize.  So is the start scan's generator (_uniform_scan): it draws
+numpy.random.default_rng's bits without loading numpy.random.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,9 @@ class OptimizeSpec:
                     f"box for {name!r} must have finite bounds, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise OptimizeError(f"box for {name!r} has lo > hi")
+            if not math.isfinite(hi - lo):
+                raise OptimizeError(
+                    f"box for {name!r} is wider than the largest float: ({lo!r}, {hi!r})")
         if self.restarts < 1:
             raise OptimizeError("restarts must be >= 1")
         if self.max_evaluations < 1:
@@ -79,12 +84,15 @@ class OptimumReport:
 def evaluate_measure(p: SystemParams, measure) -> float | None:
     """Measure value at one parameter point; None when there is no steady
     state.  The measure is its id, or the gaussian.measure_plan of that one
-    id, which a search makes once."""
+    id, which a search makes once; a plan of any other number of ids is a
+    ValueError, raised before any work."""
+    if isinstance(measure, str):
+        measure = measure_plan((measure,))
+    if len(measure.ids) != 1:
+        raise ValueError(f"evaluate_measure takes one measure id, got {measure.ids}")
     _, _, V = steady_covariance(p)
     if V is None:
         return None
-    if isinstance(measure, str):
-        measure = measure_plan((measure,))
     return measure_values(V, measure)[measure.ids[0]]
 
 
@@ -97,8 +105,10 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     predecessors left and stops before the call that would exceed it, so the
     report counts at most ``max_evaluations`` evaluations and a run cut by
     its budget is an exact prefix of the uncut run.  The returned point is
-    the first best stable one encountered.  The descent is ``_nelder_mead``,
-    which gives the bits scipy's bounded Nelder-Mead gave.
+    the first best stable one encountered.  The scan is ``_uniform_scan``,
+    which draws numpy.random.default_rng(seed).uniform's bits without
+    loading numpy.random, and the descent is ``_nelder_mead``, which gives
+    the bits scipy's bounded Nelder-Mead gave.
 
     Up to ``workers`` forked processes (default: no limit), at most one per
     restart and per CPU this process may use, run the restarts ahead with
@@ -121,7 +131,6 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     fixed = {n: spec.box[n][0] for n in names if n not in free}
     lo = np.array([spec.box[n][0] for n in free])
     hi = np.array([spec.box[n][1] for n in free])
-    rng = np.random.default_rng(spec.seed)
 
     # best: (value, point); record: {clipped point bytes: value or None} of a
     # speculative run; restart: the index of the shared limit a pool worker obeys
@@ -134,7 +143,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     def objective(x_free) -> float:
         x_free = x_free.clip(lo, hi)
         point = dict(fixed)
-        point.update(zip(free, x_free))
+        point.update(zip(free, x_free.tolist()))  # floats: CPython's complex bits
         j, record, key = state["restart"], state["record"], x_free.tobytes()
         if j is not None and state["evals"] >= limits[j]:
             raise _LimitReached
@@ -164,7 +173,7 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
                              evaluations=state["evals"], restarts=restart_log)
 
     n_scan = min(max(8 * spec.restarts, 32), max(1, spec.max_evaluations // 4))
-    scan = rng.uniform(lo, hi, size=(n_scan, len(free)))
+    scan = _uniform_scan(spec.seed, lo, hi, n_scan)
     scan[0] = 0.5 * (lo + hi)
     scanned = sorted(
         ((objective(x), tuple(x)) for x in scan), key=lambda t: -t[0]
@@ -251,6 +260,63 @@ def _share(speculate) -> None:
 
 def _speculate(j: int):
     return _SPECULATE(j)
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
+    32-bit words, least significant first, hashed into a 4-word pool
+    (O'Neill's seed_seq_fe), then 8 words drawn from the pool, paired low
+    word first."""
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+
+    def hasher(mult: int, step: int):
+        def hashmix(value: int) -> int:
+            nonlocal mult
+            value ^= mult
+            mult = mult * step & _MASK32
+            value = value * mult & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    words = [draw(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_scan(seed, lo, hi, n: int) -> np.ndarray:
+    """numpy.random.default_rng(seed).uniform(lo, hi, size=(n, len(lo))),
+    bit for bit, on Python integers: PCG64 (O'Neill, HMC-CS-2014-0905;
+    XSL-RR 128/64, a step before each output) seeded as numpy seeds it, and
+    lo + (hi - lo) * (53 bits / 2**53) in C order.  The seed goes through
+    operator.index, so a numpy integer gives the words of its int."""
+    s0, s1, i0, i1 = _seed_words(operator.index(seed))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    units = []
+    for _ in range(n * len(lo)):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        units.append(((x >> rot | x << (64 - rot)) & _MASK64) >> 11)
+    return lo + (hi - lo) * (np.array(units, dtype=float).reshape(n, len(lo)) * 2.0**-53)
 
 
 def _initial_simplex(start, lo, hi):

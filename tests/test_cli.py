@@ -255,6 +255,15 @@ class TestInputsEndInOneConfigErrorLine:
         assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne", *argv) == (
             1, f"config error: [optimize]: seed must be >= 0, got {seed}\n")
 
+    def test_box_wider_than_the_largest_float(self, tmp_path, capsys):
+        # no scan point can be drawn where hi - lo overflows
+        assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne",
+                        "--set", "optimize.box_delta_1_min_wd=-1e308",
+                        "--set", "optimize.box_delta_1_max_wd=1e308") == (
+            1, "config error: [optimize]: box for 'delta_1' is wider than the largest "
+               "float: (-1e+308, 1e+308)\n")
+        assert not (tmp_path / "out").exists()
+
 
 def out_in_the_way(tmp_path, under):
     """An --out that names a file, or a path under one, and the reason

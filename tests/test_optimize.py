@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import inspect
 import json
 import multiprocessing
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from cavmag import optimize
-from cavmag.dynamics import SteadyStateError
+from cavmag import config, optimize
+from cavmag.dynamics import SteadyStateError, steady_state, steady_states
+from cavmag.gaussian import NO_STEADY_STATE, evaluate_chunk, measure_plan
 from cavmag.model import SystemParams, updated_in_omega_d_units
 from cavmag.optimize import (
     NonMonotoneProfile,
@@ -22,7 +24,7 @@ from cavmag.optimize import (
     maximize,
 )
 
-from conftest import run_fresh
+from conftest import mean_states, param_arrays, run_fresh
 
 SCMAP_INI = str(Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini")
 WD = SystemParams().omega_d
@@ -62,6 +64,17 @@ class TestOptimizeSpec:
         with pytest.raises(OptimizeError, match="box for 'J' must have finite bounds"):
             OptimizeSpec(measure="EN_ne", box=box)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 2e307)])
+    def test_box_wider_than_the_largest_float_rejected(self, lo, hi):
+        # hi - lo overflows to inf, so no scan point could be drawn in it
+        with pytest.raises(OptimizeError,
+                           match="box for 'J' is wider than the largest float"):
+            OptimizeSpec(measure="EN_ne", box={"J": (lo, hi)})
+
+    @pytest.mark.parametrize("lo, hi", [(-8e307, 8e307), (1e308, 1e308)])
+    def test_box_within_the_largest_float_accepted(self, lo, hi):
+        assert OptimizeSpec(measure="EN_ne", box={"J": (lo, hi)}).box == {"J": (lo, hi)}
+
     def test_restart_floor(self):
         with pytest.raises(OptimizeError, match="restarts"):
             OptimizeSpec(measure="EN_ne", box={"J": (0.2, 1.0)}, restarts=0)
@@ -70,6 +83,76 @@ class TestOptimizeSpec:
         # numpy's default_rng would fail later with a ValueError
         with pytest.raises(OptimizeError, match="seed must be >= 0, got -1"):
             OptimizeSpec(measure="EN_ne", box={"J": (0.2, 1.0)}, seed=-1)
+
+
+class TestEvaluateMeasure:
+    @pytest.mark.parametrize("ids", [(), ("EN_ne", "EN_de"), ("EN_ne", "EN_ne")])
+    def test_a_plan_of_other_than_one_id_raises_before_any_work(self, monkeypatch, ids):
+        # outside NO_STEADY_STATE, so no search scores it as no steady state
+        monkeypatch.setattr(optimize, "steady_covariance",
+                            lambda p: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="takes one measure id") as caught:
+            evaluate_measure(ne_base(), measure_plan(ids))
+        assert not isinstance(caught.value, NO_STEADY_STATE)
+
+
+class TestObjectivePointsAreFloats:
+    """maximize builds every point from Python floats, so each one-point
+    evaluation has the bits of the chunk kernel at that point, its mean
+    field too: numpy scalars would take steady_state through numpy's
+    complex arithmetic, whose bits differ from CPython's."""
+
+    @staticmethod
+    def table2_ne():
+        cfg = config.load_layers(preset="table2_ne")
+        spec = dataclasses.replace(config.build_optimize_spec(cfg), max_evaluations=300)
+        return spec, config.build_system(cfg)
+
+    @staticmethod
+    def self_consistent():
+        # the mean-field loop sets delta_n_tilde, so the amplitudes reach the values
+        spec = OptimizeSpec(measure="EN_ne",
+                            box={"delta_1": (-2.0, 2.0), "delta_2": (-2.0, 2.0),
+                                 "delta_e": (-2.0, 2.0), "J": (0.2, 1.6)},
+                            restarts=3, max_evaluations=300, seed=1)
+        return spec, SystemParams(delta_n=0.9 * WD, delta_n_tilde_override=None)
+
+    @pytest.mark.parametrize("case", ["table2_ne", "self_consistent"])
+    def test_fields_are_floats_and_values_those_of_the_chunk_kernel(self, monkeypatch,
+                                                                     case):
+        spec, base = getattr(self, case)()
+        points, values = [], []
+        evaluate = optimize.evaluate_measure
+
+        def recording(p, measure):
+            points.append(p)
+            try:
+                values.append(evaluate(p, measure))
+            except NO_STEADY_STATE:
+                values.append("error")
+                raise
+            return values[-1]
+
+        monkeypatch.setattr(optimize, "evaluate_measure", recording)
+        maximize(spec, base, workers=1)
+        assert len(points) == 300
+        for p in points:
+            kinds = {type(v).__name__ for v in vars(p).values()}
+            assert kinds <= {"float", "NoneType"}, kinds
+        out = evaluate_chunk(param_arrays(points), (spec.measure,))
+
+        def key(v):
+            return v if v is None or v == "error" else float(v).hex()
+
+        expected = [out.values[i][spec.measure] if i in out.values
+                    else "error" if i in out.errors else None
+                    for i in range(len(points))]
+        assert [key(v) for v in values] == [key(v) for v in expected]
+        assert sum(isinstance(v, float) for v in values) > 100
+        states = mean_states(steady_states(param_arrays(points)))
+        assert [repr(steady_state(p)) for p, state in zip(points, states)
+                if not isinstance(state, Exception)] == \
+            [repr(state) for state in states if not isinstance(state, Exception)]
 
 
 class TestMaximize:
@@ -583,6 +666,48 @@ class TestCriticalTemperature:
             pytest.skip("profile monotone at this point; guard not exercised")
 
 
+class TestUniformScanMatchesNumpy:
+    """optimize._uniform_scan draws the float64 bits of
+    numpy.random.default_rng(seed).uniform(lo, hi, size=(n, d)), numpy's
+    generator being the reference."""
+
+    @staticmethod
+    def check(seed, d, n, exponents):
+        span = 10.0 ** np.asarray(exponents, dtype=float)
+        lo = np.linspace(-1.5, 0.5, d) * span
+        hi = lo + span
+        expected = np.random.default_rng(seed).uniform(lo, hi, size=(n, d))
+        got = optimize._uniform_scan(seed, lo, hi, n)
+        assert got.shape == (n, d) and got.dtype == np.float64
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), (seed, d, n)
+
+    def test_small_seeds(self):
+        # 67 is prime to 200, so n runs through 1..200; d through 1..5; the
+        # spans through 1e-12..1e6
+        for seed in range(300):
+            d, n = seed % 5 + 1, seed * 67 % 200 + 1
+            self.check(seed, d, n, [-12 + (seed + j) % 19 for j in range(d)])
+
+    @pytest.mark.parametrize("seed", [
+        2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**128 + 12345, 3**100, 2**200 - 1,
+        2**256 + 2**130 + 7,
+    ])
+    def test_large_seeds(self, seed):
+        # past four 32-bit words the seed is mixed into the pool word by word
+        for d in range(1, 6):
+            self.check(seed, d, 200 if d % 2 else 1, [-12, 6, -3, 0, 2][:d])
+
+    def test_a_numpy_integer_seed_gives_the_words_of_its_int(self):
+        lo, hi = np.array([-2.0, 0.2]), np.array([2.0, 1.6])
+        for seed in (np.int64(2030), np.uint64(2**63 + 5), np.int32(7)):
+            self.check(seed, 2, 40, [0, 1])
+            assert (optimize._uniform_scan(seed, lo, hi, 40).tobytes()
+                    == optimize._uniform_scan(int(seed), lo, hi, 40).tobytes())
+
+    def test_an_empty_scan(self):
+        assert optimize._uniform_scan(0, np.zeros(3), np.ones(3), 0).shape == (0, 3)
+
+
 class TestScipyOptimizeImport:
     def test_runs_that_do_not_optimize_do_not_import_it(self, tmp_path):
         run_fresh("""
@@ -658,10 +783,11 @@ class TestScipyOptimizeImport:
         """, json.dumps([argv, pools, str(tmp_path / "log")]), str(tmp_path))
 
 
-class TestNoScipyLinalgNorNumpyMa:
+class TestNoScipyLinalgNumpyMaNorNumpyRandom:
     """No command imports scipy.linalg (a run that solves binds LAPACK from
-    its extension, gaussian._lapack) or numpy.ma, in this process or in a
-    forked worker."""
+    its extension, gaussian._lapack), numpy.ma or numpy.random (the
+    optimizer draws its scan itself, optimize._uniform_scan), in this
+    process or in a forked worker."""
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the pools need the fork start method")
@@ -683,9 +809,9 @@ class TestNoScipyLinalgNorNumpyMa:
         run_fresh("""
             import concurrent.futures, json, os, sys
             import numpy
-            refused = ["scipy.linalg"]
-            if "numpy.ma" not in sys.modules:  # numpy 1.x imports it with numpy
-                refused.append("numpy.ma")
+            # numpy 1.x imports numpy.ma and numpy.random with numpy
+            refused = ["scipy.linalg"] + [name for name in ("numpy.ma", "numpy.random")
+                                          if name not in sys.modules]
             import cavmag.cli
             from cavmag import gaussian, optimize, sweep
 
