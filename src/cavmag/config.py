@@ -72,8 +72,9 @@ def _read_ini(text: str, origin: str) -> dict[str, dict[str, str]]:
     parser.optionxform = str  # keys are case-sensitive (Omega_l vs omega_l)
     try:
         parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+    except configparser.Error as exc:  # its text may run over several lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"{origin}: {message}") from exc
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
 
 
@@ -101,7 +102,12 @@ def load_layers(preset: str | None = None,
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        merge(_read_ini(path.read_text(), str(path)))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+            raise ConfigError(
+                f"config file {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        merge(_read_ini(text, str(path)))
     return merged
 
 
@@ -146,6 +152,17 @@ def _float(raw: str | None, section: str, key: str) -> float:
     except ValueError:
         raise ConfigError(
             f"key {key!r} in [{section}]: cannot parse {raw!r} as a number"
+        ) from None
+
+
+def _int(raw: str | None, section: str, key: str) -> int:
+    if raw is None:
+        raise ConfigError(f"missing required key {key!r} in [{section}]")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"key {key!r} in [{section}]: cannot parse {raw!r} as an integer"
         ) from None
 
 
@@ -220,15 +237,7 @@ def _axis(section_name: str, items: dict[str, str], keys) -> Axis:
     param_key, lo_key, hi_key, points_key = keys
     lo = _float(items.get(lo_key), section_name, lo_key)
     hi = _float(items.get(hi_key), section_name, hi_key)
-    raw_pts = items.get(points_key)
-    if raw_pts is None:
-        raise ConfigError(f"missing key {points_key!r} in [{section_name}]")
-    try:
-        points = int(raw_pts)
-    except ValueError:
-        raise ConfigError(
-            f"key {points_key!r} in [{section_name}]: not an integer"
-        ) from None
+    points = _int(items.get(points_key), section_name, points_key)
     try:
         return Axis(param=items[param_key], lo=lo, hi=hi, points=points)
     except ValueError as exc:
@@ -307,14 +316,18 @@ def build_optimize_spec(cfg, seed_override: int | None = None) -> OptimizeSpec:
                    _float(items.get(hi_key), "optimize", hi_key))
            for param, (lo_key, hi_key) in box_keys.items()
            if lo_key in items or hi_key in items}
+    restarts = _int(items.get("restarts", "6"), "optimize", "restarts")
+    max_evaluations = _int(items.get("max_evaluations", "2000"), "optimize",
+                           "max_evaluations")
+    seed = (seed_override if seed_override is not None
+            else _int(items.get("seed", "0"), "optimize", "seed"))
     try:
         return OptimizeSpec(
             measure=items.get("measure", ""),
             box=box,
-            restarts=int(items.get("restarts", 6)),
-            max_evaluations=int(items.get("max_evaluations", 2000)),
-            seed=seed_override if seed_override is not None
-            else int(items.get("seed", 0)),
+            restarts=restarts,
+            max_evaluations=max_evaluations,
+            seed=seed,
         )
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"[optimize]: {exc}") from exc

@@ -10,7 +10,6 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -28,7 +27,9 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Mean amplitudes of the five modes and the effective magnon detuning."""
+    """Mean amplitudes of the five modes and the effective magnon detuning.
+    For a chunk (steady_states), its fields are the (k,) arrays of its
+    points."""
 
     a1: complex
     a2: complex
@@ -191,21 +192,6 @@ def _quot(a, by_real, ratio, denom):
     return np.where(by_real, a + swapped * ratio, a * ratio + swapped) / denom
 
 
-class MeanFields(NamedTuple):
-    """steady_state of every point of a chunk as (k,) arrays, and the
-    SteadyStateError of each point that raised one, by position (its array
-    entries are meaningless)."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-    e: np.ndarray
-    n: np.ndarray
-    x_mean: np.ndarray
-    delta_n_tilde: np.ndarray
-    iterations: np.ndarray
-    errors: dict
-
-
 def _point(f, i: int) -> SimpleNamespace:
     """Point i of an array chunk with the attributes steady_state reads,
     as Python scalars, a NaN field being None."""
@@ -214,10 +200,12 @@ def _point(f, i: int) -> SimpleNamespace:
                               for name, v in values.items()})
 
 
-def steady_states(f) -> MeanFields:
+def steady_states(f) -> tuple[SteadyState, dict]:
     """steady_state of every point of a chunk ``f`` (gaussian.evaluate_chunk),
-    with the same bits, iteration counts and SteadyStateErrors; any other
-    error is raised, that of the first point that raises one.
+    with the same bits, iteration counts and SteadyStateErrors: a SteadyState
+    of (k,) arrays, and the SteadyStateError of each point that raised one,
+    by position (its array entries are meaningless).  Any other error is
+    raised, that of the first point that raises one.
 
     The closed form and the damped loop run on arrays of the live points; a
     point leaves at its own iteration.  A point that a cheap screen cannot
@@ -310,7 +298,7 @@ def steady_states(f) -> MeanFields:
             continue
         a1[i], a2[i], e[i], n[i] = ss.a1, ss.a2, ss.e, ss.n
         x_out[i], dnt_out[i], iterations[i] = ss.x_mean, ss.delta_n_tilde, ss.iterations
-    return MeanFields(a1, a2, e, n, x_out, dnt_out, iterations, errors)
+    return SteadyState(a1, a2, e, n, x_out, dnt_out, iterations), errors
 
 
 def drift_matrix(p, ss) -> np.ndarray:
@@ -318,8 +306,9 @@ def drift_matrix(p, ss) -> np.ndarray:
     state.  Row pairs (1-based): a1 1-2, a2 3-4, magnon 5-6, phonon 7-8,
     ensemble 9-10.
 
-    Also takes a chunk (gaussian.evaluate_chunk) with its MeanFields, and
-    then returns the (k, 10, 10) stack of the drifts of its points.
+    Also takes a chunk (gaussian.evaluate_chunk) with its SteadyState of
+    (k,) arrays (steady_states), and then returns the (k, 10, 10) stack of
+    the drifts of its points.
     """
     d1, d2, de = p.delta_1, p.delta_2, p.delta_e
     dnt = ss.delta_n_tilde

@@ -312,7 +312,6 @@ _I_OMEGA = {m: 1j * np.kron(np.eye(m), _J) for m in range(1, len(MODE_LABELS) + 
 # splits, mode r transposed in split r.
 _BLOCK_OF = {mid: tuple(sorted(MODE_LABELS.index(m) for m in modes))
              for mid, modes in (BIPARTITE_MEASURES | TRIPARTITE_MEASURES).items()}
-_ALL_BLOCKS = tuple(_BLOCK_OF.values())  # the ten pairs, then the two triples
 _PAIR_SIGNS = _flip_signs(2, 0)
 _SPLIT_SIGNS = np.stack([_flip_signs(3, r) for r in range(3)])
 
@@ -373,7 +372,6 @@ class _Plan(NamedTuple):
     ids: tuple  # per requested block, its measure id (measure_plan), else ()
 
 
-@functools.cache
 def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
     """The plan of a request for these blocks on an n x n covariance: the
     distinct pairs in first-seen order (those of the triples included), then
@@ -409,16 +407,20 @@ def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
     )
 
 
-def measure_plan(measure_ids) -> _Plan:
-    """The plan of a request for these measure ids on the 10x10 covariance,
-    for measure_values; a caller that measures many covariances makes it
-    once.  An unknown id is a GaussianError."""
-    ids = tuple(measure_ids)
+@functools.cache
+def measure_plan(ids: tuple) -> _Plan:
+    """The plan of a request for a tuple of measure ids on the 10x10
+    covariance, made once per distinct tuple and cached, so that a search
+    that measures many covariances makes it once.  An unknown id is a
+    GaussianError."""
     try:
         blocks = tuple(_BLOCK_OF[mid] for mid in ids)
     except KeyError as exc:
         raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
     return _plan(blocks, 2 * len(MODE_LABELS), ids)
+
+
+_TRIPLE_PLAN = _plan(((0, 1, 2),), 6)  # residual_contangle's, on a 3-mode state
 
 
 def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
@@ -514,7 +516,7 @@ def residual_contangle(V3: np.ndarray) -> ResidualContangle:
     """
     if _n_modes(V3) != 3:
         raise GaussianError("residual_contangle expects a 3-mode covariance")
-    return _measures(V3[None], _plan(((0, 1, 2),), 6), range(3))[0][0]
+    return _measures(V3[None], _TRIPLE_PLAN, range(3))[0][0]
 
 
 class ChunkOutcome(NamedTuple):
@@ -563,30 +565,31 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     """The evaluation kernel on a chunk ``f`` of points: one (k,) float array
     per SystemParams field, NaN where a field is None.
 
-    The mean fields come from steady_states and the drifts from one stack;
-    all the verdicts come from one stacked eigen-solve.  Without measure ids
-    that is all: no diffusion and no Lyapunov solve.  With them, the stable
-    points get their diffusions from one stack, their covariances from
-    _lyapunov_solves and their values from measure_values on the stack of
-    covariances.  A stacked eigen-solve that fails is redone one matrix at
-    a time, so the error lands on its point.  Each point's outcome is that
-    of steady_state, drift_matrix, its verdict, diffusion_matrix,
-    lyapunov_solve and measure_values in turn; an error outside
-    NO_STEADY_STATE is raised.  The measure ids are resolved first
-    (measure_plan), so an unknown one raises before any work.
+    The steady states come from steady_states, as one SteadyState of (k,)
+    arrays, and the drifts from one stack; all the verdicts come from one
+    stacked eigen-solve.  Without measure ids that is all: no diffusion and
+    no Lyapunov solve.  With them, the stable points get their diffusions
+    from one stack, their covariances from _lyapunov_solves and their
+    values from measure_values on the stack of covariances.  A stacked
+    eigen-solve that fails is redone one matrix at a time, so the error
+    lands on its point.  Each point's outcome is that of steady_state,
+    drift_matrix, its verdict, diffusion_matrix, lyapunov_solve and
+    measure_values in turn; an error outside NO_STEADY_STATE is raised.
+    The measure ids are resolved first (measure_plan), so an unknown one
+    raises before any work.
     """
-    plan = measure_plan(measure_ids)
+    ids = tuple(measure_ids)
+    measure_plan(ids)
     k = len(f.omega_d)
-    mean = steady_states(f)
-    errors = dict(mean.errors)
-    drifts = drift_matrix(f, mean)
+    ss, errors = steady_states(f)
+    drifts = drift_matrix(f, ss)
     live = _except(k, errors)
     abscissa = np.full(k, np.nan)
     done, abscissae = _each(spectral_abscissa, drifts[live], errors, live)
     abscissa[done] = abscissae
     stable = StabilityVerdict.from_abscissa(abscissa, f.omega_d).stable
     at = np.flatnonzero(stable)
-    if not measure_ids:
+    if not ids:
         return ChunkOutcome(abscissa, stable, drifts[:0], at[:0], {}, errors)
     D, failed = diffusion_matrices(_take(f, at))
     keep = _except(len(at), failed)
@@ -595,7 +598,7 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     V, solved, failed = _lyapunov_solves(drifts[at], D[keep])
     errors.update((int(at[j]), exc) for j, exc in failed.items())
     at = at[solved]
-    measured, values = _each(lambda stack: measure_values(stack, plan), V, errors, at)
+    measured, values = _each(lambda stack: measure_values(stack, ids), V, errors, at)
     return ChunkOutcome(abscissa, stable, V, at, dict(zip(measured, values)), errors)
 
 
@@ -612,14 +615,14 @@ def steady_covariance(p: SystemParams):
 
 def measure_values(V: np.ndarray, measure_ids):
     """Requested entanglement measures evaluated on a 10x10 covariance, as a
-    {measure id: value} dict; the ids may also come as their measure_plan.
-    Also takes an (s, 10, 10) stack, and then returns one dict per
-    covariance, from one stacked eigen-solve per block size; an error
-    anywhere in the stack raises for the whole stack."""
+    {measure id: value} dict, from the ids' cached measure_plan.  Also
+    takes an (s, 10, 10) stack, and then returns one dict per covariance,
+    from one stacked eigen-solve per block size; an error anywhere in the
+    stack raises for the whole stack."""
     if V.ndim > 3 or V.shape[-2:] != (2 * len(MODE_LABELS),) * 2:
         raise GaussianError("measures need a 10x10 covariance or a stack of them; "
                             f"have shape {V.shape}")
-    plan = measure_ids if isinstance(measure_ids, _Plan) else measure_plan(measure_ids)
+    plan = measure_plan(tuple(measure_ids))
     values = [{mid: value.r_min if triple else value
                for mid, (triple, _), value in zip(plan.ids, plan.slots, values)}
               for values in _measures(V if V.ndim == 3 else V[None], plan, MODE_LABELS)]
@@ -634,8 +637,7 @@ def full_report(p: SystemParams) -> EntanglementReport:
     ss, verdict, V = steady_covariance(p)
     if V is None:
         return EntanglementReport(stable=False, verdict=verdict, steady=ss)
-    (values,) = _measures(V[None], _plan(_ALL_BLOCKS, 2 * len(MODE_LABELS)),
-                          MODE_LABELS)
+    (values,) = _measures(V[None], measure_plan(MEASURE_IDS), MODE_LABELS)
     return EntanglementReport(
         stable=True, verdict=verdict, steady=ss,
         bipartite=dict(zip(BIPARTITE_MEASURES.values(), values)),

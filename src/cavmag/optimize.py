@@ -81,19 +81,16 @@ class OptimumReport:
     restarts: list[dict] = field(default_factory=list)
 
 
-def evaluate_measure(p: SystemParams, measure) -> float | None:
+def evaluate_measure(p: SystemParams, measure_id: str) -> float | None:
     """Measure value at one parameter point; None when there is no steady
-    state.  The measure is its id, or the gaussian.measure_plan of that one
-    id, which a search makes once; a plan of any other number of ids is a
-    ValueError, raised before any work."""
-    if isinstance(measure, str):
-        measure = measure_plan((measure,))
-    if len(measure.ids) != 1:
-        raise ValueError(f"evaluate_measure takes one measure id, got {measure.ids}")
+    state.  The id is resolved first (gaussian.measure_plan, cached), so an
+    unknown one raises before any work."""
+    ids = (measure_id,)
+    measure_plan(ids)
     _, _, V = steady_covariance(p)
     if V is None:
         return None
-    return measure_values(V, measure)[measure.ids[0]]
+    return measure_values(V, ids)[measure_id]
 
 
 def maximize(spec: OptimizeSpec, base: SystemParams,
@@ -117,15 +114,13 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
     So the report, or the error, is the serial one.  One process, one
     restart or no ``fork`` start method: all run here.
 
-    The measure's plan (``gaussian.measure_plan``) is made once, and the
-    Lyapunov solve's LAPACK (``gaussian._lapack``) bound, before the pool
-    forks, so the workers inherit both.
+    The Lyapunov solve's LAPACK (``gaussian._lapack``) is bound before the
+    pool forks, so the workers inherit it.
     """
     _lapack()
 
     if workers is not None and workers < 1:
         raise OptimizeError(f"workers must be at least 1, got {workers}")
-    plan = measure_plan((spec.measure,))
     names = [n for n in OPT_PARAMS if n in spec.box]
     free = [n for n in names if spec.box[n][0] < spec.box[n][1]]
     fixed = {n: spec.box[n][0] for n in names if n not in free}
@@ -152,7 +147,8 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
             value = record[key]
         else:
             try:
-                value = evaluate_measure(updated_in_omega_d_units(base, point), plan)
+                value = evaluate_measure(updated_in_omega_d_units(base, point),
+                                         spec.measure)
             except NO_STEADY_STATE:
                 value = None
             if record is not None:
@@ -413,7 +409,7 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
 
     Bisection on [1 mK, T_max] to within ``tol`` (default 1 mK), or until
     no float lies between its ends, after a coarse scan that verifies a
-    monotone-decreasing profile.  The measure's plan is made once.
+    monotone-decreasing profile.
     """
     if measure not in MEASURE_IDS:
         raise OptimizeError(f"unknown measure id {measure!r}")
@@ -422,10 +418,9 @@ def critical_temperature(p: SystemParams, measure: str, T_max: float,
             f"T_max must be finite and exceed the {T_FLOOR} K floor, got {T_max!r}")
     if not 0.0 < tol < math.inf:  # at tol <= 0 the bisection never ends
         raise OptimizeError(f"tol must be a positive finite temperature, got {tol!r}")
-    plan = measure_plan((measure,))
 
     def value_at(T: float) -> float:
-        v = evaluate_measure(p.updated(T=T), plan)
+        v = evaluate_measure(p.updated(T=T), measure)
         return 0.0 if v is None else v
 
     v_floor = value_at(T_FLOOR)

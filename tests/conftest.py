@@ -91,10 +91,11 @@ def param_arrays(ps) -> SimpleNamespace:
 
 
 def mean_states(mean) -> list:
-    """Per point of a dynamics.MeanFields: its SteadyState, with Python
-    scalars, or its error."""
-    columns = zip(*(a.tolist() for a in mean[:-1]))
-    return [mean.errors.get(i) or SteadyState(*values) for i, values in enumerate(columns)]
+    """Per point of a chunk's dynamics.steady_states, (SteadyState of (k,)
+    arrays, errors): its SteadyState, with Python scalars, or its error."""
+    ss, errors = mean
+    columns = zip(*(a.tolist() for a in vars(ss).values()))
+    return [errors.get(i) or SteadyState(*values) for i, values in enumerate(columns)]
 
 
 def integrate_lyapunov(A: np.ndarray, D: np.ndarray, omega_d: float,

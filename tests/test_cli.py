@@ -255,6 +255,47 @@ class TestInputsEndInOneConfigErrorLine:
         assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne", *argv) == (
             1, f"config error: [optimize]: seed must be >= 0, got {seed}\n")
 
+    @pytest.mark.parametrize("argv, section, key", [
+        (("optimize", "--preset", "table2_ne"), "optimize", "restarts"),
+        (("optimize", "--preset", "table2_ne"), "optimize", "max_evaluations"),
+        (("optimize", "--preset", "table2_ne"), "optimize", "seed"),
+        (("sweep", "--preset", "fig8"), "sweep:nde", "axis1_points"),
+        (("sweep", "--preset", "fig10a"), "sweep", "axis2_points"),
+    ], ids=["restarts", "max_evaluations", "seed", "axis1_points", "axis2_points"])
+    def test_integer_key_names_itself(self, tmp_path, capsys, argv, section, key):
+        assert self.run(tmp_path, capsys, *argv, "--set", f"{section}.{key}=1e3") == (
+            1, f"config error: key {key!r} in [{section}]: cannot parse '1e3' as an "
+               "integer\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["directory", "not-utf-8"])
+    def test_config_file_that_cannot_be_read(self, tmp_path, capsys, how):
+        # read before anything is evaluated; an unreadable file (EACCES) takes
+        # the same path, but cannot be made here when the tests run as root
+        path = tmp_path / "in.ini"
+        if how == "directory":
+            path.mkdir()
+            reason = os.strerror(errno.EISDIR)
+        else:
+            path.write_bytes(b"[system]\nT_K = 5 \xb0K\n")
+            reason = "'utf-8' codec can't decode byte 0xb0 in position 17: invalid start byte"
+        assert self.run(tmp_path, capsys, "point", "--config", str(path)) == (
+            1, f"config error: config file {path}: {reason}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ini, text", [
+        pytest.param("T_K = 5\n", "File contains no section headers.", id="no-section"),
+        pytest.param("\ufeff[system]\nT_K = 5\n", "File contains no section headers.",
+                     id="byte-order-mark"),
+        pytest.param("[system]\nT_K 5\n", "Source contains parsing errors:",
+                     id="no-separator"),
+    ])
+    def test_unparseable_config_file(self, tmp_path, capsys, ini, text):
+        # configparser's text for these runs over several lines
+        code, err = self.run(tmp_path, capsys, "point", ini=ini)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"config error: {tmp_path / 'in.ini'}: {text} ")
+
     def test_box_wider_than_the_largest_float(self, tmp_path, capsys):
         # no scan point can be drawn where hi - lo overflows
         assert self.run(tmp_path, capsys, "optimize", "--preset", "table2_ne",

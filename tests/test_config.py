@@ -109,6 +109,14 @@ def test_sweep_axis_keys_follow_the_axis_unit():
         _sweep_with(axis1="T")
 
 
+def test_missing_axis_points_names_the_key():
+    cfg = load_layers()
+    cfg["sweep"] = {"axis1": "J", "axis1_min_wd": "0.2", "axis1_max_wd": "1.0"}
+    with pytest.raises(ConfigError,
+                       match="^missing required key 'axis1_points' in \\[sweep\\]$"):
+        build_grid_specs(cfg, build_system(cfg))
+
+
 def test_sphere_diameter_alternative():
     cfg = load_layers()
     del cfg["coupling"]["V_sphere_m3"]

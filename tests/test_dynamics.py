@@ -219,7 +219,7 @@ class TestDriftMatrix:
             np.testing.assert_array_equal(A, hand_transcribed_drift(p, ss.delta_n_tilde))
         # the same points as one chunk; the int64 view tells -0.0 from 0.0
         chunk = param_arrays(ps)
-        stack = drift_matrix(chunk, steady_states(chunk))
+        stack = drift_matrix(chunk, steady_states(chunk)[0])
         assert stack.shape == (8, 10, 10)
         for p, A in zip(ps, stack):
             want = hand_transcribed_drift(p, p.delta_n_tilde_override)
@@ -360,9 +360,11 @@ def _outcome(run, p):
 
 def assert_states_match(ps):
     """steady_states equals steady_state point by point, values by == and
-    repr, iterations, and error type and text; returns the error count.
-    An error outside SteadyStateError is raised for the chunk, that of the
-    first point that raises one."""
+    repr, iterations, and error type and text, and the (k,) arrays of its
+    SteadyState equal, bit for bit, those built from steady_state's fields
+    at the points without an error; returns the error count.  An error
+    outside SteadyStateError is raised for the chunk, that of the first
+    point that raises one."""
     raised = [out for out in (_outcome(steady_state, p) for p in ps)
               if isinstance(out, tuple) and out[0] is not SteadyStateError]
     if raised:
@@ -371,15 +373,24 @@ def assert_states_match(ps):
         assert (type(exc.value), str(exc.value)) == raised[0]
         return None
     mean = steady_states(param_arrays(ps))
+    states = []
     for p, got in zip(ps, mean_states(mean)):
         want = _outcome(steady_state, p)
         if isinstance(got, Exception):
             assert (type(got), str(got)) == want
         else:
-            assert repr(got) == want and got == steady_state(p)
+            states.append(steady_state(p))
+            assert repr(got) == want and got == states[-1]
             assert [type(v) for v in vars(got).values()] == \
                 [complex] * 4 + [float, float, int]
-    return len(mean.errors)
+    ss, errors = mean
+    ok = [i for i in range(len(ps)) if i not in errors]
+    assert [a.dtype for a in vars(ss).values()] == [np.complex128] * 4 + [np.float64] * 2 \
+        + [np.int64]
+    for name, column in vars(ss).items():
+        want = np.array([getattr(state, name) for state in states], dtype=column.dtype)
+        assert column.shape == (len(ps),) and column[ok].tobytes() == want.tobytes(), name
+    return len(errors)
 
 
 def scmap_subsample():
@@ -538,7 +549,7 @@ class TestArrayMeanFieldMatchesScalar:
         ps = [draw_params(rng, SystemParams()) for _ in range(40)]
         ps[25:25] = [SINGULAR_SS[0], overflow, SystemParams(Omega_n=1e200)]
         assert assert_states_match(ps) == 3
-        errors = steady_states(param_arrays(ps)).errors
+        _, errors = steady_states(param_arrays(ps))
         assert sorted(errors) == [25, 26, 27]
         assert all(str(errors[i]).startswith("overflow in steady-state solve: ")
                    for i in (26, 27))
@@ -561,7 +572,7 @@ class TestArrayMeanFieldMatchesScalar:
 
     def test_empty_chunk(self):
         mean = steady_states(param_arrays([]))
-        assert mean_states(mean) == [] and mean.errors == {}
+        assert mean_states(mean) == [] and mean[1] == {}
 
 
 class TestDriftAndDiffusionStacks:
@@ -569,7 +580,7 @@ class TestDriftAndDiffusionStacks:
         ps = scmap_subsample()[::7] + strong_drive()[::9]
         ps += [SystemParams(J=0.0, G_ae=-0.0, delta_e=0.0)]
         mean = steady_states(param_arrays(ps))
-        stack = drift_matrix(param_arrays(ps), mean)
+        stack = drift_matrix(param_arrays(ps), mean[0])
         for p, ss, A in zip(ps, mean_states(mean), stack):
             if isinstance(ss, Exception):
                 continue

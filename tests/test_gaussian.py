@@ -553,7 +553,7 @@ class TestStackedKernelMatchesReference:
         _, _, V = steady_covariance(SystemParams())
         unknown = ids[-1]
         for request in (lambda: measure_values(V, ids), lambda: measure_values(V[None], ids),
-                        lambda: gaussian.measure_plan(ids)):
+                        lambda: gaussian.measure_plan(tuple(ids))):
             with pytest.raises(GaussianError, match=f"^unknown measure id {unknown!r}$"):
                 request()
 
@@ -583,6 +583,19 @@ class TestStackedKernelMatchesReference:
             measure_values(bad, MEASURE_IDS)
         assert measure_values(bad, ["EN_ne", "R_nde"]) == \
             measure_values(V, ["EN_ne", "R_nde"])
+
+    def test_one_plan_per_tuple_of_ids(self):
+        # measure_plan is the one plan memo: a list and a tuple of the same
+        # ids, a covariance and a stack, a chunk and a report share its entries
+        _, _, V = steady_covariance(SystemParams())
+        gaussian.measure_plan.cache_clear()
+        measure_values(V, ["EN_ne", "R_nde"])
+        measure_values(V[None], ("EN_ne", "R_nde"))
+        evaluate_chunk(param_arrays([SystemParams()] * 2), ("EN_ne", "R_nde"))
+        full_report(SystemParams())
+        full_report(SystemParams())
+        assert gaussian.measure_plan.cache_info().misses == 2
+        assert gaussian.measure_plan(MEASURE_IDS).ids == MEASURE_IDS
 
 
 def _ref_point(p):
@@ -644,13 +657,12 @@ class TestOnePointPathMatchesReference:
 
     def test_evaluate_measure(self, points):
         for mid in MEASURE_IDS:
-            plan = gaussian.measure_plan((mid,))
             for p, _, V, values, _ in points:
-                got = [optimize.evaluate_measure(p, mid), optimize.evaluate_measure(p, plan)]
+                got = optimize.evaluate_measure(p, mid)
                 if V is None:
-                    assert got == [None, None]
+                    assert got is None
                 else:
-                    assert_value_types(got, [values[mid]] * 2)
+                    assert_value_types([got], [values[mid]])
 
 
 def _two_mode_squeezer(i, j, r, n_modes=3):

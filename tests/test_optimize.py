@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from cavmag import config, optimize
+from cavmag import config, gaussian, optimize
 from cavmag.dynamics import SteadyStateError, steady_state, steady_states
-from cavmag.gaussian import NO_STEADY_STATE, evaluate_chunk, measure_plan
+from cavmag.gaussian import NO_STEADY_STATE, GaussianError, evaluate_chunk
 from cavmag.model import SystemParams, updated_in_omega_d_units
 from cavmag.optimize import (
     NonMonotoneProfile,
@@ -28,6 +28,8 @@ from conftest import mean_states, param_arrays, run_fresh
 
 SCMAP_INI = str(Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini")
 WD = SystemParams().omega_d
+NEEDS_FORK = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the pools need the fork start method")
 
 NE_POINT = dict(delta_1=0.76, delta_2=-0.52, delta_n_tilde=0.77,
                 delta_e=-0.63, J=0.8)
@@ -86,14 +88,22 @@ class TestOptimizeSpec:
 
 
 class TestEvaluateMeasure:
-    @pytest.mark.parametrize("ids", [(), ("EN_ne", "EN_de"), ("EN_ne", "EN_ne")])
-    def test_a_plan_of_other_than_one_id_raises_before_any_work(self, monkeypatch, ids):
-        # outside NO_STEADY_STATE, so no search scores it as no steady state
-        monkeypatch.setattr(optimize, "steady_covariance",
-                            lambda p: pytest.fail("evaluated"))
-        with pytest.raises(ValueError, match="takes one measure id") as caught:
-            evaluate_measure(ne_base(), measure_plan(ids))
-        assert not isinstance(caught.value, NO_STEADY_STATE)
+    def test_an_unknown_id_raises_before_any_work(self, monkeypatch):
+        # resolved before the steady state: an unstable point, whose value
+        # is None, raises too
+        evaluated, real = [], optimize.steady_covariance
+
+        def counted(p):
+            evaluated.append(p)
+            return real(p)
+
+        monkeypatch.setattr(optimize, "steady_covariance", counted)
+        unstable = SystemParams().updated(delta_n_tilde_override=-0.65 * WD)
+        assert evaluate_measure(unstable, "EN_ne") is None and len(evaluated) == 1
+        for p in (ne_base(), unstable):
+            with pytest.raises(GaussianError, match="^unknown measure id 'EN_xx'$"):
+                evaluate_measure(p, "EN_xx")
+        assert len(evaluated) == 1
 
 
 class TestObjectivePointsAreFloats:
@@ -566,42 +576,35 @@ class TestNelderMeadMatchesScipy:
 
 
 class TestMeasureResolvedOncePerSearch:
-    """maximize and critical_temperature make the measure's plan once and
-    pass it to every evaluation (whose values equal those of the id:
-    test_gaussian.py::TestOnePointPathMatchesReference)."""
+    """maximize and critical_temperature pass the measure id to every
+    evaluation, and its plan is made once per search: the cache of
+    gaussian.measure_plan misses once, on the first evaluation."""
 
     @pytest.fixture
-    def plans(self, monkeypatch):
-        made, evaluated = [], []
-        real_plan, real_evaluate = optimize.measure_plan, optimize.evaluate_measure
+    def evaluated(self, monkeypatch):
+        ids, real = [], optimize.evaluate_measure
 
-        def plan(ids):
-            made.append(tuple(ids))
-            return real_plan(ids)
+        def evaluate(p, measure_id):
+            ids.append(measure_id)
+            return real(p, measure_id)
 
-        def evaluate(p, measure):
-            evaluated.append(measure)
-            return real_evaluate(p, measure)
-
-        monkeypatch.setattr(optimize, "measure_plan", plan)
         monkeypatch.setattr(optimize, "evaluate_measure", evaluate)
-        return made, evaluated
+        gaussian.measure_plan.cache_clear()
+        return ids
 
-    def test_maximize(self, plans):
-        made, evaluated = plans
+    def test_maximize(self, evaluated):
         spec = OptimizeSpec(measure="EN_de", box={"J": (0.2, 1.6), "delta_e": (-1.0, 1.0)},
                             restarts=2, max_evaluations=60)
         report = maximize(spec, ne_base(), workers=1)
-        assert made == [("EN_de",)] and len(evaluated) == report.evaluations == 60
-        assert evaluated[0].ids == ("EN_de",)
-        assert all(plan is evaluated[0] for plan in evaluated)
+        assert evaluated == ["EN_de"] * report.evaluations and report.evaluations == 60
+        info = gaussian.measure_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 59
 
-    def test_critical_temperature(self, plans):
-        made, evaluated = plans
+    def test_critical_temperature(self, evaluated):
         critical_temperature(ne_base(), "EN_ne", 0.5, tol=5e-3)
-        assert made == [("EN_ne",)] and len(evaluated) > 10
-        assert evaluated[0].ids == ("EN_ne",)
-        assert all(plan is evaluated[0] for plan in evaluated)
+        assert len(evaluated) > 10 and set(evaluated) == {"EN_ne"}
+        info = gaussian.measure_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= len(evaluated) - 1
 
 
 class TestCriticalTemperature:
@@ -708,110 +711,40 @@ class TestUniformScanMatchesNumpy:
         assert optimize._uniform_scan(0, np.zeros(3), np.ones(3), 0).shape == (0, 3)
 
 
-class TestScipyOptimizeImport:
-    def test_runs_that_do_not_optimize_do_not_import_it(self, tmp_path):
-        run_fresh("""
-            import sys
-            import cavmag, cavmag.cli
-            from cavmag.model import SystemParams
-            from cavmag.sweep import Axis, GridSpec, run_grid
-
-            assert cavmag.cli.main(["point", "--out", sys.argv[1]]) == 0
-            spec = GridSpec(axes=(Axis("delta_a", -1.5, 0.5, 3),
-                                  Axis("delta_n_tilde", 0.7, 1.1, 2)),
-                            base=SystemParams(), linkage="antisymmetric",
-                            measures=("EN_de", "EN_ne"))
-            assert len(run_grid(spec).codes) == 6
-            # a pooled stability map of several chunks
-            assert cavmag.cli.main(["stability-map", "--config", sys.argv[2],
-                                    "--workers", "2", "--out", sys.argv[1]]) == 0
-            assert "scipy.optimize" not in sys.modules
-        """, str(tmp_path), SCMAP_INI)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the restart pool needs the fork start method")
-    @pytest.mark.parametrize("argv, pools", [
-        (["optimize", "--preset", "table2_ne", "--workers", "1"], []),
-        (["optimize", "--preset", "table2_ne", "--workers", "2"], [2]),
-        (["tc", "--preset", "table2_ne"], []),
-    ])
-    def test_optimize_and_tc_never_import_it(self, tmp_path, argv, pools):
-        # the finder refuses scipy.optimize in this process and in every
-        # forked worker, and the workers log what they had loaded; the
-        # Lyapunov solve's LAPACK is bound before the pool forks
-        run_fresh("""
-            import concurrent.futures, json, os, sys
-            import cavmag.cli
-            from cavmag import gaussian, optimize
-
-            argv, pools, log = json.loads(sys.argv[1])
-
-            def note(line):
-                with open(log, "a") as f:
-                    f.write(f"{os.getpid()} {line}\\n")
-
-            class NoOptimize:
-                def find_spec(self, name, path=None, target=None):
-                    if name.startswith("scipy.optimize"):
-                        note(f"imported {name}")
-                        raise ImportError(f"{name} imported")
-
-            built = []
-
-            class CheckedPool(concurrent.futures.ProcessPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    assert gaussian._lapack.cache_info().currsize == 1
-                    built.append(args[0])
-                    super().__init__(*args, **kwargs)
-
-            speculate = optimize._speculate
-
-            def logged(j):
-                result = speculate(j)
-                note(f"restart {j} {'scipy.optimize' in sys.modules}")
-                return result
-
-            sys.meta_path.insert(0, NoOptimize())
-            concurrent.futures.ProcessPoolExecutor, optimize._speculate = CheckedPool, logged
-            optimize._usable_cpus = lambda: 2
-            assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == 0
-            assert "scipy.optimize" not in sys.modules and built == pools
-            lines = open(log).read().splitlines() if os.path.exists(log) else []
-            assert all(line.split()[1:2] == ["restart"] and line.endswith(" False")
-                       for line in lines), lines
-            assert bool(lines) == bool(pools)
-        """, json.dumps([argv, pools, str(tmp_path / "log")]), str(tmp_path))
-
-
 class TestNoScipyLinalgNumpyMaNorNumpyRandom:
     """No command imports scipy.linalg (a run that solves binds LAPACK from
-    its extension, gaussian._lapack), numpy.ma or numpy.random (the
+    its extension, gaussian._lapack), scipy.optimize (the optimizer's
+    Nelder-Mead is optimize._nelder_mead), numpy.ma or numpy.random (the
     optimizer draws its scan itself, optimize._uniform_scan), in this
-    process or in a forked worker."""
+    process or in a forked worker; a run that solves binds LAPACK before a
+    pool forks."""
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the pools need the fork start method")
     @pytest.mark.parametrize("argv, pools, solves", [
-        (["point"], [], True),
-        (["tc", "--preset", "table2_ne"], [], True),
-        (["optimize", "--preset", "table2_ne", "--workers", "1"], [], True),
-        (["optimize", "--preset", "table2_ne", "--workers", "2"], [2], True),
-        (["sweep", "--preset", "fig8", "--workers", "1"], [], True),
-        (["sweep", "--preset", "fig8", "--workers", "2"], [2, 2], True),
-        (["stability-map", "--config", SCMAP_INI, "--workers", "1"], [], False),
-        (["stability-map", "--config", SCMAP_INI, "--workers", "2"], [2], False),
-    ], ids=["point", "tc", "optimize-w1", "optimize-w2", "fig8-w1", "fig8-w2",
-            "scmap-w1", "scmap-w2"])
+        pytest.param(["point"], [], True, id="point"),
+        pytest.param(["tc", "--preset", "table2_ne"], [], True, id="tc"),
+        pytest.param(["optimize", "--preset", "table2_ne", "--workers", "1"], [], True,
+                     id="optimize-w1"),
+        pytest.param(["optimize", "--preset", "table2_ne", "--workers", "2"], [2], True,
+                     id="optimize-w2", marks=NEEDS_FORK),
+        pytest.param(["sweep", "--preset", "fig8", "--workers", "1"], [], True,
+                     id="fig8-w1"),
+        pytest.param(["sweep", "--preset", "fig8", "--workers", "2"], [2, 2], True,
+                     id="fig8-w2", marks=NEEDS_FORK),
+        pytest.param(["stability-map", "--config", SCMAP_INI, "--workers", "1"], [], False,
+                     id="scmap-w1"),
+        pytest.param(["stability-map", "--config", SCMAP_INI, "--workers", "2"], [2], False,
+                     id="scmap-w2", marks=NEEDS_FORK),
+    ])
     def test_commands_never_import_them(self, tmp_path, argv, pools, solves):
-        # the finder refuses both in this process and in every forked worker
+        # the finder refuses them in this process and in every forked worker
         # and logs each attempt; the workers log that they ran, and 50-point
         # chunks give each fig8 grid two, so its pool forks too
         run_fresh("""
             import concurrent.futures, json, os, sys
             import numpy
             # numpy 1.x imports numpy.ma and numpy.random with numpy
-            refused = ["scipy.linalg"] + [name for name in ("numpy.ma", "numpy.random")
-                                          if name not in sys.modules]
+            refused = ["scipy.linalg", "scipy.optimize"] + [
+                name for name in ("numpy.ma", "numpy.random") if name not in sys.modules]
             import cavmag.cli
             from cavmag import gaussian, optimize, sweep
 
@@ -868,16 +801,18 @@ class TestPoolModulesOnlyForAPool:
     """multiprocessing and concurrent.futures are imported where a pool is
     built: a command that forks no pool loads neither."""
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the pools need the fork start method")
     @pytest.mark.parametrize("argv, forks", [
-        (["point"], 0),
-        (["tc", "--preset", "table2_ne"], 0),
-        (["optimize", "--preset", "table2_ne", "--workers", "1"], 0),
-        (["stability-map", "--config", SCMAP_INI, "--workers", "1"], 0),
-        (["optimize", "--preset", "table2_ne", "--workers", "2"], 2),
-        (["stability-map", "--config", SCMAP_INI, "--workers", "2"], 2),
-    ], ids=["point", "tc", "optimize-w1", "scmap-w1", "optimize-w2", "scmap-w2"])
+        pytest.param(["point"], 0, id="point"),
+        pytest.param(["tc", "--preset", "table2_ne"], 0, id="tc"),
+        pytest.param(["optimize", "--preset", "table2_ne", "--workers", "1"], 0,
+                     id="optimize-w1"),
+        pytest.param(["stability-map", "--config", SCMAP_INI, "--workers", "1"], 0,
+                     id="scmap-w1"),
+        pytest.param(["optimize", "--preset", "table2_ne", "--workers", "2"], 2,
+                     id="optimize-w2", marks=NEEDS_FORK),
+        pytest.param(["stability-map", "--config", SCMAP_INI, "--workers", "2"], 2,
+                     id="scmap-w2", marks=NEEDS_FORK),
+    ])
     def test_only_a_pool_loads_them(self, tmp_path, argv, forks):
         # the audit hook counts the processes the pools fork
         run_fresh("""
@@ -900,8 +835,8 @@ class TestPoolModulesOnlyForAPool:
 
 class TestScipyLinalgImport:
     """LAPACK is bound on the first Lyapunov solve (gaussian._lapack), so
-    runs that stop at a stability verdict import no scipy module, and runs
-    that solve import scipy's top level but not scipy.linalg."""
+    runs that stop at a stability verdict import no scipy module (runs that
+    solve: TestNoScipyLinalgNumpyMaNorNumpyRandom)."""
 
     @pytest.mark.parametrize("argv, code", [
         (["stability-map", "--config", SCMAP_INI], 0),
@@ -924,43 +859,3 @@ class TestScipyLinalgImport:
             assert cavmag.cli.main(argv + ["--out", sys.argv[2]]) == code
             assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         """, json.dumps([argv, code]), str(tmp_path))
-
-    @pytest.mark.parametrize("argv", [["point"], ["sweep", "--preset", "fig8"]])
-    def test_runs_with_a_solve_bind_lapack_only(self, tmp_path, argv):
-        run_fresh("""
-            import json, sys
-            import cavmag.cli
-            from cavmag import gaussian
-
-            assert "scipy.linalg" not in sys.modules
-            assert cavmag.cli.main(json.loads(sys.argv[1]) + ["--out", sys.argv[2]]) == 0
-            assert gaussian._lapack.cache_info().currsize == 1
-            assert "scipy.linalg" not in sys.modules
-            assert "scipy.optimize" not in sys.modules
-        """, json.dumps(argv), str(tmp_path))
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the chunk pool needs the fork start method")
-    def test_measured_run_grid_binds_it_before_the_pool_forks(self):
-        run_fresh("""
-            import concurrent.futures, sys
-            from cavmag import gaussian, sweep
-            from cavmag.model import SystemParams
-
-            built = []
-
-            class CheckedPool(concurrent.futures.ProcessPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    assert "scipy.linalg" not in sys.modules
-                    assert gaussian._lapack.cache_info().currsize == 1
-                    built.append(args[0])
-                    super().__init__(*args, **kwargs)
-
-            concurrent.futures.ProcessPoolExecutor = CheckedPool
-            sweep.CHUNK, sweep._usable_cpus = 7, lambda: 2
-            assert "scipy.linalg" not in sys.modules
-            spec = sweep.GridSpec(axes=(sweep.Axis("delta_n_tilde", -0.5, 1.5, 20),),
-                                  base=SystemParams(), measures=("EN_ne",))
-            result = sweep.run_grid(spec, workers=2)
-            assert built == [2] and (result.codes == sweep.STABLE).any()
-        """)

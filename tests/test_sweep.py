@@ -217,8 +217,8 @@ class TestRunGrid:
         real = gaussian.steady_states
 
         def fail(f):
-            return real(f)._replace(errors={i: SteadyStateError("singular denominator")
-                                            for i in range(len(f.omega_d))})
+            return real(f)[0], {i: SteadyStateError("singular denominator")
+                                for i in range(len(f.omega_d))}
         monkeypatch.setattr(gaussian, "steady_states", fail)
         result = run_grid(small_spec())
         assert result.codes.tolist() == [ERROR] * 6
