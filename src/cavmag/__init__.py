@@ -26,7 +26,6 @@ from .dynamics import (  # noqa: F401
 from .gaussian import (  # noqa: F401
     MEASURE_IDS,
     EntanglementReport,
-    ResidualContangle,
     full_report,
     log_negativity,
     lyapunov_solve,

@@ -145,11 +145,11 @@ def cmd_point(args) -> int:
         },
         "bipartite": {mid: report.measure(mid) for mid in BIPARTITE_MEASURES},
         "tripartite": {
-            mid: (None if report.tripartite.get(tr) is None else {
-                "partitions": report.tripartite[tr].partitions,
-                "r_min": report.tripartite[tr].r_min,
+            mid: (None if mid not in report.partitions else {
+                "partitions": report.partitions[mid],
+                "r_min": report.values[mid],
             })
-            for mid, tr in TRIPARTITE_MEASURES.items()
+            for mid in TRIPARTITE_MEASURES
         },
         "warnings": warnings,
     })

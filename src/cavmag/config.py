@@ -103,7 +103,7 @@ def load_layers(preset: str | None = None,
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
         except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
             raise ConfigError(
                 f"config file {path}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -74,31 +74,20 @@ NO_STEADY_STATE = (SteadyStateError, GaussianError, ParameterError,
 
 
 @dataclass(frozen=True)
-class ResidualContangle:
-    """Tripartite residual contangle: one value per one-vs-two partition."""
-
-    partitions: dict  # keyed by the singled-out mode: its label or position
-    r_min: float
-    clamped: tuple[str, ...] = ()  # partitions whose raw value was negative
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     """All bipartite negativities and both tripartite contangles at one point."""
 
     stable: bool
     verdict: StabilityVerdict
     steady: SteadyState
-    bipartite: dict[tuple[str, str], float] = field(default_factory=dict)
-    tripartite: dict[tuple[str, str, str], ResidualContangle] = field(default_factory=dict)
+    values: dict[str, float] = field(default_factory=dict)  # by measure id
+    # per tripartite id, its clamped partitions by the singled mode's label
+    partitions: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def measure(self, measure_id: str) -> float | None:
-        if measure_id in BIPARTITE_MEASURES:
-            return self.bipartite.get(BIPARTITE_MEASURES[measure_id])
-        if measure_id in TRIPARTITE_MEASURES:
-            rc = self.tripartite.get(TRIPARTITE_MEASURES[measure_id])
-            return None if rc is None else rc.r_min
-        raise GaussianError(f"unknown measure id {measure_id!r}")
+        if measure_id not in MEASURE_IDS:
+            raise GaussianError(f"unknown measure id {measure_id!r}")
+        return self.values.get(measure_id)
 
 
 @functools.cache
@@ -347,32 +336,33 @@ def _symplectic_spectra(W: np.ndarray) -> np.ndarray:
     return nu
 
 
-def _log_negativities(W: np.ndarray) -> list[float]:
+def _log_negativities(W: np.ndarray) -> np.ndarray:
     """max(0, -ln 2f) per partially transposed covariance in the stack W,
-    f its minimum symplectic eigenvalue: an np.float64 if positive, else the
-    float 0.0.  np.log on the array gives each element the bits of np.log on
-    that element alone (not those of math.log)."""
-    return [max(0.0, e) for e in -np.log(2.0 * _symplectic_spectra(W)[:, 0])]
+    f its minimum symplectic eigenvalue.  np.log on the array gives each
+    element the bits of np.log on that element alone (not those of
+    math.log); the clamp is Python's max(0.0, e), -0.0 and NaN included."""
+    e = -np.log(2.0 * _symplectic_spectra(W)[:, 0])
+    return np.where(e > 0.0, e, 0.0)
 
 
 class _Plan(NamedTuple):
     """What the measure kernel needs of one request, built once per request."""
 
-    # flat covariance indices of the P pair blocks (16 each), then of the S
-    # splits (36 each, three per triple), and the partial-transpose sign of
-    # each of those entries
+    # flat covariance indices of the P pair blocks (16 each), then of the
+    # three splits of each of the T triples (36 each), and the
+    # partial-transpose sign of each of those entries
     index: np.ndarray
     signs: np.ndarray
     n_pairs: int  # P
-    n_splits: int  # S
-    # per triple, per split r: the positions of mode r and the other two
-    # modes in the covariance, of the split, and of mode r's two pairs
-    contangles: tuple
-    slots: tuple  # per requested block: (is a triple, position among its kind)
-    ids: tuple  # per requested block, its measure id (measure_plan), else ()
+    # (T, 3, 2): per triple, per split r (mode r transposed), the pairs of
+    # mode r with each of the other two modes, as positions among the pairs
+    split_pairs: np.ndarray
+    # per requested block, its column among the P pair values, then the T
+    # triple values
+    column: np.ndarray
 
 
-def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
+def _plan(blocks: tuple, n: int) -> _Plan:
     """The plan of a request for these blocks on an n x n covariance: the
     distinct pairs in first-seen order (those of the triples included), then
     the distinct triples."""
@@ -384,14 +374,6 @@ def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
         q = np.array(_quadratures(block))
         return (n * q[:, None] + q).ravel()
 
-    contangles = []
-    for j, t in enumerate(triples):
-        parts = []
-        for r in range(3):
-            others = [x for x in range(3) if x != r]
-            parts.append((t[r], *(t[x] for x in others), 3 * j + r,
-                          *(at[tuple(sorted((t[r], t[x])))] for x in others)))
-        contangles.append(tuple(parts))
     return _Plan(
         index=np.concatenate([flat(p) for p in pairs]
                              + [flat(t) for t in triples for _ in range(3)]
@@ -399,11 +381,11 @@ def _plan(blocks: tuple, n: int, ids: tuple = ()) -> _Plan:
         signs=np.concatenate([_PAIR_SIGNS.ravel()] * len(pairs)
                              + [_SPLIT_SIGNS.ravel()] * len(triples) + [np.empty(0)]),
         n_pairs=len(pairs),
-        n_splits=3 * len(triples),
-        contangles=tuple(contangles),
-        slots=tuple((True, triples.index(b)) if len(b) == 3 else (False, at[b])
-                    for b in blocks),
-        ids=ids,
+        split_pairs=np.array([[[at[tuple(sorted((t[r], t[x])))] for x in range(3) if x != r]
+                               for r in range(3)] for t in triples],
+                             dtype=np.intp).reshape(-1, 3, 2),
+        column=np.array([len(pairs) + triples.index(b) if len(b) == 3 else at[b]
+                         for b in blocks], dtype=np.intp),
     )
 
 
@@ -417,61 +399,49 @@ def measure_plan(ids: tuple) -> _Plan:
         blocks = tuple(_BLOCK_OF[mid] for mid in ids)
     except KeyError as exc:
         raise GaussianError(f"unknown measure id {exc.args[0]!r}") from None
-    return _plan(blocks, 2 * len(MODE_LABELS), ids)
+    return _plan(blocks, 2 * len(MODE_LABELS))
 
 
 _TRIPLE_PLAN = _plan(((0, 1, 2),), 6)  # residual_contangle's, on a 3-mode state
 
 
-def _contangle(labels, parts, e_split, e_pair) -> ResidualContangle:
-    """Residual contangle of a triple from its split and pair negativities."""
-    partitions = {}
-    clamped = []
-    for mode, l, m, split, pair_l, pair_m in parts:
-        k = labels[mode]
-        raw = e_split[split]**2 - e_pair[pair_l]**2 - e_pair[pair_m]**2
-        if raw < 0.0:
-            logger.debug(
-                "clamping negative residual contangle %.3e for partition %s|%s%s",
-                raw, k, labels[l], labels[m],
-            )
-            clamped.append(k)
-            raw = 0.0
-        partitions[k] = raw
-    return ResidualContangle(
-        partitions=partitions,
-        r_min=min(partitions.values()),
-        clamped=tuple(clamped),
-    )
+def _clamped(raw: np.ndarray) -> np.ndarray:
+    """Residual contangle partitions with their negative values set to 0."""
+    return np.where(raw < 0.0, 0.0, raw)
 
 
-def _measures(covariances: np.ndarray, plan: _Plan, labels) -> list[list]:
-    """Per covariance of a (k, n, n) stack, per requested block of the plan:
-    the pair's log-negativity or the triple's ResidualContangle, whose
-    partitions are keyed by labels[position of the singled mode].
+def _measures(covariances: np.ndarray, plan: _Plan):
+    """The plan's measures of each covariance of an (s, n, n) stack: an
+    (s, n_ids) float64 array of values in request order, and the
+    (s, T, 3) array of each triple's raw residual contangle partitions,
+    E(r|lm)^2 - E(r|l)^2 - E(r|m)^2 for the singled mode r in block order,
+    before the clamp at zero.  A triple's value is its smallest clamped
+    partition.
 
-    All the pairs of all k covariances take one stacked eigen-solve, and all
-    their splits another; each pair negativity is computed once per
+    All the pairs of all s covariances take one stacked eigen-solve, and
+    all their splits another; each pair negativity is computed once per
     covariance and shared by the contangles.  A stacked eigen-solve gives
     each matrix the bits of a solve on that matrix alone, but an error
-    anywhere in a stack raises for the whole stack.
+    anywhere in a stack raises for the whole stack.  The squares are
+    np.float_power's, which has the bits of the scalar x ** 2 (libm pow),
+    where x * x differs in the last bit for some x.  The clamped partitions
+    are logged once per call, with their count and the most negative value.
     """
-    flat = covariances.reshape(len(covariances), covariances.shape[-1] ** 2)
-    W = flat.take(plan.index, axis=1) * plan.signs
-    n_pairs, n_splits = plan.n_pairs, plan.n_splits
-    e_pair = e_split = []
-    if n_pairs:
-        e_pair = _log_negativities(W[:, :16 * n_pairs].reshape(-1, 4, 4))
-    if n_splits:
-        e_split = _log_negativities(W[:, 16 * n_pairs:].reshape(-1, 6, 6))
-    out = []
-    for i in range(len(covariances)):
-        ep = e_pair[i * n_pairs:(i + 1) * n_pairs]
-        es = e_split[i * n_splits:(i + 1) * n_splits]
-        contangles = [_contangle(labels, parts, es, ep) for parts in plan.contangles]
-        out.append([contangles[pos] if triple else ep[pos]
-                    for triple, pos in plan.slots])
-    return out
+    s, n = len(covariances), covariances.shape[-1]
+    W = covariances.reshape(s, n * n).take(plan.index, axis=1) * plan.signs
+    P, T = plan.n_pairs, len(plan.split_pairs)
+    values = _log_negativities(W[:, :16 * P].reshape(-1, 4, 4)).reshape(s, P)
+    raw = np.empty((s, 0, 3))
+    if T:
+        e_split = _log_negativities(W[:, 16 * P:].reshape(-1, 6, 6)).reshape(s, T, 3)
+        pair_sq = np.float_power(values[:, plan.split_pairs], 2)
+        raw = np.float_power(e_split, 2) - pair_sq[..., 0] - pair_sq[..., 1]
+        n_clamped = np.count_nonzero(raw < 0.0)
+        if n_clamped:
+            logger.debug("clamping %d negative residual contangle partition(s) to 0, "
+                         "the most negative %.3e", n_clamped, raw.min())
+        values = np.concatenate((values, _clamped(raw).min(axis=2)), axis=1)
+    return values.take(plan.column, axis=1), raw
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
@@ -504,19 +474,19 @@ def one_vs_two_negativity(V3: np.ndarray, singled_mode: int) -> float:
     return _log_negativities((V3 * _SPLIT_SIGNS[singled_mode])[None])[0]
 
 
-def residual_contangle(V3: np.ndarray) -> ResidualContangle:
-    """Residual contangle per one-vs-two partition, clamped at zero.
+def residual_contangle(V3: np.ndarray) -> np.ndarray:
+    """Residual contangle per one-vs-two partition, clamped at zero: a (3,)
+    array by the position of the singled mode.
 
     For each singled mode k the raw value is E(k|lm)^2 - E(k|l)^2 - E(k|m)^2
     with squared logarithmic negativities, each pair negativity computed once.
     Negative excursions are clamped to 0 and logged; they range from rounding
     noise up to ~1e-3, since this squared-negativity residual is not exactly
-    monogamous for mixed states.  The partitions are keyed by the position
-    of the singled mode.
+    monogamous for mixed states.  The contangle is the smallest partition.
     """
     if _n_modes(V3) != 3:
         raise GaussianError("residual_contangle expects a 3-mode covariance")
-    return _measures(V3[None], _TRIPLE_PLAN, range(3))[0][0]
+    return _clamped(_measures(V3[None], _TRIPLE_PLAN)[1][0, 0])
 
 
 class ChunkOutcome(NamedTuple):
@@ -526,7 +496,7 @@ class ChunkOutcome(NamedTuple):
     stable: np.ndarray  # (k,) the stability verdicts, False without one
     covariances: np.ndarray  # (s, 10, 10): the stable points that solved, in order
     solved: np.ndarray  # (s,) their positions
-    values: dict  # position -> {measure id: value}, for each point measured
+    values: np.ndarray  # (k, n_ids) in request order, NaN where not measured
     errors: dict  # position -> the NO_STEADY_STATE error of the point
 
 
@@ -570,7 +540,8 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     stacked eigen-solve.  Without measure ids that is all: no diffusion and
     no Lyapunov solve.  With them, the stable points get their diffusions
     from one stack, their covariances from _lyapunov_solves and their
-    values from measure_values on the stack of covariances.  A stacked
+    values from _measures on the stack of covariances, as a (k, n_ids)
+    array in request order, NaN where a point has no value.  A stacked
     eigen-solve that fails is redone one matrix at a time, so the error
     lands on its point.  Each point's outcome is that of steady_state,
     drift_matrix, its verdict, diffusion_matrix, lyapunov_solve and
@@ -579,7 +550,7 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     raises before any work.
     """
     ids = tuple(measure_ids)
-    measure_plan(ids)
+    plan = measure_plan(ids)
     k = len(f.omega_d)
     ss, errors = steady_states(f)
     drifts = drift_matrix(f, ss)
@@ -589,8 +560,9 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     abscissa[done] = abscissae
     stable = StabilityVerdict.from_abscissa(abscissa, f.omega_d).stable
     at = np.flatnonzero(stable)
+    values = np.full((k, len(ids)), np.nan)
     if not ids:
-        return ChunkOutcome(abscissa, stable, drifts[:0], at[:0], {}, errors)
+        return ChunkOutcome(abscissa, stable, drifts[:0], at[:0], values, errors)
     D, failed = diffusion_matrices(_take(f, at))
     keep = _except(len(at), failed)
     errors.update((int(at[j]), exc) for j, exc in failed.items())
@@ -598,8 +570,9 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     V, solved, failed = _lyapunov_solves(drifts[at], D[keep])
     errors.update((int(at[j]), exc) for j, exc in failed.items())
     at = at[solved]
-    measured, values = _each(lambda stack: measure_values(stack, ids), V, errors, at)
-    return ChunkOutcome(abscissa, stable, V, at, dict(zip(measured, values)), errors)
+    measured, found = _each(lambda stack: _measures(stack, plan)[0], V, errors, at)
+    values[measured] = np.reshape(found, (len(measured), len(ids)))
+    return ChunkOutcome(abscissa, stable, V, at, values, errors)
 
 
 def steady_covariance(p: SystemParams):
@@ -613,34 +586,28 @@ def steady_covariance(p: SystemParams):
     return ss, verdict, V
 
 
-def measure_values(V: np.ndarray, measure_ids):
+def measure_values(V: np.ndarray, measure_ids) -> dict:
     """Requested entanglement measures evaluated on a 10x10 covariance, as a
-    {measure id: value} dict, from the ids' cached measure_plan.  Also
-    takes an (s, 10, 10) stack, and then returns one dict per covariance,
-    from one stacked eigen-solve per block size; an error anywhere in the
-    stack raises for the whole stack."""
-    if V.ndim > 3 or V.shape[-2:] != (2 * len(MODE_LABELS),) * 2:
-        raise GaussianError("measures need a 10x10 covariance or a stack of them; "
-                            f"have shape {V.shape}")
-    plan = measure_plan(tuple(measure_ids))
-    values = [{mid: value.r_min if triple else value
-               for mid, (triple, _), value in zip(plan.ids, plan.slots, values)}
-              for values in _measures(V if V.ndim == 3 else V[None], plan, MODE_LABELS)]
-    return values if V.ndim == 3 else values[0]
+    {measure id: value} dict, from the ids' cached measure_plan."""
+    if V.shape != (2 * len(MODE_LABELS),) * 2:
+        raise GaussianError(f"measures need a 10x10 covariance; have shape {V.shape}")
+    ids = tuple(measure_ids)
+    return dict(zip(ids, _measures(V[None], measure_plan(ids))[0][0]))
 
 
 def full_report(p: SystemParams) -> EntanglementReport:
-    """Every bipartite negativity plus both tripartite contangles at one point.
+    """Every bipartite negativity plus both tripartite contangles at one point,
+    by measure id, and each contangle's clamped partitions by mode label.
 
     An unstable point yields a report with ``stable=False`` and no values.
     """
     ss, verdict, V = steady_covariance(p)
     if V is None:
         return EntanglementReport(stable=False, verdict=verdict, steady=ss)
-    (values,) = _measures(V[None], measure_plan(MEASURE_IDS), MODE_LABELS)
+    values, raw = _measures(V[None], measure_plan(MEASURE_IDS))
     return EntanglementReport(
         stable=True, verdict=verdict, steady=ss,
-        bipartite=dict(zip(BIPARTITE_MEASURES.values(), values)),
-        tripartite=dict(zip(TRIPARTITE_MEASURES.values(),
-                            values[len(BIPARTITE_MEASURES):])),
+        values=dict(zip(MEASURE_IDS, values[0])),
+        partitions={mid: {MODE_LABELS[k]: x for k, x in zip(_BLOCK_OF[mid], parts)}
+                    for mid, parts in zip(TRIPARTITE_MEASURES, _clamped(raw[0]))},
     )

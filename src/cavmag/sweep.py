@@ -218,7 +218,7 @@ def _chunk_columns(spec: GridSpec, tables, chunk: range):
     at_axis = [index] if len(tables) == 1 else list(np.divmod(index, len(tables[1].values)))
     valid = np.logical_and.reduce([t.valid[at] for t, at in zip(tables, at_axis)])
     codes = np.full(len(index), ERROR, dtype=np.int8)
-    values = {mid: np.full(len(index), np.nan) for mid in spec.measures}
+    values = np.full((len(index), len(spec.measures)), np.nan)
     errors = {}
     for i in np.flatnonzero(~valid).tolist():
         point = tuple(t.values[at[i]] for t, at in zip(tables, at_axis))
@@ -235,14 +235,11 @@ def _chunk_columns(spec: GridSpec, tables, chunk: range):
         fields.update(zip(t.fields, t.columns.T[:, at[ok]]))
     out = evaluate_chunk(SimpleNamespace(**fields), spec.measures)
     codes[ok] = out.stable
-    # a grid without measures stops at the verdict, and has no columns to fill
-    measured = list(out.values)
-    for mid, column in values.items():
-        column[ok[measured]] = [out.values[j][mid] for j in measured]
+    values[ok] = out.values
     failed = list(out.errors)
     codes[ok[failed]] = ERROR
     errors.update((chunk.start + int(ok[j]), str(out.errors[j])) for j in failed)
-    return codes, values, dict(sorted(errors.items()))
+    return codes, dict(zip(spec.measures, values.T)), dict(sorted(errors.items()))
 
 
 def grid_points(spec: GridSpec):

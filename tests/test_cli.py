@@ -42,6 +42,20 @@ class TestPoint:
         for mid in ("EN_a1a2", "EN_a1n", "EN_a1d", "EN_a2e", "EN_ne", "EN_de"):
             assert record["bipartite"][mid] < 1e-12
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        # as editors on Windows save UTF-8: the mark is not part of the text
+        ini = b"[system]\nT_K = 0.05\n"
+        for name, data in (("plain", ini), ("marked", b"\xef\xbb\xbf" + ini)):
+            (tmp_path / f"{name}.ini").write_bytes(data)
+            assert run_cli("point", "--config", str(tmp_path / f"{name}.ini"),
+                           "--out", str(tmp_path / name)) == 0
+        assert run_cli("point", "--out", str(tmp_path / "default")) == 0
+        capsys.readouterr()
+        marked, plain, default = (
+            (tmp_path / name / "point.json").read_bytes()
+            for name in ("marked", "plain", "default"))
+        assert marked == plain != default
+
     def test_unstable_point_exits_2(self, tmp_path):
         code = run_cli("point", "--preset", "table2_a1n", "--out", str(tmp_path))
         assert code == 2
@@ -285,8 +299,6 @@ class TestInputsEndInOneConfigErrorLine:
 
     @pytest.mark.parametrize("ini, text", [
         pytest.param("T_K = 5\n", "File contains no section headers.", id="no-section"),
-        pytest.param("\ufeff[system]\nT_K = 5\n", "File contains no section headers.",
-                     id="byte-order-mark"),
         pytest.param("[system]\nT_K 5\n", "Source contains parsing errors:",
                      id="no-separator"),
     ])

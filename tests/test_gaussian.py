@@ -334,12 +334,12 @@ class TestResidualContangle:
     def test_product_state_vanishes(self):
         V = np.diag([0.5, 0.5, 1.0, 1.0, 2.0, 2.0])
         rc = residual_contangle(V)
-        assert rc.r_min == 0.0
-        assert all(v == 0.0 for v in rc.partitions.values())
+        assert rc.shape == (3,)
+        assert rc.tolist() == [0.0, 0.0, 0.0]
 
     def test_squeezed_pair_with_spectator_vanishes(self):
         rc = residual_contangle(tms_plus_vacuum(1.0))
-        assert rc.r_min == pytest.approx(0.0, abs=1e-9)
+        assert rc.min() == pytest.approx(0.0, abs=1e-9)
 
     def test_clamping_is_logged(self, caplog):
         # mildly noisy copy of a product state can dip below zero pre-clamp
@@ -347,9 +347,27 @@ class TestResidualContangle:
         V = random_physical_covariance(rng, 3, spread=1.4)
         with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
             rc = residual_contangle(V)
-        assert rc.r_min >= 0.0
-        if rc.clamped:
+        assert rc.min() >= 0.0
+        _, raw = gaussian._measures(V[None], gaussian._TRIPLE_PLAN)
+        if (raw < 0.0).any():
             assert any("clamping" in r.message for r in caplog.records)
+
+    def test_one_clamp_line_per_call(self, caplog):
+        # the network triples of 40 stable points in one call: one line with
+        # the number of negative raw partitions and the most negative one
+        stack = np.array([steady_covariance(p)[2]
+                          for p in sample_stable_params(seed=41, count=40)])
+        with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
+            _, raw = gaussian._measures(stack, gaussian.measure_plan(MEASURE_IDS))
+        n_clamped = np.count_nonzero(raw < 0.0)
+        assert n_clamped > 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"clamping {n_clamped} negative residual contangle partition(s) to 0, "
+            f"the most negative {raw.min():.3e}"]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
+            residual_contangle(np.diag([0.5, 0.5, 1.0, 1.0, 2.0, 2.0]))
+        assert caplog.records == []
 
     def test_genuinely_tripartite_point_is_positive(self):
         # antisymmetric delta_a = 0.25 with the magnon near the slow sideband
@@ -358,20 +376,19 @@ class TestResidualContangle:
             delta_n_tilde_override=0.25 * WD, J=1.0 * WD)
         _, _, V = steady_covariance(p)
         rc = residual_contangle(reduce(V, positions("a1", "n", "d")))
-        assert rc.r_min > 1e-4
+        assert rc.min() > 1e-4
 
 
 class TestFullReport:
     def test_cavity_hopping_off_kills_cross_cavity_pairs(self):
         report = full_report(SystemParams(J=0.0))
-        for pair in [("a1", "a2"), ("a1", "n"), ("a1", "d"),
-                     ("a2", "e"), ("n", "e"), ("d", "e")]:
-            assert report.bipartite[pair] < 1e-12
+        for mid in ["EN_a1a2", "EN_a1n", "EN_a1d", "EN_a2e", "EN_ne", "EN_de"]:
+            assert report.values[mid] < 1e-12
 
     def test_magnomechanics_off_kills_phonon_pairs(self):
         report = full_report(SystemParams(G_nd=0.0))
-        for pair in [("a1", "d"), ("a2", "d"), ("n", "d"), ("d", "e")]:
-            assert report.bipartite[pair] < 1e-12
+        for mid in ["EN_a1d", "EN_a2d", "EN_nd", "EN_de"]:
+            assert report.values[mid] < 1e-12
 
     def test_operating_point_for_magnon_ensemble_pair(self):
         p = SystemParams().updated(
@@ -379,8 +396,8 @@ class TestFullReport:
             delta_n_tilde_override=0.77 * WD, J=0.8 * WD)
         report = full_report(p)
         assert report.stable
-        assert report.bipartite[("n", "e")] > 0.1
-        assert report.measure("EN_ne") == report.bipartite[("n", "e")]
+        assert report.values["EN_ne"] > 0.1
+        assert report.measure("EN_ne") == report.values["EN_ne"]
 
     def test_unstable_point_reports_no_values(self):
         p = SystemParams().updated(delta_n_tilde_override=-0.65 * WD,
@@ -388,7 +405,7 @@ class TestFullReport:
                                    delta_e=-1.63 * WD, J=0.35 * WD)
         report = full_report(p)
         assert not report.stable
-        assert report.bipartite == {} and report.tripartite == {}
+        assert report.values == {} and report.partitions == {}
         assert report.measure("EN_ne") is None
 
     def test_measure_values_selected_subset(self):
@@ -396,7 +413,7 @@ class TestFullReport:
         values = measure_values(V, ["EN_de", "R_nde"])
         assert set(values) == {"EN_de", "R_nde"}
         report = full_report(SystemParams())
-        assert values["EN_de"] == pytest.approx(report.bipartite[("d", "e")])
+        assert values["EN_de"] == pytest.approx(report.values["EN_de"])
 
     def test_measure_values_need_the_network_covariance(self):
         _, _, V = steady_covariance(SystemParams())
@@ -406,12 +423,17 @@ class TestFullReport:
     def test_every_bipartite_value_is_nonnegative(self):
         for p in sample_stable_params(seed=21, count=3):
             report = full_report(p)
-            assert all(v >= 0.0 for v in report.bipartite.values())
-            assert all(rc.r_min >= 0.0 for rc in report.tripartite.values())
+            assert all(v >= 0.0 for v in report.values.values())
+            assert all(v >= 0.0 for parts in report.partitions.values()
+                       for v in parts.values())
 
     def test_pair_keys_cover_the_measure_table(self):
         report = full_report(SystemParams())
-        assert set(report.bipartite) == set(BIPARTITE_MEASURES.values())
+        assert list(report.values) == list(MEASURE_IDS)
+        assert {mid: tuple(parts) for mid, parts in report.partitions.items()} == \
+            TRIPARTITE_MEASURES
+        for mid, parts in report.partitions.items():
+            assert report.values[mid] == min(parts.values())
 
 
 # Slow reference: the per-call measure path the stacked kernel replaced
@@ -474,28 +496,35 @@ def reference_points():
 
 
 def assert_value_types(got, want):
-    """Same values with the same Python types: a positive value is an
-    np.float64 from np.log, a zero or clamped one the float literal 0.0."""
-    assert got == want
-    for g, w in zip(got, want):
-        assert type(g) is type(w) is (np.float64 if g > 0.0 else float), (g, w)
+    """Same values by their bits, each an np.float64 (a zero included); a
+    -0.0 where the reference has 0.0 fails."""
+    assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+    for g in got:
+        assert type(g) is np.float64, g
+
+
+def clamped_labels(raw, labels):
+    """The labels of the negative entries of a triple's raw partitions, the
+    reference's clamped tuple."""
+    return tuple(label for label, x in zip(labels, raw) if x < 0.0)
 
 
 class TestStackedKernelMatchesReference:
     def test_full_report_bit_for_bit(self, reference_points):
         clamped = zero = 0
-        for p, _, values, contangles in reference_points:
+        plan = gaussian.measure_plan(MEASURE_IDS)
+        for p, V, values, contangles in reference_points:
             report = full_report(p)
             assert_value_types([report.measure(mid) for mid in MEASURE_IDS],
                                [values[mid] for mid in MEASURE_IDS])
-            for mid, triple in TRIPARTITE_MEASURES.items():
-                rc = report.tripartite[triple]
+            _, raw = gaussian._measures(V[None], plan)
+            for (mid, triple), triple_raw in zip(TRIPARTITE_MEASURES.items(), raw[0]):
                 partitions, ref_clamped = contangles[mid]
-                assert list(rc.partitions) == list(partitions)
-                assert_value_types(list(rc.partitions.values()),
+                assert list(report.partitions[mid]) == list(partitions)
+                assert_value_types(list(report.partitions[mid].values()),
                                    list(partitions.values()))
-                assert rc.clamped == ref_clamped
-                clamped += len(rc.clamped)
+                assert clamped_labels(triple_raw, triple) == ref_clamped
+                clamped += len(ref_clamped)
             zero += sum(report.measure(mid) == 0.0 for mid in MEASURE_IDS)
         assert clamped > 0 and zero > 0  # the clamp and zero branches run too
 
@@ -509,16 +538,22 @@ class TestStackedKernelMatchesReference:
 
     @pytest.mark.parametrize("ids", [["EN_ne"], ["EN_de", "R_nde"], list(MEASURE_IDS)])
     def test_stack_form_equals_the_point_form(self, reference_points, ids):
+        # the kernel on the stack of covariances, row by row against
+        # measure_values on each covariance
         stack = np.array([V for _, V, _, _ in reference_points])
-        got = measure_values(stack, ids)
-        assert len(got) == len(stack)
-        for values, V in zip(got, stack):
+        plan = gaussian.measure_plan(tuple(ids))
+        got, raw = gaussian._measures(stack, plan)
+        assert got.dtype == np.float64 and got.shape == (len(stack), len(ids))
+        assert raw.shape == (len(stack), len(plan.split_pairs), 3)
+        for row, V in zip(got, stack):
             want = measure_values(V, ids)
-            assert list(values) == list(want) == ids
-            assert_value_types(list(values.values()), list(want.values()))
-        assert measure_values(stack[:0], ids) == []
+            assert list(want) == ids
+            assert_value_types(list(row), list(want.values()))
+        got, raw = gaussian._measures(stack[:0], plan)
+        assert got.shape == (0, len(ids)) and raw.shape == (0, len(plan.split_pairs), 3)
 
-    @pytest.mark.parametrize("shape", [(10,), (2, 8, 8), (10, 10, 2), (1, 2, 10, 10)])
+    @pytest.mark.parametrize("shape", [(10,), (2, 8, 8), (10, 10, 2), (1, 2, 10, 10),
+                                       (1, 10, 10)])
     def test_stack_of_the_wrong_shape(self, shape):
         with pytest.raises(GaussianError, match="10x10"):
             measure_values(np.zeros(shape), ["EN_ne"])
@@ -540,19 +575,45 @@ class TestStackedKernelMatchesReference:
         for V3 in states:
             rc = residual_contangle(V3)
             partitions, ref_clamped = _ref_contangle(V3, range(3))
-            assert list(rc.partitions) == list(partitions) == [0, 1, 2]
-            assert_value_types(list(rc.partitions.values()), list(partitions.values()))
-            assert rc.clamped == ref_clamped
-            assert rc.r_min == min(partitions.values())
-            clamped += len(rc.clamped)
+            assert list(partitions) == [0, 1, 2]
+            assert_value_types(list(rc), list(partitions.values()))
+            _, raw = gaussian._measures(V3[None], gaussian._TRIPLE_PLAN)
+            assert clamped_labels(raw[0, 0], range(3)) == ref_clamped
+            assert rc.min() == min(partitions.values())
+            clamped += len(ref_clamped)
             positive += sum(v > 0.0 for v in partitions.values())
         assert clamped > 0 and positive > 0
+
+    def test_squares_have_the_scalar_bits(self):
+        # states whose negativities x square to other bits as x * x than as
+        # the scalar x ** 2 (libm pow): the kernel's raw partitions keep the
+        # scalar formula's bits, not those of x * x
+        rng = np.random.default_rng(29)
+        differ = 0
+        for _ in range(400):
+            S = (_two_mode_squeezer(0, 1, rng.uniform(0.0, 1.0))
+                 @ _two_mode_squeezer(1, 2, rng.uniform(0.0, 1.0)))
+            V3 = S @ random_physical_covariance(rng, 3, spread=0.3) @ S.T
+            pair = {(k, m): log_negativity(reduce(V3, (k, m)))
+                    for k in range(3) for m in range(k + 1, 3)}
+            split = [one_vs_two_negativity(V3, k) for k in range(3)]
+            want, by_product = [], []
+            for k in range(3):
+                l, m = (x for x in range(3) if x != k)
+                el, em = pair[min(k, l), max(k, l)], pair[min(k, m), max(k, m)]
+                want.append(split[k]**2 - el**2 - em**2)
+                by_product.append(split[k] * split[k] - el * el - em * em)
+            _, raw = gaussian._measures(V3[None], gaussian._TRIPLE_PLAN)
+            assert [x.hex() for x in raw[0, 0].tolist()] == [float(x).hex() for x in want]
+            differ += [float(x).hex() for x in want] != [float(x).hex() for x in by_product]
+        assert differ > 0
 
     @pytest.mark.parametrize("ids", [["EN_xx"], ["EN_ne", "EN_xx"], ["en_ne"]])
     def test_unknown_measure_id(self, ids):
         _, _, V = steady_covariance(SystemParams())
         unknown = ids[-1]
-        for request in (lambda: measure_values(V, ids), lambda: measure_values(V[None], ids),
+        for request in (lambda: measure_values(V, ids),
+                        lambda: optimize.evaluate_measure(SystemParams(), unknown),
                         lambda: gaussian.measure_plan(tuple(ids))):
             with pytest.raises(GaussianError, match=f"^unknown measure id {unknown!r}$"):
                 request()
@@ -572,7 +633,8 @@ class TestStackedKernelMatchesReference:
         with pytest.raises(GaussianError, match="^unknown measure id 'EN_xx'$"):
             evaluate_chunk(f, ("EN_ne", "EN_xx"))
         assert calls == []
-        assert sorted(evaluate_chunk(f, ("EN_ne",)).values) == [0, 1, 2]
+        values = evaluate_chunk(f, ("EN_ne",)).values
+        assert values.shape == (3, 1) and not np.isnan(values).any()
         assert calls == ["steady_states", "_lyapunov_solves"]
 
     def test_one_unpaired_matrix_fails_the_stack(self):
@@ -590,12 +652,13 @@ class TestStackedKernelMatchesReference:
         _, _, V = steady_covariance(SystemParams())
         gaussian.measure_plan.cache_clear()
         measure_values(V, ["EN_ne", "R_nde"])
-        measure_values(V[None], ("EN_ne", "R_nde"))
+        measure_values(V, ("EN_ne", "R_nde"))
         evaluate_chunk(param_arrays([SystemParams()] * 2), ("EN_ne", "R_nde"))
         full_report(SystemParams())
         full_report(SystemParams())
         assert gaussian.measure_plan.cache_info().misses == 2
-        assert gaussian.measure_plan(MEASURE_IDS).ids == MEASURE_IDS
+        # every pair of the two triples is one of the ten measured pairs
+        assert gaussian.measure_plan(MEASURE_IDS).column.tolist() == list(range(12))
 
 
 def _ref_point(p):
@@ -643,17 +706,18 @@ class TestOnePointPathMatchesReference:
             assert report.verdict.spectral_abscissa == abscissa
             assert report.stable is (V is not None)
             if V is None:
-                assert report.bipartite == report.tripartite == {}
+                assert report.values == report.partitions == {}
                 continue
             assert steady_covariance(p)[2].tobytes() == V.tobytes()
             assert_value_types([report.measure(mid) for mid in MEASURE_IDS],
                                [values[mid] for mid in MEASURE_IDS])
-            for mid, triple in TRIPARTITE_MEASURES.items():
+            _, raw = gaussian._measures(V[None], gaussian.measure_plan(MEASURE_IDS))
+            for (mid, triple), triple_raw in zip(TRIPARTITE_MEASURES.items(), raw[0]):
                 partitions, clamped = contangles[mid]
-                rc = report.tripartite[triple]
-                assert list(rc.partitions) == list(partitions)
-                assert_value_types(list(rc.partitions.values()), list(partitions.values()))
-                assert rc.clamped == clamped
+                assert list(report.partitions[mid]) == list(partitions)
+                assert_value_types(list(report.partitions[mid].values()),
+                                   list(partitions.values()))
+                assert clamped_labels(triple_raw, triple) == clamped
 
     def test_evaluate_measure(self, points):
         for mid in MEASURE_IDS:
@@ -702,8 +766,8 @@ class TestProperties:
             assert one_vs_two_negativity(after, mode) == pytest.approx(
                 one_vs_two_negativity(before, mode), abs=1e-10)
         rc_before, rc_after = residual_contangle(before), residual_contangle(after)
-        for mode, value in rc_before.partitions.items():
-            assert rc_after.partitions[mode] == pytest.approx(value, abs=1e-10)
+        for mode in range(3):
+            assert rc_after[mode] == pytest.approx(rc_before[mode], abs=1e-10)
 
     @given(st.integers(min_value=0, max_value=50),
            st.sets(st.sampled_from(MEASURE_IDS)))

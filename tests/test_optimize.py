@@ -154,7 +154,7 @@ class TestObjectivePointsAreFloats:
         def key(v):
             return v if v is None or v == "error" else float(v).hex()
 
-        expected = [out.values[i][spec.measure] if i in out.values
+        expected = [out.values[i, 0] if not np.isnan(out.values[i, 0])
                     else "error" if i in out.errors else None
                     for i in range(len(points))]
         assert [key(v) for v in values] == [key(v) for v in expected]

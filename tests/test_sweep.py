@@ -486,7 +486,7 @@ class TestEngineMatchesPerPointReference:
         def no_call(*args):
             raise AssertionError("measure call on a measure-less grid")
 
-        monkeypatch.setattr(gaussian, "measure_values", no_call)
+        monkeypatch.setattr(gaussian, "_measures", no_call)
         result = run_grid(small_spec(measures=()))
         assert result.measures == {}
         assert count(result, STABLE) > 0
