@@ -316,19 +316,13 @@ def build_optimize_spec(cfg, seed_override: int | None = None) -> OptimizeSpec:
                    _float(items.get(hi_key), "optimize", hi_key))
            for param, (lo_key, hi_key) in box_keys.items()
            if lo_key in items or hi_key in items}
-    restarts = _int(items.get("restarts", "6"), "optimize", "restarts")
-    max_evaluations = _int(items.get("max_evaluations", "2000"), "optimize",
-                           "max_evaluations")
-    seed = (seed_override if seed_override is not None
-            else _int(items.get("seed", "0"), "optimize", "seed"))
+    # the keys the file gives; OptimizeSpec's defaults fill the others
+    raw = {key: items[key] for key in ("restarts", "max_evaluations", "seed") if key in items}
+    if seed_override is not None:
+        raw["seed"] = str(seed_override)
+    counts = {key: _int(value, "optimize", key) for key, value in raw.items()}
     try:
-        return OptimizeSpec(
-            measure=items.get("measure", ""),
-            box=box,
-            restarts=restarts,
-            max_evaluations=max_evaluations,
-            seed=seed,
-        )
+        return OptimizeSpec(measure=items.get("measure", ""), box=box, **counts)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"[optimize]: {exc}") from exc
 

@@ -159,22 +159,18 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
         return value
 
     restart_log: list[dict] = []
-    if not free:
-        value = objective(np.empty(0))
-        if state["best"] is None:
-            raise OptimizeError("no stable point found in the box")
-        restart_log.append({"start": dict(fixed), "best_value": value, "nfev": 1})
-        return OptimumReport(best_point=state["best"][1],
-                             best_value=state["best"][0],
-                             evaluations=state["evals"], restarts=restart_log)
-
-    n_scan = min(max(8 * spec.restarts, 32), max(1, spec.max_evaluations // 4))
-    scan = _uniform_scan(spec.seed, lo, hi, n_scan)
-    scan[0] = 0.5 * (lo + hi)
-    scanned = sorted(
-        ((objective(x), tuple(x)) for x in scan), key=lambda t: -t[0]
-    )
-    starts = [np.array(x) for _, x in scanned[: spec.restarts]]
+    if free:
+        n_scan = min(max(8 * spec.restarts, 32), max(1, spec.max_evaluations // 4))
+        scan = _uniform_scan(spec.seed, lo, hi, n_scan)
+        scan[0] = 0.5 * (lo + hi)
+        scanned = sorted(
+            ((objective(x), tuple(x)) for x in scan), key=lambda t: -t[0]
+        )
+        starts = [np.array(x) for _, x in scanned[: spec.restarts]]
+    else:  # a pinned box: no scan, and its one evaluation is its restart
+        restart_log.append({"start": dict(fixed), "best_value": objective(np.empty(0)),
+                            "nfev": 1})
+        starts = []
 
     def descend(start, maxfev):
         return _nelder_mead(lambda x: -objective(x), _initial_simplex(start, lo, hi),
@@ -224,7 +220,6 @@ def maximize(spec: OptimizeSpec, base: SystemParams,
                     offer(*best)
             else:
                 fun, nfev = descend(start, budget)
-            state["record"] = None
             restart_log.append({
                 "start": dict(zip(free, (float(v) for v in start))),
                 "best_value": float(-fun),

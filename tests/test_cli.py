@@ -203,6 +203,17 @@ class TestInputsEndInOneConfigErrorLine:
             1, "config error: unknown section [sytem]; use [system], [coupling], "
                "[sweep], [sweep:<name>], [optimize] or [tc]\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("point", "--set", "J"), "--set expects name=value, got 'J'",
+                     id="set-without-equals"),
+        pytest.param(("optimize",), "no [optimize] section in the configuration",
+                     id="no-optimize-section"),
+        pytest.param(("tc",), "no [tc] section in the configuration", id="no-tc-section"),
+    ])
+    def test_missing_part(self, tmp_path, capsys, argv, message):
+        assert self.run(tmp_path, capsys, *argv) == (1, f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ini, message", [
         pytest.param("[sweep]\n" + _TINY_SWEEP + "axis1_pionts = 9\n",
                      "unrecognized key 'axis1_pionts' in [sweep]", id="typo"),
@@ -220,6 +231,8 @@ class TestInputsEndInOneConfigErrorLine:
                      "[sweep:..]: sweep name '..' is not a file name", id="dotdot"),
         pytest.param("[sweep:.]\n" + _TINY_SWEEP,
                      "[sweep:.]: sweep name '.' is not a file name", id="dot"),
+        pytest.param("[sweep]\nmeasures = EN_de\n", "[sweep] defines no axes",
+                     id="no-axes"),
     ])
     def test_sweep_keys_and_names(self, tmp_path, capsys, ini, message):
         assert self.run(tmp_path, capsys, "sweep", ini=ini) == (1, f"config error: {message}\n")
@@ -424,8 +437,9 @@ measures = EN_de
             assert float(lines[1].split(",")[2]) > 0.05
 
     def test_serial_and_parallel_bytes_identical(self, tmp_path, monkeypatch):
-        # 441 points: three chunks, so the parallel run builds a pool of
-        # three processes even on a machine with fewer CPUs
+        # 441 points in chunks of 200: three chunks, so the parallel run
+        # builds a pool of three processes even on a machine with fewer CPUs
+        monkeypatch.setattr(sweep, "CHUNK", 200)
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 8)
         cfgfile = tmp_path / "sweep.ini"
         cfgfile.write_text("""
@@ -448,6 +462,24 @@ measures = EN_de, EN_ne
         serial = (out1 / "par.csv").read_bytes()
         assert len(serial.splitlines()) == 1 + 21 * 21
         assert serial == (out2 / "par.csv").read_bytes()
+
+    def test_verbose_progress_is_the_same_for_any_worker_count(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # three chunks, so two workers run a pool even on a single-CPU machine
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        rows = 2 * sweep.CHUNK + 1
+        ini = tmp_path / "in.ini"
+        ini.write_text("[sweep:tiny]\n" + _TINY_SWEEP.replace("= 3", f"= {rows}")
+                       + "measures = EN_de\n")
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert run_cli("sweep", "-v", "--config", str(ini), "--out", str(out),
+                           "--workers", workers) == 0
+            runs.append((capsys.readouterr().err, (out / "tiny.csv").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "".join(f"[tiny] {done}/{rows} rows\n"
+                                     for done in (sweep.CHUNK, 2 * sweep.CHUNK, rows))
 
     def test_repeated_measure_is_a_configuration_error(self, tmp_path, capsys):
         # the CSV carried the EN_ne column twice
@@ -617,6 +649,22 @@ class TestTc:
                        "--out", str(tmp_path))
         assert code == 1
         assert "T_max_K" in capsys.readouterr().err
+        assert not (tmp_path / "tc.json").exists()
+
+    def test_non_monotone_profile_lists_its_samples(self, tmp_path, capsys, monkeypatch):
+        temperatures = []
+
+        def rising(p, measure):
+            temperatures.append(p.T)
+            return 0.01 + p.T
+
+        monkeypatch.setattr(optimize, "evaluate_measure", rising)
+        code = run_cli("tc", "--preset", "table2_de", "--out", str(tmp_path))
+        assert code == 2
+        assert len(temperatures) == 9
+        assert capsys.readouterr().err == (
+            "tc failed: non-monotone profile for EN_de; sampled curve attached\n"
+            + "".join(f"  T={T:.4f} K  EN_de={0.01 + T:.6e}\n" for T in temperatures))
         assert not (tmp_path / "tc.json").exists()
 
     def test_not_entangled_exits_2(self, tmp_path, capsys):

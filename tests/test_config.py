@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,11 +8,13 @@ from cavmag.config import (
     apply_set,
     build_coupling,
     build_grid_specs,
+    build_optimize_spec,
     build_system,
     build_tc,
     load_layers,
 )
 from cavmag.model import TWO_PI
+from cavmag.optimize import OptimizeSpec
 
 
 def test_default_layer_matches_dataclass_defaults():
@@ -151,3 +154,25 @@ def test_tc_tolerance_and_t_max_checked(key, value):
                "T_max_K": "'T_max_K' in \\[tc\\] must be finite and above"}[key]
     with pytest.raises(ConfigError, match=message):
         build_tc(cfg)
+
+
+def test_optimize_counts_left_out_take_the_spec_defaults():
+    cfg = load_layers(preset="table2_ne")
+    given = build_optimize_spec(cfg)
+    assert (given.restarts, given.max_evaluations, given.seed) == (10, 4000, 2030)
+    for key in ("restarts", "max_evaluations", "seed"):
+        del cfg["optimize"][key]
+    spec = build_optimize_spec(cfg)
+    defaults = {f.name: f.default for f in dataclasses.fields(OptimizeSpec)
+                if f.name in ("restarts", "max_evaluations", "seed")}
+    assert defaults == {"restarts": 6, "max_evaluations": 2000, "seed": 0}
+    assert {key: getattr(spec, key) for key in defaults} == defaults
+    assert (spec.measure, spec.box) == (given.measure, given.box)
+
+
+@pytest.mark.parametrize("seed_override", [0, 7])
+def test_seed_override_replaces_a_malformed_file_seed(seed_override):
+    # the file's seed is not parsed when --seed replaces it
+    cfg = load_layers(preset="table2_ne")
+    cfg["optimize"]["seed"] = "1e3"
+    assert build_optimize_spec(cfg, seed_override=seed_override).seed == seed_override

@@ -194,6 +194,15 @@ class TestMaximize:
         with pytest.raises(OptimizeError, match="no stable point"):
             maximize(spec, base)
 
+    def test_pinned_box_without_a_stable_point_raises(self):
+        # the free box of test_every_point_unstable_raises, pinned at its middle
+        base = SystemParams().updated(delta_1=-1.41 * WD, delta_2=-0.68 * WD,
+                                      delta_e=-1.63 * WD, J=0.35 * WD)
+        spec = OptimizeSpec(measure="EN_a1n", box={"delta_n_tilde": (-0.65, -0.65)},
+                            restarts=1, max_evaluations=30, seed=3)
+        with pytest.raises(OptimizeError, match="^no stable point found in the box$"):
+            maximize(spec, base, workers=2)
+
     @pytest.mark.parametrize("raised, expected, message", [
         # no steady state scores like an unstable point
         (SteadyStateError("non-convergent"), OptimizeError, "no stable point"),
@@ -654,19 +663,21 @@ class TestCriticalTemperature:
         with pytest.raises(OptimizeError, match="still above"):
             critical_temperature(ne_base(), "EN_ne", 0.05)
 
-    def test_non_monotone_profile_attaches_samples(self):
-        # the nd pair strengthens then dies with temperature at this point,
-        # tripping the monotonicity guard
-        base = SystemParams().updated(delta_1=2.0 * WD, delta_2=2.0 * WD,
-                                      delta_e=2.0 * WD,
-                                      delta_n_tilde_override=1.8 * WD,
-                                      J=0.3 * WD)
-        try:
-            critical_temperature(base, "EN_nd", 0.5)
-        except NonMonotoneProfile as exc:
-            assert len(exc.samples) == 9
-        except OptimizeError:
-            pytest.skip("profile monotone at this point; guard not exercised")
+    def test_non_monotone_profile_attaches_samples(self, monkeypatch):
+        # a profile that rises with temperature by more than the 1e-6 * v_floor
+        # slack; no physical point in the tests is known to do so
+        temperatures = []
+
+        def rising(p, measure):
+            temperatures.append(p.T)
+            return 0.01 + p.T
+
+        monkeypatch.setattr(optimize, "evaluate_measure", rising)
+        with pytest.raises(NonMonotoneProfile, match="non-monotone profile for EN_nd") as info:
+            critical_temperature(ne_base(), "EN_nd", 0.5)
+        assert len(temperatures) == 9
+        assert (temperatures[0], temperatures[-1]) == (optimize.T_FLOOR, 0.5)
+        assert info.value.samples == [(T, 0.01 + T) for T in temperatures]
 
 
 class TestUniformScanMatchesNumpy:

@@ -138,6 +138,24 @@ class TestGridSpecValidation:
             GridSpec(axes=(Axis("delta_1", -1.0, 1.0, 3),),
                      base=SystemParams(), linkage="symmetric")
 
+    @pytest.mark.parametrize("kw, message", [
+        pytest.param(dict(linkage="sideways"), "unknown linkage 'sideways'", id="linkage"),
+        pytest.param(dict(axes=(Axis("J", 0.2, 1.0, 3), Axis("J", 0.4, 0.8, 3))),
+                     "axes must sweep distinct parameters", id="repeated-axis"),
+        # without a delta_a axis the base detunings must obey the linkage
+        pytest.param(dict(axes=(Axis("J", 0.2, 1.0, 3),), linkage="symmetric",
+                          base=SystemParams().updated(delta_1=1.0, delta_2=2.0)),
+                     "symmetric linkage without a delta_a axis requires "
+                     "base.delta_1 == base.delta_2", id="symmetric-base"),
+        pytest.param(dict(axes=(Axis("J", 0.2, 1.0, 3),), linkage="antisymmetric",
+                          base=SystemParams().updated(delta_1=1.0, delta_2=1.0)),
+                     "antisymmetric linkage without a delta_a axis requires "
+                     "base.delta_1 == -base.delta_2", id="antisymmetric-base"),
+    ])
+    def test_inconsistent_spec(self, kw, message):
+        with pytest.raises(SweepSpecError, match=f"^{message}"):
+            small_spec(**kw)
+
     def test_three_axes_rejected(self):
         with pytest.raises(SweepSpecError, match="one or two"):
             GridSpec(axes=(Axis("J", 0.2, 1.0, 3),) * 3, base=SystemParams())
