@@ -17,7 +17,7 @@ from pathlib import Path
 from .gaussian import MEASURE_IDS
 from .model import (FIELDS, TWO_PI, CouplingDerivation, ParameterError, SystemParams,
                     updated_in_omega_d_units)
-from .optimize import OPT_PARAMS, T_FLOOR, OptimizeSpec
+from .optimize import OPT_PARAMS, T_FLOOR, TC_TOL, OptimizeSpec
 from .sweep import Axis, GridSpec
 
 DEFAULT_PRESET = "default"
@@ -137,32 +137,23 @@ def apply_set(cfg: dict[str, dict[str, str]], assignment: str) -> None:
     if value.lower() == "none":
         cfg.setdefault("system", {})[file_key] = "none"
         return
-    omega_d_hz2pi = _float(cfg.get("system", {}).get("omega_d_hz2pi"),
-                           "system", "omega_d_hz2pi")
+    omega_d_hz2pi = _number(cfg.get("system", {}).get("omega_d_hz2pi"),
+                            "system", "omega_d_hz2pi")
     cfg.setdefault("system", {})[file_key] = repr(
-        _float(value, "--set", name) * omega_d_hz2pi
+        _number(value, "--set", name) * omega_d_hz2pi
     )
 
 
-def _float(raw: str | None, section: str, key: str) -> float:
+def _number(raw: str | None, section: str, key: str, kind: type = float):
+    """``raw`` read as ``kind`` (float or int); a missing or bad value names its key."""
     if raw is None:
         raise ConfigError(f"missing required key {key!r} in [{section}]")
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
+        noun = "an integer" if kind is int else "a number"
         raise ConfigError(
-            f"key {key!r} in [{section}]: cannot parse {raw!r} as a number"
-        ) from None
-
-
-def _int(raw: str | None, section: str, key: str) -> int:
-    if raw is None:
-        raise ConfigError(f"missing required key {key!r} in [{section}]")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"key {key!r} in [{section}]: cannot parse {raw!r} as an integer"
+            f"key {key!r} in [{section}]: cannot parse {raw!r} as {noun}"
         ) from None
 
 
@@ -194,7 +185,7 @@ def build_system(cfg) -> SystemParams:
                     "the detunings and delta_n_tilde_hz2pi may be left unset")
             kwargs[name] = None
             continue
-        value = _float(raw, "system", file_key)
+        value = _number(raw, "system", file_key)
         kwargs[name] = value * TWO_PI if "_hz2pi" in file_key else value
     try:
         return SystemParams(**kwargs)
@@ -211,7 +202,7 @@ def build_coupling(cfg) -> CouplingDerivation | None:
             "[coupling] gives both sphere_diameter_m and V_sphere_m3; use one")
     kwargs = {}
     for file_key, raw in section.items():
-        value = _float(raw, "coupling", file_key)
+        value = _number(raw, "coupling", file_key)
         if file_key == "sphere_diameter_m":
             kwargs["V_sphere"] = math.pi / 6.0 * value**3
         else:
@@ -235,9 +226,9 @@ def _axis_keys(items: dict[str, str], k: int) -> tuple[str, ...]:
 
 def _axis(section_name: str, items: dict[str, str], keys) -> Axis:
     param_key, lo_key, hi_key, points_key = keys
-    lo = _float(items.get(lo_key), section_name, lo_key)
-    hi = _float(items.get(hi_key), section_name, hi_key)
-    points = _int(items.get(points_key), section_name, points_key)
+    lo = _number(items.get(lo_key), section_name, lo_key)
+    hi = _number(items.get(hi_key), section_name, hi_key)
+    points = _number(items.get(points_key), section_name, points_key, int)
     try:
         return Axis(param=items[param_key], lo=lo, hi=hi, points=points)
     except ValueError as exc:
@@ -251,7 +242,7 @@ def _apply_point_overrides(base: SystemParams, section_name: str,
         if not key.startswith("set_"):
             continue
         if key == "set_T_K":
-            changes["T"] = _float(raw, section_name, key)
+            changes["T"] = _number(raw, section_name, key)
             continue
         if not key.endswith("_wd"):
             raise ConfigError(
@@ -264,7 +255,7 @@ def _apply_point_overrides(base: SystemParams, section_name: str,
                 f"override key {key!r} in [{section_name}] names an unknown "
                 f"parameter {name!r}"
             )
-        changes[name] = _float(raw, section_name, key)
+        changes[name] = _number(raw, section_name, key)
     return updated_in_omega_d_units(base, changes) if changes else base
 
 
@@ -312,15 +303,15 @@ def build_optimize_spec(cfg, seed_override: int | None = None) -> OptimizeSpec:
                                      *sum(box_keys.values(), ())})
     if not items:
         raise ConfigError("no [optimize] section in the configuration")
-    box = {param: (_float(items.get(lo_key), "optimize", lo_key),
-                   _float(items.get(hi_key), "optimize", hi_key))
+    box = {param: (_number(items.get(lo_key), "optimize", lo_key),
+                   _number(items.get(hi_key), "optimize", hi_key))
            for param, (lo_key, hi_key) in box_keys.items()
            if lo_key in items or hi_key in items}
     # the keys the file gives; OptimizeSpec's defaults fill the others
     raw = {key: items[key] for key in ("restarts", "max_evaluations", "seed") if key in items}
     if seed_override is not None:
         raw["seed"] = str(seed_override)
-    counts = {key: _int(value, "optimize", key) for key, value in raw.items()}
+    counts = {key: _number(value, "optimize", key, int) for key, value in raw.items()}
     try:
         return OptimizeSpec(measure=items.get("measure", ""), box=box, **counts)
     except (ValueError, RuntimeError) as exc:
@@ -334,11 +325,11 @@ def build_tc(cfg) -> tuple[str, float, float]:
     measure = items.get("measure", "")
     if measure not in MEASURE_IDS:
         raise ConfigError(f"[tc]: unknown measure id {measure!r}")
-    t_max = _float(items.get("T_max_K"), "tc", "T_max_K")
+    t_max = _number(items.get("T_max_K"), "tc", "T_max_K")
     if not T_FLOOR < t_max < math.inf:
         raise ConfigError(
             f"key 'T_max_K' in [tc] must be finite and above {T_FLOOR} K, got {t_max!r}")
-    tol = _float(items.get("tol_K", "1e-3"), "tc", "tol_K")
+    tol = _number(items["tol_K"], "tc", "tol_K") if "tol_K" in items else TC_TOL
     if not 0.0 < tol < math.inf:
         raise ConfigError(
             f"key 'tol_K' in [tc] must be a positive finite temperature, got {tol!r}")

@@ -59,6 +59,8 @@ class StabilityVerdict:
 
 _SC_MIXING = 0.5
 _SC_MAX_ITER = 10_000
+_SC_TOL = 1e-12  # convergence tolerance on the detuning, in units of omega_d
+_SC_TINY = 1e-30  # a divisor of degree k is zero below this * omega_d**k
 
 
 def steady_state(p: SystemParams) -> SteadyState:
@@ -66,8 +68,8 @@ def steady_state(p: SystemParams) -> SteadyState:
 
     With ``delta_n_tilde_override`` set, the closed form is evaluated once at
     that detuning.  Otherwise the effective detuning is found by damped
-    fixed-point iteration of ``delta_n + g_nd * <x>`` (mixing 0.5) to
-    1e-12 * omega_d, with a 10^4 iteration cap.
+    fixed-point iteration of ``delta_n + g_nd * <x>`` (mixing ``_SC_MIXING``)
+    to ``_SC_TOL * omega_d``, with at most ``_SC_MAX_ITER`` iterations.
 
     The closed form is derived by eliminating the ensemble, magnon and
     cavity-2 amplitudes from the mean-field fixed-point equations.  Its
@@ -95,10 +97,10 @@ def _iterate(p, dnt: float, first: int) -> SteadyState:
         i_gna_Omega_n = i_gna * p.Omega_n
         x_per_n2 = -(p.g_nd / p.omega_d)
         kappa_n, Omega_n, delta_n, g_nd = p.kappa_n, p.Omega_n, p.delta_n, p.g_nd
-        tiny_S, tiny_beta = 1e-30 * p.omega_d**4, 1e-30 * p.omega_d**2
-        tiny_rate = 1e-30 * p.omega_d
+        tiny_S, tiny_beta = _SC_TINY * p.omega_d**4, _SC_TINY * p.omega_d**2
+        tiny_rate = _SC_TINY * p.omega_d
         ge_singular, kn_may_vanish = abs(ge) < tiny_rate, kappa_n < tiny_rate
-        tol = 1e-12 * p.omega_d
+        tol = _SC_TOL * p.omega_d
 
         pinned = p.delta_n_tilde_override is not None
         for it in range(first, _SC_MAX_ITER + 1):
@@ -228,8 +230,8 @@ def steady_states(f) -> tuple[SteadyState, dict]:
         drive_n = _mul(_cx(f.g_na * f.Omega_n * f.J), ge)
         mi_J, i_gna = _mul(_MINUS_I, _cx(f.J)), _mul(_I, _cx(f.g_na))
         i_gna_Omega_n = _mul(i_gna, _cx(f.Omega_n))
-        tiny = np.stack([1e-30 * np.float_power(wd, 4.0), 1e-30 * np.float_power(wd, 2.0)])
-        tiny_rate = 1e-30 * wd
+        tiny = np.stack([_SC_TINY * np.float_power(wd, 4.0), _SC_TINY * np.float_power(wd, 2.0)])
+        tiny_rate = _SC_TINY * wd
         pinned = ~np.isnan(f.delta_n_tilde_override)
         start = np.where(pinned, f.delta_n_tilde_override, f.delta_n)
         # the scalar loop takes the checks of kn and ge
@@ -245,7 +247,7 @@ def steady_states(f) -> tuple[SteadyState, dict]:
         state = [np.take(c, live, axis=-1) for c in (
             start, _cx(f.kappa_n), by_kn, _rot(by_kn), _cx(g_na2), by_beta, _rot(by_beta),
             ge, _rot(ge), drive_l, drive_n, i_gna, _rot(i_gna), i_gna_Omega_n,
-            _cx(f.Omega_n), -(f.g_nd / wd), f.g_nd, tiny, 1e-12 * wd, pinned, start)]
+            _cx(f.Omega_n), -(f.g_nd / wd), f.g_nd, tiny, _SC_TOL * wd, pinned, start)]
         out = np.full((3, 2, k), np.nan)  # a1, a2 and n of the finished points
         x_out, dnt_out = np.full(k, np.nan), np.full(k, np.nan)
         iterations = np.zeros(k, dtype=np.int64)

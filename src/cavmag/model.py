@@ -18,28 +18,7 @@ EPS0 = 8.8541878128e-12  # F / m
 
 TWO_PI = 2.0 * math.pi
 
-# Reference parameter set used as the package default (rad/s, kelvin).
-_OMEGA_D = TWO_PI * 10e6
-_DEFAULTS = dict(
-    omega_d=_OMEGA_D,
-    omega_l=TWO_PI * 10e9,
-    kappa_a=TWO_PI * 1e6,
-    kappa_n=TWO_PI * 1e6,
-    gamma_e=TWO_PI * 1e6,
-    gamma_d=TWO_PI * 100.0,
-    g_na=TWO_PI * 3.2e6,
-    g_nd=TWO_PI * 0.2,
-    G_nd=TWO_PI * 4.8e6,
-    G_ae=TWO_PI * 6e6,
-    J=0.8 * _OMEGA_D,
-    delta_1=+1.0 * _OMEGA_D,
-    delta_2=-1.0 * _OMEGA_D,
-    delta_e=-1.0 * _OMEGA_D,
-    delta_n_tilde_override=0.9 * _OMEGA_D,
-    Omega_l=TWO_PI * 6.4e9,
-    Omega_n=TWO_PI * 2.4e11,
-    T=0.010,
-)
+_OMEGA_D = TWO_PI * 10e6  # phonon frequency of the default parameter set
 
 # (carrier frequency field, detuning field) pairs resolved against omega_l
 _FREQ_PAIRS = (
@@ -68,31 +47,32 @@ class SystemParams:
 
     ``delta_n_tilde_override`` pins the effective magnon detuning and skips
     the self-consistency loop; without it ``delta_n`` must be given.
+    The defaults are the paper's reference parameter set.
     """
 
-    omega_d: float = _DEFAULTS["omega_d"]
-    omega_l: float = _DEFAULTS["omega_l"]
-    delta_1: float | None = _DEFAULTS["delta_1"]
-    delta_2: float | None = _DEFAULTS["delta_2"]
-    delta_e: float | None = _DEFAULTS["delta_e"]
+    omega_d: float = _OMEGA_D
+    omega_l: float = TWO_PI * 10e9
+    delta_1: float | None = _OMEGA_D
+    delta_2: float | None = -_OMEGA_D
+    delta_e: float | None = -_OMEGA_D
     delta_n: float | None = None
-    delta_n_tilde_override: float | None = _DEFAULTS["delta_n_tilde_override"]
+    delta_n_tilde_override: float | None = 0.9 * _OMEGA_D
     omega_c1: float | None = None
     omega_c2: float | None = None
     omega_e: float | None = None
     omega_n: float | None = None
-    kappa_a: float = _DEFAULTS["kappa_a"]
-    kappa_n: float = _DEFAULTS["kappa_n"]
-    gamma_e: float = _DEFAULTS["gamma_e"]
-    gamma_d: float = _DEFAULTS["gamma_d"]
-    g_na: float = _DEFAULTS["g_na"]
-    g_nd: float = _DEFAULTS["g_nd"]
-    G_nd: float = _DEFAULTS["G_nd"]
-    G_ae: float = _DEFAULTS["G_ae"]
-    J: float = _DEFAULTS["J"]
-    Omega_l: float = _DEFAULTS["Omega_l"]
-    Omega_n: float = _DEFAULTS["Omega_n"]
-    T: float = _DEFAULTS["T"]
+    kappa_a: float = TWO_PI * 1e6
+    kappa_n: float = TWO_PI * 1e6
+    gamma_e: float = TWO_PI * 1e6
+    gamma_d: float = TWO_PI * 100.0
+    g_na: float = TWO_PI * 3.2e6
+    g_nd: float = TWO_PI * 0.2
+    G_nd: float = TWO_PI * 4.8e6
+    G_ae: float = TWO_PI * 6e6
+    J: float = 0.8 * _OMEGA_D
+    Omega_l: float = TWO_PI * 6.4e9
+    Omega_n: float = TWO_PI * 2.4e11
+    T: float = 0.010
 
     def __post_init__(self):
         if not self.omega_d > 0:

@@ -25,6 +25,7 @@ OPT_PARAMS = ("delta_1", "delta_2", "delta_n_tilde", "delta_e", "J")
 
 ENTANGLEMENT_FLOOR = 1e-4  # below this a measure counts as vanished
 T_FLOOR = 1e-3  # kelvin
+TC_TOL = 1e-3  # kelvin, critical_temperature's default bisection tolerance
 
 
 class OptimizeError(RuntimeError):
@@ -399,10 +400,10 @@ def _nelder_mead(f, simplex, lo, hi, maxfev):
 
 
 def critical_temperature(p: SystemParams, measure: str, T_max: float,
-                         tol: float = 1e-3) -> float:
+                         tol: float = TC_TOL) -> float:
     """Temperature at which a measure first drops below 1e-4.
 
-    Bisection on [1 mK, T_max] to within ``tol`` (default 1 mK), or until
+    Bisection on [1 mK, T_max] to within ``tol`` (default ``TC_TOL``), or until
     no float lies between its ends, after a coarse scan that verifies a
     monotone-decreasing profile.
     """

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -13,17 +14,20 @@ from cavmag.config import (
     build_tc,
     load_layers,
 )
-from cavmag.model import TWO_PI
-from cavmag.optimize import OptimizeSpec
+from cavmag.model import TWO_PI, SystemParams
+from cavmag.optimize import OptimizeSpec, critical_temperature
 
 
 def test_default_layer_matches_dataclass_defaults():
-    cfg = load_layers()
-    p = build_system(cfg)
-    assert p.omega_d == pytest.approx(TWO_PI * 1e7)
-    assert p.J == pytest.approx(0.8 * p.omega_d)
-    assert p.delta_n_tilde_override == pytest.approx(0.9 * p.omega_d)
-    assert p.T == 0.010
+    # the preset is read in hz2pi units, so J and the pinned detuning, each a
+    # multiple of omega_d, round differently in their last bit
+    p, ref = build_system(load_layers()), SystemParams()
+    for field in dataclasses.fields(SystemParams):
+        value, expected = getattr(p, field.name), getattr(ref, field.name)
+        if field.name in ("J", "delta_n_tilde_override"):
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0), field.name
+        else:
+            assert value == expected, field.name
 
 
 def test_hz2pi_conversion():
@@ -147,8 +151,9 @@ def test_unrecognized_coupling_key_named():
     *(("T_max_K", v) for v in ["nan", "inf", "-inf", "0", "-1", "1e-3"]),
 ])
 def test_tc_tolerance_and_t_max_checked(key, value):
-    cfg = load_layers(preset="table2_de")
-    assert build_tc(cfg)[1:] == (0.5, 1e-3)
+    cfg = load_layers(preset="table2_de")  # no tol_K: critical_temperature's default
+    tol = inspect.signature(critical_temperature).parameters["tol"].default
+    assert build_tc(cfg)[1:] == (0.5, tol)
     cfg["tc"][key] = value
     message = {"tol_K": "'tol_K' in \\[tc\\] must be a positive finite",
                "T_max_K": "'T_max_K' in \\[tc\\] must be finite and above"}[key]

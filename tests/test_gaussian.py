@@ -342,15 +342,19 @@ class TestResidualContangle:
         assert rc.min() == pytest.approx(0.0, abs=1e-9)
 
     def test_clamping_is_logged(self, caplog):
-        # mildly noisy copy of a product state can dip below zero pre-clamp
-        rng = np.random.default_rng(8)
-        V = random_physical_covariance(rng, 3, spread=1.4)
+        # the (a1, n, d) triple of one stable network point whose a1-vs-(n, d)
+        # partition comes out slightly negative before the clamp
+        p = sample_stable_params(seed=41, count=40)[27]
+        V3 = reduce(steady_covariance(p)[2], positions("a1", "n", "d"))
+        _, raw = gaussian._measures(V3[None], gaussian._TRIPLE_PLAN)
+        assert raw[0, 0, 0] < 0.0 < raw[0, 0, 1:].min()
         with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
-            rc = residual_contangle(V)
-        assert rc.min() >= 0.0
-        _, raw = gaussian._measures(V[None], gaussian._TRIPLE_PLAN)
-        if (raw < 0.0).any():
-            assert any("clamping" in r.message for r in caplog.records)
+            rc = residual_contangle(V3)
+        assert rc[0] == 0.0
+        assert rc[1:].tolist() == raw[0, 0, 1:].tolist()
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping 1 negative residual contangle partition(s) to 0, "
+            f"the most negative {raw.min():.3e}"]
 
     def test_one_clamp_line_per_call(self, caplog):
         # the network triples of 40 stable points in one call: one line with
