@@ -26,6 +26,7 @@ import numpy as np
 
 from .dynamics import (
     MODE_LABELS,
+    STABILITY_EPS_FACTOR,
     StabilityVerdict,
     SteadyState,
     SteadyStateError,
@@ -132,16 +133,24 @@ def _gees_lwork(n: int) -> int:
     return int(gees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0].real)
 
 
-def _bartels_stewart(a: np.ndarray, q: np.ndarray, gees, trsyl, lwork: int) -> np.ndarray:
-    """x of a x + x a^T = q for one prescaled drift a (Bartels-Stewart): the
-    real Schur form a = u r u^T (gees), y of r y + y r^T = u^T q u (trsyl),
-    then x = u y u^T; the caller looks up gees, trsyl (_lapack) and gees'
-    workspace size (_gees_lwork) once for all its solves.  A Schur form
-    LAPACK cannot find and a spectrum that reaches the imaginary axis are
-    errors.  trsyl scales y down to keep it from overflowing; a y it had to
-    scale is no solution in the caller's units, so that is a solver
-    breakdown."""
+def _schur(a: np.ndarray, gees, lwork: int):
+    """The Bartels-Stewart factor step on one prescaled drift a: gees' real
+    Schur form a = u r u^T, as (r, u, wr, info), wr the real parts of a's
+    spectrum and info gees' own, which _sylvester checks.  The caller looks
+    up gees (_lapack) and its workspace size (_gees_lwork) once for all its
+    solves."""
     r, _, wr, _, u, _, info = gees(_no_sort, a, lwork=lwork, sort_t=0)
+    return r, u, wr, info
+
+
+def _sylvester(schur, q: np.ndarray, trsyl) -> np.ndarray:
+    """The Bartels-Stewart solve step (Bartels & Stewart, CACM 15(9), 1972):
+    x of a x + x a^T = q from a's _schur factors, by y of r y + y r^T =
+    u^T q u (trsyl), then x = u y u^T.  A Schur form LAPACK could not find
+    and a spectrum that reaches the imaginary axis are errors.  trsyl
+    scales y down to keep it from overflowing; a y it had to scale is no
+    solution in the caller's units, so that is a solver breakdown."""
+    r, u, wr, info = schur
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gees")
     if info > 0:
@@ -162,6 +171,9 @@ def _bartels_stewart(a: np.ndarray, q: np.ndarray, gees, trsyl, lwork: int) -> n
             f"solver breakdown: trsyl scaled the solution by {y_scale:.3e} "
             "to avoid overflow")
     return u.dot(y).dot(u.T)
+
+
+_NON_FINITE = "non-finite drift or diffusion matrix"
 
 
 def _passes(finite, residual, bound):
@@ -198,9 +210,16 @@ def lyapunov_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     scale = np.abs(A).max() or 1.0  # a zero drift fails the spectrum check
     # max|A| is NaN or inf exactly when A has a non-finite entry
     if not (math.isfinite(scale) and np.count_nonzero(np.isfinite(D)) == D.size):
-        raise GaussianError("non-finite drift or diffusion matrix")
+        raise GaussianError(_NON_FINITE)
+    gees, trsyl = _lapack()
     # D / -scale is -D / scale bit for bit, in one operation
-    V = _bartels_stewart(A / scale, D / -scale, *_lapack(), _gees_lwork(n))
+    return _checked(A, D, _sylvester(_schur(A / scale, gees, _gees_lwork(n)),
+                                     D / -scale, trsyl))
+
+
+def _checked(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The symmetrized V of one solve, if it passes the residual check of
+    lyapunov_solve; else its breakdown error."""
     V = 0.5 * (V + V.T)
     # each norm is np.linalg.norm's: sqrt(x . x), x the flattened matrix
     with np.errstate(over="ignore"):  # an overflowing norm fails the check
@@ -225,22 +244,23 @@ def _lyapunov_solves(A: np.ndarray, D: np.ndarray):
     each pair that did not, by position, with its text.
 
     The prescaling, the finiteness checks, the symmetrization and the
-    residual check run on the stacks, _bartels_stewart once per matrix;
+    residual check run on the stacks, _schur and _sylvester once per matrix;
     every stacked product gives each matrix the bits of its own.
     """
     n = A.shape[-1]
     scale = np.abs(A).max(axis=(1, 2))
     scale[scale == 0.0] = 1.0  # a zero drift fails the spectrum check
     finite = np.isfinite(scale) & np.isfinite(D).all(axis=(1, 2))
-    errors = {i: GaussianError("non-finite drift or diffusion matrix")
+    errors = {i: GaussianError(_NON_FINITE)
               for i in np.flatnonzero(~finite).tolist()}
     at = np.flatnonzero(finite)
     scale = scale[at, None, None]
     solved, V = [], []
-    lapack = (*_lapack(), _gees_lwork(n)) if len(at) else ()  # no solve, no scipy
+    if len(at):  # no solve, no scipy
+        (gees, trsyl), lwork = _lapack(), _gees_lwork(n)
     for i, a, q in zip(at.tolist(), A[at] / scale, D[at] / -scale):
         try:
-            V.append(_bartels_stewart(a, q, *lapack))
+            V.append(_sylvester(_schur(a, gees, lwork), q, trsyl))
         except (np.linalg.LinAlgError, GaussianError) as exc:
             errors[i] = exc
         else:
@@ -586,13 +606,83 @@ def steady_covariance(p: SystemParams):
     return ss, verdict, V
 
 
+VERDICT_BAND = 1e-9  # geev decides within this * max(omega_d, max|A|) of the threshold
+
+
+def _schur_verdict(A: np.ndarray, omega_d: float):
+    """The stability verdict on one drift that StabilityVerdict.from_abscissa
+    gives on spectral_abscissa(A), from a real Schur form of the drift
+    instead of its own eigen-solve: (stable, scale, schur), scale = max|A|
+    (1 for a zero drift) and schur the _schur factors of A / scale.
+
+    The verdict compares scale * max(wr) with the threshold.  Within
+    VERDICT_BAND * max(omega_d, scale) of it, where the last bits of gees'
+    and geev's spectra could disagree, and where gees fails,
+    spectral_abscissa decides, so every verdict is geev's; a non-finite
+    drift raises its LinAlgError there.
+    """
+    scale = np.abs(A).max() or 1.0
+    threshold = -STABILITY_EPS_FACTOR * omega_d
+    schur = None
+    if math.isfinite(scale):
+        gees, _ = _lapack()
+        schur = _, _, wr, info = _schur(A / scale, gees, _gees_lwork(len(A)))
+        abscissa = scale * wr[wr.argmax()]
+        if info == 0 and abs(abscissa - threshold) > VERDICT_BAND * max(omega_d, scale):
+            return abscissa < threshold, scale, schur
+    return spectral_abscissa(A) < threshold, scale, schur
+
+
+def stable_covariance(p: SystemParams) -> np.ndarray | None:
+    """The covariance steady_covariance finds at one point, or None where
+    its verdict is unstable, with one Schur form of the drift for both the
+    verdict (_schur_verdict) and the Lyapunov solve: the same bits, or the
+    same error, raised at the same step (steady_state, the verdict,
+    diffusion_matrix, then lyapunov_solve's checks)."""
+    A = drift_matrix(p, steady_state(p))
+    stable, scale, schur = _schur_verdict(A, p.omega_d)
+    if not stable:
+        return None
+    D = diffusion_matrix(p)
+    if np.count_nonzero(np.isfinite(D)) < D.size:
+        raise GaussianError(_NON_FINITE)
+    return _checked(A, D, _sylvester(schur, D / -scale, _lapack()[1]))
+
+
 def measure_values(V: np.ndarray, measure_ids) -> dict:
     """Requested entanglement measures evaluated on a 10x10 covariance, as a
-    {measure id: value} dict, from the ids' cached measure_plan."""
+    {measure id: value} dict, from the ids' cached measure_plan: by
+    _pair_value for a plan of one pair and no triple, else by _measures."""
     if V.shape != (2 * len(MODE_LABELS),) * 2:
         raise GaussianError(f"measures need a 10x10 covariance; have shape {V.shape}")
     ids = tuple(measure_ids)
-    return dict(zip(ids, _measures(V[None], measure_plan(ids))[0][0]))
+    plan = measure_plan(ids)
+    if plan.n_pairs == 1 and not len(plan.split_pairs):
+        return dict.fromkeys(ids, _pair_value(V, plan))
+    return dict(zip(ids, _measures(V[None], plan)[0][0]))
+
+
+def _pair_value(V: np.ndarray, plan: _Plan) -> np.float64:
+    """_measures' value for one covariance and a plan of one pair and no
+    triple, bit for bit and with the same errors: the same eigen-solve,
+    with the pairing and positivity checks and the mean of each pair on the
+    four magnitudes as Python floats instead of (1, 2) arrays."""
+    w = (V.take(plan.index) * plan.signs).reshape(4, 4)
+    try:
+        raw = np.abs(eigvals(_I_OMEGA[2] @ w))
+    except np.linalg.LinAlgError as exc:  # a non-finite entry, or LAPACK's failure
+        raise GaussianError(f"eigen-solver failure: {exc}") from exc
+    raw.sort()
+    lo, hi, lo2, hi2 = raw.tolist()
+    if ((hi - lo) / max(hi, 1e-300) > PAIRING_RTOL
+            or (hi2 - lo2) / max(hi2, 1e-300) > PAIRING_RTOL):
+        raise GaussianError(f"symplectic eigenvalue pairing failure: spectrum {raw!r}")
+    nu = 0.5 * (lo + hi)
+    if not nu > 0.0:
+        raise GaussianError(f"degenerate symplectic spectrum: minimum symplectic "
+                            f"eigenvalue {nu:.3g} is not positive")
+    e = -np.log(2.0 * nu)
+    return e if e > 0.0 else np.float64(0.0)
 
 
 def full_report(p: SystemParams) -> EntanglementReport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (MEASURE_IDS, NO_STEADY_STATE, _lapack, measure_plan, measure_values,
-                       steady_covariance)
+                       stable_covariance)
 from .model import SystemParams, updated_in_omega_d_units
 from .sweep import _usable_cpus
 
@@ -83,12 +83,15 @@ class OptimumReport:
 
 
 def evaluate_measure(p: SystemParams, measure_id: str) -> float | None:
-    """Measure value at one parameter point; None when there is no steady
-    state.  The id is resolved first (gaussian.measure_plan, cached), so an
-    unknown one raises before any work."""
+    """Measure value at one parameter point, or None where the point is
+    unstable (gaussian.stable_covariance).  A point with no steady state
+    raises its NO_STEADY_STATE error: maximize scores it 0, and
+    critical_temperature lets it through.  The id is resolved first
+    (gaussian.measure_plan, cached), so an unknown one raises before any
+    work."""
     ids = (measure_id,)
     measure_plan(ids)
-    _, _, V = steady_covariance(p)
+    V = stable_covariance(p)
     if V is None:
         return None
     return measure_values(V, ids)[measure_id]

@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import expm
 
 import cavmag
-from cavmag import SystemParams
+from cavmag import SystemParams, gaussian
 from cavmag.dynamics import (
     MODE_LABELS,
     StabilityVerdict,
@@ -81,6 +81,18 @@ def positions(*labels) -> list[int]:
 def verdict_of(A: np.ndarray, omega_d: float) -> StabilityVerdict:
     """The stability verdict on one drift, from its own eigen-solve."""
     return StabilityVerdict.from_abscissa(spectral_abscissa(A), omega_d)
+
+
+def failing_gees(monkeypatch) -> None:
+    """Every gees call from gaussian reports that LAPACK found no Schur form
+    (an info above 0), with the factors it did find."""
+    gees, trsyl = gaussian._lapack()
+
+    def failing(*args, **kwargs):
+        *out, _ = gees(*args, **kwargs)
+        return (*out, 11)
+
+    monkeypatch.setattr(gaussian, "_lapack", lambda: (failing, trsyl))
 
 
 def param_arrays(ps) -> SimpleNamespace:

@@ -2,6 +2,7 @@ import importlib.machinery
 import linecache
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from cavmag import config, gaussian, optimize
+from cavmag import config, gaussian, optimize, sweep
 from cavmag.dynamics import (
     STABILITY_EPS_FACTOR,
+    StabilityVerdict,
     diffusion_matrix,
     drift_matrix,
     spectral_abscissa,
@@ -40,6 +42,7 @@ from cavmag.model import SystemParams, updated_in_omega_d_units
 from conftest import (
     SAMPLING_BOX,
     draw_params,
+    failing_gees,
     integrate_lyapunov,
     param_arrays,
     positions,
@@ -540,6 +543,39 @@ class TestStackedKernelMatchesReference:
             assert list(got) == ids
             assert_value_types(list(got.values()), [values[mid] for mid in ids])
 
+    def test_one_pair_branch_bit_for_bit(self):
+        # measure_values on a plan of one pair and no triple (_pair_value)
+        # against the stacked kernel on the same plan
+        zero = positive = 0
+        for p in sample_stable_params(seed=84, count=60):
+            _, _, V = steady_covariance(p)
+            for mid in BIPARTITE_MEASURES:
+                (want,), _ = gaussian._measures(V[None], gaussian.measure_plan((mid,)))
+                got = measure_values(V, (mid, mid))
+                assert list(got) == [mid]
+                assert_value_types(list(got.values()), list(want))
+                zero += want[0] == 0.0
+                positive += want[0] > 0.0
+        assert zero > 0 and positive > 0
+
+    @pytest.mark.parametrize("case", ["unpaired", "degenerate", "non-finite"])
+    def test_one_pair_branch_errors(self, case):
+        _, _, V = steady_covariance(SystemParams())
+        if case == "unpaired":
+            V[0, 3] += 50.0  # one-sided x_a1 p_a2 term
+        elif case == "degenerate":
+            V[:] = 0.0
+        else:
+            V[0, 2] = np.nan
+        with pytest.raises(GaussianError) as want:
+            gaussian._measures(V[None], gaussian.measure_plan(("EN_a1a2",)))
+        with pytest.raises(GaussianError) as got:
+            measure_values(V, ("EN_a1a2",))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith({"unpaired": "symplectic eigenvalue pairing failure",
+                                          "degenerate": "degenerate symplectic spectrum",
+                                          "non-finite": "eigen-solver failure"}[case])
+
     @pytest.mark.parametrize("ids", [["EN_ne"], ["EN_de", "R_nde"], list(MEASURE_IDS)])
     def test_stack_form_equals_the_point_form(self, reference_points, ids):
         # the kernel on the stack of covariances, row by row against
@@ -866,28 +902,43 @@ class TestBatchedLyapunovMatchesPerPoint:
         A[k - 1] = -A[k - 1]  # unstable
         assert sorted(self.assert_same(A[:k], D[:k])) == [k - 1]
 
-    def test_both_forms_run_the_one_core(self, monkeypatch):
-        # an error the core raises on one matrix reaches lyapunov_solve, and
-        # _lyapunov_solves records it at that matrix's position
+    def test_every_form_runs_the_one_core(self, monkeypatch):
+        # the factors _schur makes of one matrix reach _sylvester, and an
+        # error it raises on them reaches lyapunov_solve and the one-point
+        # stable_covariance, and _lyapunov_solves records it at that
+        # matrix's position
+        ps = sample_stable_params(seed=81, count=60)
         A, D = self.stacks()
-        chosen = A[6] / np.abs(A[6]).max()
-        core = gaussian._bartels_stewart
+        chosen, factored = A[6] / np.abs(A[6]).max(), []
+        schur, sylvester = gaussian._schur, gaussian._sylvester
 
-        def failing(a, q, *lapack):
+        def factoring(a, *lapack):
+            factors = schur(a, *lapack)
             if np.array_equal(a, chosen):
-                raise GaussianError("chosen")
-            return core(a, q, *lapack)
+                factored.append(factors)
+            return factors
 
-        monkeypatch.setattr(gaussian, "_bartels_stewart", failing)
+        def failing(factors, *args):
+            if any(factors is f for f in factored):
+                raise GaussianError("chosen")
+            return sylvester(factors, *args)
+
+        monkeypatch.setattr(gaussian, "_schur", factoring)
+        monkeypatch.setattr(gaussian, "_sylvester", failing)
         with pytest.raises(GaussianError, match="^chosen$"):
             lyapunov_solve(A[6], D[6])
+        # one factorization for both the verdict and the solve
+        with pytest.raises(GaussianError, match="^chosen$"):
+            gaussian.stable_covariance(ps[6])
+        assert len(factored) == 2
         errors = self.assert_same(A, D)
         assert {i: str(exc) for i, exc in errors.items()} == {6: "chosen"}
 
     def test_perturbation_warning_points_at_the_solve_call(self):
         # trsyl perturbs a near-zero eigenvalue pair at delta_1 = 1e300; the
-        # warning names the line of steady_covariance or evaluate_chunk
-        # that asked for the solve, not a line inside the solver
+        # warning names the line of steady_covariance, evaluate_chunk or
+        # evaluate_measure that asked for the solve, not a line inside the
+        # solver
         p = SystemParams().updated(delta_1=1e300)
 
         def point():
@@ -897,13 +948,108 @@ class TestBatchedLyapunovMatchesPerPoint:
         def stack():
             assert list(evaluate_chunk(param_arrays([p]), ("EN_ne",)).errors) == [0]
 
-        for run, call in ((point, "lyapunov_solve(A, diffusion_matrix(p))"),
-                          (stack, "_lyapunov_solves(drifts[at], D[keep])")):
+        def measure():
+            with pytest.raises(GaussianError, match="residual"):
+                optimize.evaluate_measure(p, "EN_ne")
+
+        for run, module, call in (
+                (point, gaussian, "lyapunov_solve(A, diffusion_matrix(p))"),
+                (stack, gaussian, "_lyapunov_solves(drifts[at], D[keep])"),
+                (measure, optimize, "stable_covariance(p)")):
             with pytest.warns(RuntimeWarning, match="perturbing") as record:
                 run()
             (warning,) = record
-            assert warning.filename == gaussian.__file__
+            assert warning.filename == module.__file__
             assert call in linecache.getline(warning.filename, warning.lineno)
+
+
+def _map_drifts(monkeypatch, **layers):
+    """(omega_d, the stack of every drift whose verdict the grid of these
+    config layers takes) for the grid without its measures, run serially."""
+    cfg = config.load_layers(**layers)
+    [(_, spec)] = config.build_grid_specs(cfg, config.build_system(cfg))
+    stacks, verdict = [], gaussian.spectral_abscissa
+
+    def recording(A):
+        stacks.append(A)
+        return verdict(A)
+
+    monkeypatch.setattr(gaussian, "spectral_abscissa", recording)
+    sweep.run_grid(sweep.GridSpec(axes=spec.axes, base=spec.base, linkage=spec.linkage),
+                   workers=1)
+    monkeypatch.undo()
+    return spec.base.omega_d, np.concatenate(stacks)
+
+
+def _verdicts_by_geev(monkeypatch, drifts, omega_d):
+    """_schur_verdict of each drift, and how many of them geev decided."""
+    geev, verdict = [], gaussian.spectral_abscissa
+
+    def counted(A):
+        geev.append(A)
+        return verdict(A)
+
+    monkeypatch.setattr(gaussian, "spectral_abscissa", counted)
+    stable = [gaussian._schur_verdict(A, omega_d)[0] for A in drifts]
+    monkeypatch.undo()
+    return stable, len(geev)
+
+
+class TestSchurVerdictMatchesGeev:
+    """The verdict taken from gees' spectrum (_schur_verdict) against the
+    verdict of the drift's own geev eigen-solve (spectral_abscissa)."""
+
+    @pytest.mark.parametrize("layers, unstable", [
+        ({"preset": "fig2a"}, 0),  # a stable plane
+        ({"config_path": Path(__file__).resolve().parents[1] / "perfbench" / "scmap.ini"},
+         7164),
+    ], ids=["fig2a", "scmap"])
+    def test_every_drift_of_a_map(self, layers, unstable, monkeypatch):
+        omega_d, drifts = _map_drifts(monkeypatch, **layers)
+        assert len(drifts) > 9000
+        want = StabilityVerdict.from_abscissa(spectral_abscissa(drifts), omega_d).stable
+        got, by_geev = _verdicts_by_geev(monkeypatch, drifts, omega_d)
+        assert got == want.tolist()
+        assert by_geev == 0  # gees decided every one
+        assert len(want) - np.count_nonzero(want) == unstable
+
+    def test_inside_the_band_geev_decides(self, monkeypatch):
+        # the table2_ne drift shifted along the identity so that its
+        # abscissa sits inside the band around the threshold
+        p = config.build_system(config.load_layers(preset="table2_ne"))
+        A = drift_matrix(p, steady_state(p))
+        threshold = -STABILITY_EPS_FACTOR * p.omega_d
+        band = gaussian.VERDICT_BAND * max(p.omega_d, np.abs(A).max())
+        shifted = [A + (threshold + x * band - spectral_abscissa(A)) * np.eye(10)
+                   for x in (-0.9, -1e-3, 0.0, 1e-3, 0.9)]
+        got, by_geev = _verdicts_by_geev(monkeypatch, shifted, p.omega_d)
+        assert by_geev == len(shifted)
+        want = [spectral_abscissa(B) < threshold for B in shifted]
+        assert got == want and got[0] and not got[-1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_drift_raises_the_geev_error(self, bad):
+        A = drift_matrix(SystemParams(), steady_state(SystemParams()))
+        A[7, 5] = bad
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            spectral_abscissa(A)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            gaussian._schur_verdict(A, WD)
+        assert str(got.value) == str(want.value) == "Array must not contain infs or NaNs"
+
+    def test_geev_decides_where_gees_fails(self, monkeypatch):
+        ps = sample_stable_params(seed=83, count=5)
+        ps += [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override) for p in ps]
+        drifts = [drift_matrix(p, steady_state(p)) for p in ps]
+        failing_gees(monkeypatch)
+        got, by_geev = _verdicts_by_geev(monkeypatch, drifts, WD)
+        assert by_geev == len(drifts)
+        assert got == [spectral_abscissa(A) < -STABILITY_EPS_FACTOR * WD for A in drifts]
+        assert got[0] and not all(got)
+
+    def test_a_zero_drift_is_unstable(self):
+        stable, scale, _ = gaussian._schur_verdict(np.zeros((10, 10)), WD)
+        assert not stable and scale == 1.0
 
 
 class TestLapackBinding:

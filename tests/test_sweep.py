@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cavmag import config, dynamics, gaussian, sweep
+from cavmag import config, dynamics, gaussian, optimize, sweep
 from cavmag.dynamics import (
     SteadyStateError,
     diffusion_matrix,
@@ -17,6 +17,7 @@ from cavmag.dynamics import (
     steady_state,
 )
 from cavmag.gaussian import (
+    MEASURE_IDS,
     NO_STEADY_STATE,
     evaluate_chunk,
     lyapunov_solve,
@@ -38,7 +39,8 @@ from cavmag.sweep import (
     run_grid,
 )
 
-from conftest import draw_params, param_arrays, sample_stable_params, verdict_of
+from conftest import (draw_params, failing_gees, param_arrays, sample_stable_params,
+                      verdict_of)
 
 WD = SystemParams().omega_d
 CHUNK = sweep.CHUNK  # run_grid's chunk size, before a test sets another
@@ -716,39 +718,98 @@ def assert_same_evaluation(got, want):
         assert V.tolist() == V_ref.tolist()
 
 
-class TestOnePointCallMatchesScalarReference:
-    def test_stable_points(self):
-        for p in sample_stable_params(seed=71, count=100):
-            assert_same_evaluation(steady_covariance(p), reference_steady_covariance(p))
+def reference_measure(p, measure_id, drift=drift_matrix):
+    """The scalar evaluation evaluate_measure replaced: reference_steady_covariance,
+    then the stacked measure kernel (not measure_values' one-pair branch) at a
+    stable point; None at an unstable one."""
+    _, _, V = reference_steady_covariance(p, drift)
+    if V is None:
+        return None
+    return gaussian._measures(V[None], gaussian.measure_plan((measure_id,)))[0][0, 0]
 
-    def test_unstable_points(self):
+
+def assert_same_value(got, want):
+    """Measure values of one type, np.float64 or None, with the same bits."""
+    assert type(got) is type(want)
+    assert got is None or got.tobytes() == want.tobytes()
+
+
+class OnePointCall(NamedTuple):
+    """A one-point call, by (point, measure id), with its scalar reference,
+    which also takes the drift function, and its comparison."""
+
+    run: object
+    reference: object
+    assert_same: object
+    unstable: object  # whether an outcome is an unstable verdict
+
+
+ONE_POINT_CALLS = {
+    "steady_covariance": OnePointCall(
+        lambda p, _: steady_covariance(p),
+        lambda p, _, drift=drift_matrix: reference_steady_covariance(p, drift),
+        assert_same_evaluation, lambda got: got[2] is None),
+    "evaluate_measure": OnePointCall(
+        lambda p, mid: optimize.evaluate_measure(p, mid), reference_measure,
+        assert_same_value, lambda got: got is None),
+}
+
+
+@pytest.mark.parametrize("call", ONE_POINT_CALLS.values(), ids=ONE_POINT_CALLS)
+class TestOnePointCallMatchesScalarReference:
+    """steady_covariance, and evaluate_measure for each measure id in turn,
+    against their scalar references: the point's own stability eigen-solve,
+    then lyapunov_solve at a stable point."""
+
+    def test_stable_points(self, call):
+        for k, p in enumerate(sample_stable_params(seed=71, count=100)):
+            mid = MEASURE_IDS[k % len(MEASURE_IDS)]
+            call.assert_same(call.run(p, mid), call.reference(p, mid))
+
+    def test_unstable_points(self, call):
         ps = [p.updated(delta_n_tilde_override=-p.delta_n_tilde_override)
               for p in sample_stable_params(seed=72, count=30)]
         unstable = 0
-        for p in ps:
-            got = steady_covariance(p)
-            assert_same_evaluation(got, reference_steady_covariance(p))
-            unstable += got[2] is None
+        for k, p in enumerate(ps):
+            mid = MEASURE_IDS[k % len(MEASURE_IDS)]
+            got = call.run(p, mid)
+            call.assert_same(got, call.reference(p, mid))
+            unstable += call.unstable(got)
         assert unstable > 15
 
-    @pytest.mark.parametrize("params, error", [
-        (SystemParams(), np.linalg.LinAlgError),  # with a NaN drift entry
-        (SystemParams(gamma_e=0.0, delta_e=0.0), SteadyStateError),
-    ])
-    def test_same_error(self, params, error, monkeypatch):
+    @pytest.mark.parametrize("params, case, error", [
+        (SystemParams(), "NaN drift entry", np.linalg.LinAlgError),
+        (SystemParams(gamma_e=0.0, delta_e=0.0), None, SteadyStateError),
+        (SystemParams(), "gees fails", np.linalg.LinAlgError),
+        # a stable verdict, then diffusion_matrix raises, before the Schur failure
+        (SystemParams().updated(omega_n=0.0), None, ParameterError),
+        (SystemParams().updated(omega_n=0.0), "gees fails", ParameterError),
+        (SystemParams(T=1e300), None, gaussian.GaussianError),  # trsyl scales
+    ], ids=["nan-drift", "no-steady-state", "gees-fails", "diffusion",
+            "diffusion-and-gees-fails", "trsyl-scales"])
+    def test_same_error(self, call, params, case, error, monkeypatch):
         drift = drift_matrix
-        if error is np.linalg.LinAlgError:
+        if case == "NaN drift entry":
             def drift(p, ss):
                 A = drift_matrix(p, ss)
                 A[7, 5] = np.nan  # fails the eigen-solve
                 return A
             monkeypatch.setattr(gaussian, "drift_matrix", drift)
+        elif case == "gees fails":
+            failing_gees(monkeypatch)
         with pytest.raises(error) as want:
-            reference_steady_covariance(params, drift)
+            call.reference(params, "EN_ne", drift)
         with pytest.raises(error) as got:
-            steady_covariance(params)
+            call.run(params, "EN_ne")
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_an_unstable_point_whose_gees_fails(self, call, monkeypatch):
+        p = SystemParams().updated(delta_n_tilde_override=-0.65 * WD)
+        failing_gees(monkeypatch)
+        got = call.run(p, "EN_ne")
+        call.assert_same(got, call.reference(p, "EN_ne"))
+        assert call.unstable(got)
 
 
 def test_overflowing_diffusion_is_an_error_row():
