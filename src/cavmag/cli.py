@@ -26,7 +26,9 @@ from .config import (
     build_tc,
     load_layers,
 )
-from .gaussian import BIPARTITE_MEASURES, NO_STEADY_STATE, TRIPARTITE_MEASURES, full_report
+from .dynamics import StabilityVerdict, drift_matrix, spectral_abscissa, steady_state
+from .gaussian import (BIPARTITE_MEASURES, NO_STEADY_STATE, TRIPARTITE_MEASURES,
+                       EntanglementReport, full_report)
 from .model import validate_regime
 from .optimize import OptimizeError, critical_temperature, maximize
 from .sweep import ERROR, UNSTABLE, emit_csv, run_grid, sidecar_head, write_json
@@ -107,17 +109,19 @@ def _cplx(z) -> dict:
 def cmd_point(args) -> int:
     cfg, params, coupling = _resolve(args)
     out = _out_dir(args, "point.json")
-    report = full_report(params)
-    warnings = validate_regime(params, report.steady, coupling)
-    ss = report.steady
+    # the drift's own eigen-solve (geev) decides; an unstable point loads no scipy
+    ss = steady_state(params)
     wd = params.omega_d
+    verdict = StabilityVerdict.from_abscissa(spectral_abscissa(drift_matrix(params, ss)), wd)
+    report = (full_report(params) if verdict.stable
+              else EntanglementReport(stable=False, steady=ss))
+    warnings = validate_regime(params, ss, coupling)
 
     print("steady state:")
     for label, z in (("a1", ss.a1), ("a2", ss.a2), ("e", ss.e), ("n", ss.n)):
         print(f"  <{label}> = {z.real:+.6e} {z.imag:+.6e}j   (|{label}| = {abs(z):.4e})")
     print(f"  <x> = {ss.x_mean:+.6e}")
     print(f"  delta_n_tilde = {ss.delta_n_tilde / wd:+.6f} omega_d")
-    verdict = report.verdict
     print(f"stability: {'stable' if verdict.stable else 'UNSTABLE'} "
           f"(spectral abscissa {verdict.spectral_abscissa:+.4e} rad/s, "
           f"margin {verdict.margin:+.4e} rad/s)")

@@ -79,7 +79,6 @@ class EntanglementReport:
     """All bipartite negativities and both tripartite contangles at one point."""
 
     stable: bool
-    verdict: StabilityVerdict
     steady: SteadyState
     values: dict[str, float] = field(default_factory=dict)  # by measure id
     # per tripartite id, its clamped partitions by the singled mode's label
@@ -94,8 +93,9 @@ class EntanglementReport:
 @functools.cache
 def _lapack():
     """LAPACK's real Schur decomposition and Sylvester solver for float64,
-    (gees, trsyl), bound on the first call, so that a run that solves no
-    Lyapunov equation (a stability map, an unstable point) loads no scipy.
+    (gees, trsyl), bound on the first call, so that a run that factors no
+    drift (a stability map, an unstable ``cavmag point``, whose verdict is
+    geev's) loads no scipy.
 
     They are the objects scipy.linalg.get_lapack_funcs returns, taken from
     the f2py extension it reads them from, scipy/linalg/_flapack, without
@@ -595,17 +595,6 @@ def evaluate_chunk(f, measure_ids) -> ChunkOutcome:
     return ChunkOutcome(abscissa, stable, V, at, values, errors)
 
 
-def steady_covariance(p: SystemParams):
-    """Steady state, stability verdict and (if stable) the 10x10 covariance
-    at one point: steady_state, drift_matrix, the drift's eigen-solve, then
-    diffusion_matrix and lyapunov_solve if it is stable."""
-    ss = steady_state(p)
-    A = drift_matrix(p, ss)
-    verdict = StabilityVerdict.from_abscissa(spectral_abscissa(A), p.omega_d)
-    V = lyapunov_solve(A, diffusion_matrix(p)) if verdict.stable else None
-    return ss, verdict, V
-
-
 VERDICT_BAND = 1e-9  # geev decides within this * max(omega_d, max|A|) of the threshold
 
 
@@ -633,20 +622,22 @@ def _schur_verdict(A: np.ndarray, omega_d: float):
     return spectral_abscissa(A) < threshold, scale, schur
 
 
-def stable_covariance(p: SystemParams) -> np.ndarray | None:
-    """The covariance steady_covariance finds at one point, or None where
-    its verdict is unstable, with one Schur form of the drift for both the
-    verdict (_schur_verdict) and the Lyapunov solve: the same bits, or the
-    same error, raised at the same step (steady_state, the verdict,
-    diffusion_matrix, then lyapunov_solve's checks)."""
-    A = drift_matrix(p, steady_state(p))
+def steady_covariance(p: SystemParams):
+    """Steady state and (if stable) the 10x10 covariance at one point, as
+    (ss, V), V None where the verdict is unstable.  One Schur form of the
+    drift serves both the verdict (_schur_verdict) and the Lyapunov solve;
+    each verdict, covariance bit and error is that of steady_state,
+    drift_matrix, StabilityVerdict.from_abscissa on spectral_abscissa,
+    diffusion_matrix and lyapunov_solve in turn, raised at the same step."""
+    ss = steady_state(p)
+    A = drift_matrix(p, ss)
     stable, scale, schur = _schur_verdict(A, p.omega_d)
     if not stable:
-        return None
+        return ss, None
     D = diffusion_matrix(p)
     if np.count_nonzero(np.isfinite(D)) < D.size:
         raise GaussianError(_NON_FINITE)
-    return _checked(A, D, _sylvester(schur, D / -scale, _lapack()[1]))
+    return ss, _checked(A, D, _sylvester(schur, D / -scale, _lapack()[1]))
 
 
 def measure_values(V: np.ndarray, measure_ids) -> dict:
@@ -691,12 +682,12 @@ def full_report(p: SystemParams) -> EntanglementReport:
 
     An unstable point yields a report with ``stable=False`` and no values.
     """
-    ss, verdict, V = steady_covariance(p)
+    ss, V = steady_covariance(p)
     if V is None:
-        return EntanglementReport(stable=False, verdict=verdict, steady=ss)
+        return EntanglementReport(stable=False, steady=ss)
     values, raw = _measures(V[None], measure_plan(MEASURE_IDS))
     return EntanglementReport(
-        stable=True, verdict=verdict, steady=ss,
+        stable=True, steady=ss,
         values=dict(zip(MEASURE_IDS, values[0])),
         partitions={mid: {MODE_LABELS[k]: x for k, x in zip(_BLOCK_OF[mid], parts)}
                     for mid, parts in zip(TRIPARTITE_MEASURES, _clamped(raw[0]))},

@@ -199,9 +199,10 @@ def thermal_occupation(omega: float, T: float) -> float:
         raise ParameterError(f"omega must be positive, got {omega!r}")
     if not T >= 0:
         raise ParameterError(f"T must be non-negative, got {T!r}")
-    if T == 0:
+    kt = KB * T
+    if kt == 0.0:  # T = 0, or kB*T below the smallest float: the T -> 0 limit
         return 0.0
-    x = HBAR * omega / (KB * T)
+    x = HBAR * omega / kt
     if x == 0.0:  # T = inf, or hbar*omega/kB*T below the smallest float
         raise ParameterError(f"thermal occupation diverges at omega={omega!r}, T={T!r}")
     if x > 700:  # expm1 overflows; the occupation is exp(-x) to this accuracy

@@ -144,7 +144,7 @@ def _criterion_3_data():
     min_eig = math.inf
     min_residual = math.inf
     for p in points:
-        _, _, V = steady_covariance(p)
+        _, V = steady_covariance(p)
         min_eig = min(min_eig, symplectic_eigenvalues(V)[0])
         for triple in (positions("a1", "n", "d"), positions("n", "d", "e")):
             V3 = reduce(V, triple)
@@ -200,10 +200,10 @@ def test_criterion_4_decoupling_exactness():
         base = SystemParams().updated(
             delta_1=d1 * WD, delta_2=d2 * WD, delta_e=de * WD,
             delta_n_tilde_override=dnt * WD)
-        _, _, V = steady_covariance(base.updated(J=0.0))
+        _, V = steady_covariance(base.updated(J=0.0))
         if V is not None:
             worst = max(worst, *(log_negativity(reduce(V, pair)) for pair in cross))
-        _, _, V = steady_covariance(base.updated(G_nd=0.0))
+        _, V = steady_covariance(base.updated(G_nd=0.0))
         if V is not None:
             worst = max(worst, *(log_negativity(reduce(V, pair)) for pair in phonon))
     report_line("criterion 4", worst < 1e-12,

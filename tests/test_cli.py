@@ -12,6 +12,7 @@ import pytest
 
 from cavmag import config, optimize, sweep
 from cavmag.cli import main
+from cavmag.dynamics import STABILITY_EPS_FACTOR, drift_matrix, spectral_abscissa, steady_state
 
 
 def run_cli(*argv):
@@ -62,6 +63,28 @@ class TestPoint:
         record = json.loads((tmp_path / "point.json").read_text())
         assert record["stable"] is False
         assert record["bipartite"]["EN_a1n"] is None
+
+    @pytest.mark.parametrize("sets, code", [([], 0), (["delta_n_tilde=-0.65"], 2)],
+                             ids=["stable", "unstable"])
+    def test_verdict_is_the_drifts_own_eigen_solve(self, tmp_path, sets, code):
+        cfg = config.load_layers()
+        for assignment in sets:
+            config.apply_set(cfg, assignment)
+        p = config.build_system(cfg)
+        abscissa = spectral_abscissa(drift_matrix(p, steady_state(p)))
+        args = [a for assignment in sets for a in ("--set", assignment)]
+        assert run_cli("point", *args, "--out", str(tmp_path)) == code
+        record = json.loads((tmp_path / "point.json").read_text())
+        assert record["spectral_abscissa_radps"] == abscissa
+        assert record["margin_radps"] == -STABILITY_EPS_FACTOR * p.omega_d - abscissa
+        assert record["stable"] is (code == 0)
+
+    def test_subnormal_temperature_is_the_zero_temperature_point(self, tmp_path, capsys):
+        # kB * T underflows to 0 at T = 5e-324: the T -> 0 limit, no traceback
+        for T in ("0", "5e-324"):
+            assert run_cli("point", "--set", f"T={T}", "--out", str(tmp_path / T)) == 0
+        assert ((tmp_path / "0" / "point.json").read_bytes()
+                == (tmp_path / "5e-324" / "point.json").read_bytes())
 
     def test_malformed_unit_suffix_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -190,7 +190,7 @@ class TestLyapunovMatchesScipy:
 class TestReduce:
     def setup_method(self):
         p = SystemParams()
-        _, _, self.V = steady_covariance(p)
+        _, self.V = steady_covariance(p)
 
     def test_all_modes_is_identity(self):
         W = reduce(self.V, positions("a1", "a2", "n", "d", "e"))
@@ -348,7 +348,7 @@ class TestResidualContangle:
         # the (a1, n, d) triple of one stable network point whose a1-vs-(n, d)
         # partition comes out slightly negative before the clamp
         p = sample_stable_params(seed=41, count=40)[27]
-        V3 = reduce(steady_covariance(p)[2], positions("a1", "n", "d"))
+        V3 = reduce(steady_covariance(p)[1], positions("a1", "n", "d"))
         _, raw = gaussian._measures(V3[None], gaussian._TRIPLE_PLAN)
         assert raw[0, 0, 0] < 0.0 < raw[0, 0, 1:].min()
         with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
@@ -362,7 +362,7 @@ class TestResidualContangle:
     def test_one_clamp_line_per_call(self, caplog):
         # the network triples of 40 stable points in one call: one line with
         # the number of negative raw partitions and the most negative one
-        stack = np.array([steady_covariance(p)[2]
+        stack = np.array([steady_covariance(p)[1]
                           for p in sample_stable_params(seed=41, count=40)])
         with caplog.at_level(logging.DEBUG, logger="cavmag.gaussian"):
             _, raw = gaussian._measures(stack, gaussian.measure_plan(MEASURE_IDS))
@@ -381,7 +381,7 @@ class TestResidualContangle:
         p = SystemParams().updated(
             delta_1=-0.25 * WD, delta_2=0.25 * WD, delta_e=2.0 * WD,
             delta_n_tilde_override=0.25 * WD, J=1.0 * WD)
-        _, _, V = steady_covariance(p)
+        _, V = steady_covariance(p)
         rc = residual_contangle(reduce(V, positions("a1", "n", "d")))
         assert rc.min() > 1e-4
 
@@ -416,14 +416,14 @@ class TestFullReport:
         assert report.measure("EN_ne") is None
 
     def test_measure_values_selected_subset(self):
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         values = measure_values(V, ["EN_de", "R_nde"])
         assert set(values) == {"EN_de", "R_nde"}
         report = full_report(SystemParams())
         assert values["EN_de"] == pytest.approx(report.values["EN_de"])
 
     def test_measure_values_need_the_network_covariance(self):
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         with pytest.raises(GaussianError, match="10x10"):
             measure_values(V[:8, :8], ["EN_a1a2"])
 
@@ -497,7 +497,7 @@ def _ref_measures(V):
 def reference_points():
     out = []
     for p in sample_stable_params(seed=41, count=200):
-        _, _, V = steady_covariance(p)
+        _, V = steady_covariance(p)
         out.append((p, V, *_ref_measures(V)))
     return out
 
@@ -548,7 +548,7 @@ class TestStackedKernelMatchesReference:
         # against the stacked kernel on the same plan
         zero = positive = 0
         for p in sample_stable_params(seed=84, count=60):
-            _, _, V = steady_covariance(p)
+            _, V = steady_covariance(p)
             for mid in BIPARTITE_MEASURES:
                 (want,), _ = gaussian._measures(V[None], gaussian.measure_plan((mid,)))
                 got = measure_values(V, (mid, mid))
@@ -560,7 +560,7 @@ class TestStackedKernelMatchesReference:
 
     @pytest.mark.parametrize("case", ["unpaired", "degenerate", "non-finite"])
     def test_one_pair_branch_errors(self, case):
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         if case == "unpaired":
             V[0, 3] += 50.0  # one-sided x_a1 p_a2 term
         elif case == "degenerate":
@@ -608,7 +608,7 @@ class TestStackedKernelMatchesReference:
             S = _two_mode_squeezer(0, 1, r) @ _two_mode_squeezer(1, 2, 0.5 * r)
             states.append(S @ random_physical_covariance(rng, 3, spread=1.4) @ S.T)
         for p in sample_stable_params(seed=41, count=40):
-            _, _, V = steady_covariance(p)
+            _, V = steady_covariance(p)
             states += [reduce(V, positions(*triple)).copy()
                        for triple in TRIPARTITE_MEASURES.values()]
         clamped = positive = 0
@@ -650,7 +650,7 @@ class TestStackedKernelMatchesReference:
 
     @pytest.mark.parametrize("ids", [["EN_xx"], ["EN_ne", "EN_xx"], ["en_ne"]])
     def test_unknown_measure_id(self, ids):
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         unknown = ids[-1]
         for request in (lambda: measure_values(V, ids),
                         lambda: optimize.evaluate_measure(SystemParams(), unknown),
@@ -678,7 +678,7 @@ class TestStackedKernelMatchesReference:
         assert calls == ["steady_states", "_lyapunov_solves"]
 
     def test_one_unpaired_matrix_fails_the_stack(self):
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         bad = V.copy()
         bad[0, 3] += 50.0  # one-sided x_a1 p_a2 term: only the a1-a2 block
         with pytest.raises(GaussianError, match="pairing"):
@@ -689,7 +689,7 @@ class TestStackedKernelMatchesReference:
     def test_one_plan_per_tuple_of_ids(self):
         # measure_plan is the one plan memo: a list and a tuple of the same
         # ids, a covariance and a stack, a chunk and a report share its entries
-        _, _, V = steady_covariance(SystemParams())
+        _, V = steady_covariance(SystemParams())
         gaussian.measure_plan.cache_clear()
         measure_values(V, ["EN_ne", "R_nde"])
         measure_values(V, ("EN_ne", "R_nde"))
@@ -743,12 +743,12 @@ class TestOnePointPathMatchesReference:
     def test_full_report(self, points):
         for p, abscissa, V, values, contangles in points:
             report = full_report(p)
-            assert report.verdict.spectral_abscissa == abscissa
+            assert report.stable is (abscissa < -STABILITY_EPS_FACTOR * p.omega_d)
             assert report.stable is (V is not None)
             if V is None:
                 assert report.values == report.partitions == {}
                 continue
-            assert steady_covariance(p)[2].tobytes() == V.tobytes()
+            assert steady_covariance(p)[1].tobytes() == V.tobytes()
             assert_value_types([report.measure(mid) for mid in MEASURE_IDS],
                                [values[mid] for mid in MEASURE_IDS])
             _, raw = gaussian._measures(V[None], gaussian.measure_plan(MEASURE_IDS))
@@ -758,6 +758,24 @@ class TestOnePointPathMatchesReference:
                 assert_value_types(list(report.partitions[mid].values()),
                                    list(partitions.values()))
                 assert clamped_labels(triple_raw, triple) == clamped
+
+    def test_full_report_asks_geev_only_in_the_band(self, points, monkeypatch):
+        # one decomposition per point: the Schur form of the Lyapunov solve
+        # gives the verdict, and geev decides only within VERDICT_BAND of
+        # the threshold
+        calls, geev = [], gaussian.spectral_abscissa
+
+        def counted(A):
+            calls.append(A)
+            return geev(A)
+
+        monkeypatch.setattr(gaussian, "spectral_abscissa", counted)
+        for p, abscissa, *_ in points:
+            A = drift_matrix(p, steady_state(p))
+            band = gaussian.VERDICT_BAND * max(p.omega_d, np.abs(A).max())
+            calls.clear()
+            full_report(p)
+            assert len(calls) == (abs(abscissa + STABILITY_EPS_FACTOR * p.omega_d) <= band)
 
     def test_evaluate_measure(self, points):
         for mid in MEASURE_IDS:
@@ -814,7 +832,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_measure_values_equals_full_report(self, seed, ids):
         p = sample_stable_params(seed=seed, count=1)[0]
-        _, _, V = steady_covariance(p)
+        _, V = steady_covariance(p)
         report = full_report(p)
         assert measure_values(V, sorted(ids)) == \
             {mid: report.measure(mid) for mid in sorted(ids)}
@@ -823,7 +841,7 @@ class TestProperties:
                                   for name, (lo, hi) in SAMPLING_BOX.items()}))
     @settings(max_examples=40, deadline=None)
     def test_steady_covariance_is_physical(self, values):
-        _, _, V = steady_covariance(updated_in_omega_d_units(SystemParams(), values))
+        _, V = steady_covariance(updated_in_omega_d_units(SystemParams(), values))
         assume(V is not None)
         assert np.array_equal(V, V.T)
         # uncertainty principle: V + i Omega / 2 is positive semidefinite
@@ -905,7 +923,7 @@ class TestBatchedLyapunovMatchesPerPoint:
     def test_every_form_runs_the_one_core(self, monkeypatch):
         # the factors _schur makes of one matrix reach _sylvester, and an
         # error it raises on them reaches lyapunov_solve and the one-point
-        # stable_covariance, and _lyapunov_solves records it at that
+        # steady_covariance, and _lyapunov_solves records it at that
         # matrix's position
         ps = sample_stable_params(seed=81, count=60)
         A, D = self.stacks()
@@ -929,21 +947,26 @@ class TestBatchedLyapunovMatchesPerPoint:
             lyapunov_solve(A[6], D[6])
         # one factorization for both the verdict and the solve
         with pytest.raises(GaussianError, match="^chosen$"):
-            gaussian.stable_covariance(ps[6])
+            steady_covariance(ps[6])
         assert len(factored) == 2
         errors = self.assert_same(A, D)
         assert {i: str(exc) for i, exc in errors.items()} == {6: "chosen"}
 
     def test_perturbation_warning_points_at_the_solve_call(self):
         # trsyl perturbs a near-zero eigenvalue pair at delta_1 = 1e300; the
-        # warning names the line of steady_covariance, evaluate_chunk or
-        # evaluate_measure that asked for the solve, not a line inside the
-        # solver
+        # warning names the line of lyapunov_solve's caller, full_report,
+        # evaluate_chunk or evaluate_measure that asked for the solve, not a
+        # line inside the solver
         p = SystemParams().updated(delta_1=1e300)
+
+        def solve():
+            A, D = drift_matrix(p, steady_state(p)), diffusion_matrix(p)
+            with pytest.raises(GaussianError, match="residual"):
+                lyapunov_solve(A, D)
 
         def point():
             with pytest.raises(GaussianError, match="residual"):
-                steady_covariance(p)
+                full_report(p)
 
         def stack():
             assert list(evaluate_chunk(param_arrays([p]), ("EN_ne",)).errors) == [0]
@@ -952,14 +975,15 @@ class TestBatchedLyapunovMatchesPerPoint:
             with pytest.raises(GaussianError, match="residual"):
                 optimize.evaluate_measure(p, "EN_ne")
 
-        for run, module, call in (
-                (point, gaussian, "lyapunov_solve(A, diffusion_matrix(p))"),
-                (stack, gaussian, "_lyapunov_solves(drifts[at], D[keep])"),
-                (measure, optimize, "stable_covariance(p)")):
+        for run, filename, call in (
+                (solve, __file__, "lyapunov_solve(A, D)"),
+                (point, gaussian.__file__, "ss, V = steady_covariance(p)"),
+                (stack, gaussian.__file__, "_lyapunov_solves(drifts[at], D[keep])"),
+                (measure, optimize.__file__, "_, V = steady_covariance(p)")):
             with pytest.warns(RuntimeWarning, match="perturbing") as record:
                 run()
             (warning,) = record
-            assert warning.filename == module.__file__
+            assert warning.filename == filename
             assert call in linecache.getline(warning.filename, warning.lineno)
 
 

@@ -46,6 +46,11 @@ class TestThermalOccupation:
     def test_huge_exponent_underflows_to_zero(self):
         assert thermal_occupation(TWO_PI * 10e9, 1e-6) == 0.0
 
+    def test_subnormal_temperature_is_the_zero_temperature_limit(self):
+        # kB * T underflows to 0: no ZeroDivisionError
+        for omega in (TWO_PI * 1e3, TWO_PI * 1e7, TWO_PI * 1e10):
+            assert thermal_occupation(omega, 5e-324) == 0.0
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ParameterError):
             thermal_occupation(0.0, 0.01)

@@ -91,13 +91,13 @@ class TestEvaluateMeasure:
     def test_an_unknown_id_raises_before_any_work(self, monkeypatch):
         # resolved before the steady state: an unstable point, whose value
         # is None, raises too
-        evaluated, real = [], optimize.stable_covariance
+        evaluated, real = [], optimize.steady_covariance
 
         def counted(p):
             evaluated.append(p)
             return real(p)
 
-        monkeypatch.setattr(optimize, "stable_covariance", counted)
+        monkeypatch.setattr(optimize, "steady_covariance", counted)
         unstable = SystemParams().updated(delta_n_tilde_override=-0.65 * WD)
         assert evaluate_measure(unstable, "EN_ne") is None and len(evaluated) == 1
         for p in (ne_base(), unstable):

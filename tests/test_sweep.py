@@ -277,15 +277,14 @@ class TestRunGrid:
 
 
 def reference_steady_covariance(p, drift=drift_matrix):
-    """The scalar evaluation the chunk kernel replaced: the point's own
-    stability eigen-solve, then its Lyapunov solve if it is stable."""
+    """The scalar evaluation the chunk kernel and the one-point
+    steady_covariance replaced: the point's own stability eigen-solve, then
+    its Lyapunov solve if it is stable, as (ss, V)."""
     ss = steady_state(p)
     A = drift(p, ss)
-    verdict = verdict_of(A, p.omega_d)
-    if not verdict.stable:
-        return ss, verdict, None
-    V = lyapunov_solve(A, diffusion_matrix(p))
-    return ss, verdict, V
+    if not verdict_of(A, p.omega_d).stable:
+        return ss, None
+    return ss, lyapunov_solve(A, diffusion_matrix(p))
 
 
 def reference_rows(spec):
@@ -295,7 +294,7 @@ def reference_rows(spec):
     for pt in grid_points(spec):
         try:
             p = updated_in_omega_d_units(spec.base, _point_values(spec, pt))
-            _, _, V = reference_steady_covariance(p)
+            _, V = reference_steady_covariance(p)
             if V is None:
                 rows.append(Row(pt, stable=False, measures=None))
             else:
@@ -393,7 +392,7 @@ class TestEngineMatchesPerPointReference:
         assert isinstance(out.errors[1], np.linalg.LinAlgError)
         assert out.solved.tolist() == [0, 2]
         for k, V in zip(out.solved.tolist(), out.covariances):
-            np.testing.assert_array_equal(V, reference_steady_covariance(ps[k])[2])
+            np.testing.assert_array_equal(V, reference_steady_covariance(ps[k])[1])
 
     def test_chunk_without_a_valid_point(self):
         # every point fails the parameter check, so the drift stack is empty
@@ -706,13 +705,10 @@ class TestGridWithoutMeasuresStopsAtTheVerdict:
 
 
 def assert_same_evaluation(got, want):
-    """Steady state, verdict fields with their Python types, and covariance
-    entries equal with ==."""
-    (ss, verdict, V), (ss_ref, verdict_ref, V_ref) = got, want
+    """Steady state, verdict (a covariance or None) and covariance entries
+    equal with ==."""
+    (ss, V), (ss_ref, V_ref) = got, want
     assert ss == ss_ref
-    fields, ref_fields = list(vars(verdict).values()), list(vars(verdict_ref).values())
-    assert fields == ref_fields
-    assert [type(v) for v in fields] == [type(v) for v in ref_fields] == [bool, float, float]
     assert (V is None) == (V_ref is None)
     if V is not None:
         assert V.tolist() == V_ref.tolist()
@@ -722,7 +718,7 @@ def reference_measure(p, measure_id, drift=drift_matrix):
     """The scalar evaluation evaluate_measure replaced: reference_steady_covariance,
     then the stacked measure kernel (not measure_values' one-pair branch) at a
     stable point; None at an unstable one."""
-    _, _, V = reference_steady_covariance(p, drift)
+    _, V = reference_steady_covariance(p, drift)
     if V is None:
         return None
     return gaussian._measures(V[None], gaussian.measure_plan((measure_id,)))[0][0, 0]
@@ -748,7 +744,7 @@ ONE_POINT_CALLS = {
     "steady_covariance": OnePointCall(
         lambda p, _: steady_covariance(p),
         lambda p, _, drift=drift_matrix: reference_steady_covariance(p, drift),
-        assert_same_evaluation, lambda got: got[2] is None),
+        assert_same_evaluation, lambda got: got[1] is None),
     "evaluate_measure": OnePointCall(
         lambda p, mid: optimize.evaluate_measure(p, mid), reference_measure,
         assert_same_value, lambda got: got is None),
